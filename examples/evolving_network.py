@@ -11,15 +11,20 @@ shows that:
 1. only the summaries of *changed* topics are invalidated (unchanged
    topics keep their cached summaries);
 2. search results shift to reflect the new conversation landscape;
-3. the propagation index can be selectively invalidated around changed
-   nodes instead of rebuilt.
+3. an edge change rebuilds only the propagation entries that could see
+   it, not the whole index.
 
 Run with: ``python examples/evolving_network.py``
 """
 
 from __future__ import annotations
 
-from repro.core import PITEngine, apply_topic_update, invalidate_propagation
+from repro.core import (
+    GraphDelta,
+    PITEngine,
+    apply_graph_delta,
+    apply_topic_update,
+)
 from repro.scenarios import get_scenario, hot_topic_update
 
 
@@ -60,12 +65,23 @@ def main() -> None:
     appeared = any(r.label == hot_label for r in after)
     print(f"\nNew topic entered user {user}'s top-{k}? {appeared}")
 
-    # Structural change: pretend edges around two users were rewired.
-    dropped = invalidate_propagation(engine.propagation_index, influencers[:2])
-    print(f"Propagation entries invalidated by the edge change: {dropped}")
-    # Next search rebuilds only what it needs.
+    # Structural change: two influencers' strongest out-edges weaken.
+    engine.propagation_index.build_all()
+    reweights = []
+    for source in influencers[:2]:
+        targets, probabilities = engine.graph.out_edges(source)
+        if targets.size:
+            target, probability = max(
+                zip(targets.tolist(), probabilities.tolist()),
+                key=lambda edge: edge[1],
+            )
+            reweights.append((source, target, probability / 2))
+    delta = apply_graph_delta(engine, GraphDelta(reweights=tuple(reweights)))
+    print(f"Edge change rebuilt {delta['entries_rebuilt']} of "
+          f"{engine.graph.n_nodes} propagation entries "
+          f"({delta['entries_copied']} carried over)")
     engine.search(user, query, k)
-    print("Search after selective invalidation still works.")
+    print("Search after the partial rebuild still works.")
 
     print("\nReplay churn against the serving stack (invalidation + "
           "reload mid-trace) with:\n"

@@ -95,6 +95,33 @@ FIGURES = {
 }
 
 
+def _add_build_flags(
+    parser, *, suffix: str, every: int, built: str, unit: str, item: str
+) -> None:
+    """Flags shared by the resumable build commands."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (0 = all CPUs)")
+    parser.add_argument("--checkpoint", default=None, metavar="PATH",
+                        help=f"checkpoint file (default: <output stem>"
+                             f".ckpt{suffix} next to --output)")
+    parser.add_argument("--checkpoint-every", type=int, default=every,
+                        metavar="N",
+                        help=f"flush completed {built} to the checkpoint "
+                             f"every N {unit} (0 = only on exit)")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume from an existing checkpoint "
+                             "instead of rebuilding from scratch")
+    parser.add_argument("--max-retries", type=int, default=2, metavar="N",
+                        help="fresh-process retries for crashed workers")
+    parser.add_argument("--keep-going", action="store_true",
+                        help=f"record {item} that still fail after the "
+                             "retries and continue instead of aborting")
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="write the build's metrics snapshot as JSON at "
+                             "PATH (+ Prometheus text at the .prom sibling)")
+    parser.add_argument("--seed", type=int, default=42)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI definition (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -153,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     build_index.add_argument("--size", type=int, default=None)
     build_index.add_argument("--theta", type=float, default=0.002)
     build_index.add_argument("--max-branches", type=int, default=200_000)
-    build_index.add_argument("--workers", type=int, default=1,
-                             help="worker processes (0 = all CPUs)")
     build_index.add_argument("--output", required=True, metavar="PATH",
                              help="destination .npz file (or directory "
                                   "with --shard-nodes)")
@@ -164,27 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "of N contiguous nodes instead of one "
                                   "NPZ: bounded RSS, per-shard checksums, "
                                   "shard-granularity --resume")
-    build_index.add_argument("--checkpoint", default=None, metavar="PATH",
-                             help="checkpoint file (default: <output stem>"
-                                  ".ckpt.npz next to --output)")
-    build_index.add_argument("--checkpoint-every", type=int, default=1000,
-                             metavar="N",
-                             help="flush completed entries to the checkpoint "
-                                  "every N entries (0 = only on exit)")
-    build_index.add_argument("--resume", action="store_true",
-                             help="resume from an existing checkpoint "
-                                  "instead of rebuilding from scratch")
-    build_index.add_argument("--max-retries", type=int, default=2,
-                             metavar="N",
-                             help="fresh-process retries for crashed workers")
-    build_index.add_argument("--keep-going", action="store_true",
-                             help="record nodes that still fail after the "
-                                  "retries and continue instead of aborting")
-    build_index.add_argument("--metrics-out", default=None, metavar="PATH",
-                             help="write the build's metrics snapshot as "
-                                  "JSON at PATH (+ Prometheus text at the "
-                                  ".prom sibling)")
-    build_index.add_argument("--seed", type=int, default=42)
+    _add_build_flags(build_index, suffix=".npz", every=1000,
+                     built="entries", unit="entries", item="nodes")
 
     build_summaries = sub.add_parser(
         "build-summaries",
@@ -206,35 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     build_summaries.add_argument("--sample-rate", type=float, default=0.05,
                                  help="RCL-A node sampling rate (ignored "
                                       "for lrw)")
-    build_summaries.add_argument("--workers", type=int, default=1,
-                                 help="worker processes (0 = all CPUs)")
     build_summaries.add_argument("--output", required=True, metavar="PATH",
                                  help="destination .json artifact")
-    build_summaries.add_argument("--checkpoint", default=None, metavar="PATH",
-                                 help="checkpoint file (default: <output "
-                                      "stem>.ckpt.json next to --output)")
-    build_summaries.add_argument("--checkpoint-every", type=int, default=16,
-                                 metavar="N",
-                                 help="flush completed summaries to the "
-                                      "checkpoint every N topics (0 = only "
-                                      "on exit)")
-    build_summaries.add_argument("--resume", action="store_true",
-                                 help="resume from an existing checkpoint "
-                                      "instead of rebuilding from scratch")
-    build_summaries.add_argument("--max-retries", type=int, default=2,
-                                 metavar="N",
-                                 help="fresh-process retries for crashed "
-                                      "workers")
-    build_summaries.add_argument("--keep-going", action="store_true",
-                                 help="record topics that still fail after "
-                                      "the retries and continue instead of "
-                                      "aborting")
-    build_summaries.add_argument("--metrics-out", default=None,
-                                 metavar="PATH",
-                                 help="write the build's metrics snapshot "
-                                      "as JSON at PATH (+ Prometheus text "
-                                      "at the .prom sibling)")
-    build_summaries.add_argument("--seed", type=int, default=42)
+    _add_build_flags(build_summaries, suffix=".json", every=16,
+                     built="summaries", unit="topics", item="topics")
 
     diagnose = sub.add_parser(
         "diagnose", help="print summary diagnostics for a query's topics"
@@ -619,111 +600,82 @@ def _run_search(args) -> int:
     return 0
 
 
-def _default_checkpoint(output: str, suffix: str = ".npz") -> Path:
-    path = Path(output)
-    stem = path.name[: -len(suffix)] if path.name.endswith(suffix) else path.name
-    return path.with_name(stem + ".ckpt" + suffix)
-
-
-def _run_build_index(args) -> int:
-    from .core import PropagationIndex, save_propagation_index
-
+def _build_setup(args, suffix: str):
+    """Dataset, checkpoint path and metrics registry of a build command."""
     bundle = _load_bundle(args)
     print(bundle.describe())
-    workers = None if args.workers == 0 else args.workers
-    checkpoint = (
-        Path(args.checkpoint) if args.checkpoint
-        else _default_checkpoint(args.output)
-    )
+    checkpoint = Path(args.checkpoint or args.output)
+    if not args.checkpoint:  # <output stem>.ckpt<suffix> next to --output
+        stem = checkpoint.name
+        stem = stem[: -len(suffix)] if stem.endswith(suffix) else stem
+        checkpoint = checkpoint.with_name(stem + ".ckpt" + suffix)
     metrics = None
     if args.metrics_out is not None:
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
+    return bundle, checkpoint, metrics
+
+
+def _build_policy(args) -> dict:
+    """Keywords of the resumable-build policy, as every build takes them."""
+    return dict(
+        workers=None if args.workers == 0 else args.workers,
+        resume=args.resume,
+        max_retries=args.max_retries,
+        strict=not args.keep_going,
+    )
+
+
+def _run_build_index(args) -> int:
+    from .core import PropagationIndex, save_propagation_index
+
+    bundle, checkpoint, metrics = _build_setup(args, ".npz")
     index = PropagationIndex(
         bundle.graph, args.theta, max_branches=args.max_branches,
         metrics=metrics,
     )
-    if args.shard_nodes is not None:
-        return _finish_build_sharded(args, index, workers, metrics)
-    index.build_all(
-        workers=workers,
-        checkpoint=checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        strict=not args.keep_going,
-    )
-    save_propagation_index(index, args.output)
+    if args.shard_nodes is None:
+        index.build_all(
+            checkpoint=checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            **_build_policy(args),
+        )
+        save_propagation_index(index, args.output)
+        source, layout, dropped = f"from {checkpoint}", "", "skipped"
+    else:
+        # The shard manifest doubles as the checkpoint (rewritten after
+        # every shard), so the NPZ checkpoint flags do not apply.
+        index.build_sharded(
+            args.output, shard_nodes=args.shard_nodes, **_build_policy(args)
+        )
+        source = "(completed shards verified and kept)"
+        layout = f" in shards of {args.shard_nodes} nodes"
+        dropped = "stored empty"
     stats = index.last_build_stats
     if stats.n_resumed:
-        print(f"resumed {stats.n_resumed} entries from {checkpoint}")
+        print(f"resumed {stats.n_resumed} entries {source}")
     print(f"built {stats.n_built} entries in {stats.wall_seconds:.2f}s "
           f"({stats.entries_per_second:.0f} entries/s, "
           f"{stats.workers} worker(s), "
-          f"{stats.total_bytes / 1024:.1f} KiB) -> {args.output}")
+          f"{stats.total_bytes / 1024:.1f} KiB{layout}) -> {args.output}")
     if stats.failed_nodes:
         print(f"warning: {stats.n_failed} entries failed to build and were "
-              f"skipped: {list(stats.failed_nodes)[:10]}", file=sys.stderr)
+              f"{dropped}: {list(stats.failed_nodes)[:10]}", file=sys.stderr)
     if metrics is not None:
         metrics.set_gauge("propagation.entries_cached", index.n_cached)
         metrics.set_gauge("propagation.index_bytes", index.memory_bytes())
         _emit_metrics(metrics.snapshot(), args.metrics_out)
-    # The finished artifact is saved; the checkpoint is now redundant.
-    checkpoint.unlink(missing_ok=True)
-    return 0
-
-
-def _finish_build_sharded(args, index, workers, metrics) -> int:
-    """The ``build-index --shard-nodes`` tail: stream shards to a directory.
-
-    The manifest doubles as the checkpoint (rewritten after every shard),
-    so the NPZ checkpoint flags do not apply and nothing needs deleting
-    on success.
-    """
-    index.build_sharded(
-        args.output,
-        shard_nodes=args.shard_nodes,
-        workers=workers,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        strict=not args.keep_going,
-    )
-    stats = index.last_build_stats
-    if stats.n_resumed:
-        print(f"resumed {stats.n_resumed} entries "
-              f"(completed shards verified and kept)")
-    print(f"built {stats.n_built} entries in {stats.wall_seconds:.2f}s "
-          f"({stats.entries_per_second:.0f} entries/s, "
-          f"{stats.workers} worker(s), "
-          f"{stats.total_bytes / 1024:.1f} KiB in shards of "
-          f"{args.shard_nodes} nodes) -> {args.output}")
-    if stats.failed_nodes:
-        print(f"warning: {stats.n_failed} entries failed to build and were "
-              f"stored empty: {list(stats.failed_nodes)[:10]}",
-              file=sys.stderr)
-    if metrics is not None:
-        metrics.set_gauge("propagation.entries_cached", index.n_cached)
-        metrics.set_gauge("propagation.index_bytes", index.memory_bytes())
-        _emit_metrics(metrics.snapshot(), args.metrics_out)
+    if args.shard_nodes is None:
+        # The finished artifact is saved; the checkpoint is now redundant.
+        checkpoint.unlink(missing_ok=True)
     return 0
 
 
 def _run_build_summaries(args) -> int:
     from .core import PITEngine, save_summaries
 
-    bundle = _load_bundle(args)
-    print(bundle.describe())
-    workers = None if args.workers == 0 else args.workers
-    checkpoint = (
-        Path(args.checkpoint) if args.checkpoint
-        else _default_checkpoint(args.output, ".json")
-    )
-    metrics = None
-    if args.metrics_out is not None:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
+    bundle, checkpoint, metrics = _build_setup(args, ".json")
     engine = PITEngine.from_dataset(
         bundle,
         summarizer=args.summarizer,
@@ -735,12 +687,9 @@ def _run_build_summaries(args) -> int:
         metrics=metrics,
     )
     engine.build_summaries(
-        workers=workers,
         checkpoint=checkpoint,
         checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        strict=not args.keep_going,
+        **_build_policy(args),
     )
     save_summaries(engine.summaries, bundle.graph, args.output)
     stats = engine.last_summary_build_stats

@@ -25,7 +25,6 @@ from .dynamics import (
     apply_delta_to_graph,
     apply_graph_delta,
     apply_topic_update,
-    invalidate_propagation,
     refresh_walk_index,
     updated_topic_index,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "TopicUpdate",
     "updated_topic_index",
     "apply_topic_update",
-    "invalidate_propagation",
     "refresh_walk_index",
     "save_summaries",
     "load_summaries",

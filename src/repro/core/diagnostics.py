@@ -112,9 +112,7 @@ class PropagationBuildStats:
         Exact storage bytes of every cached entry after the call.
     failed_nodes:
         Nodes whose entries could not be built after the configured
-        retries (empty for a fully successful build; only populated when
-        the build degrades gracefully instead of raising
-        :class:`~repro.exceptions.BuildFailedError`).
+        retries (empty for a fully successful build).
     n_resumed:
         Entries absorbed from a checkpoint before building started.
     """
@@ -220,8 +218,7 @@ class SummaryBuildStats:
         Worker processes used (1 = serial in-process build).
     failed_topics:
         Topics whose summaries could not be built after the configured
-        retries (populated only when the build degrades gracefully
-        instead of raising :class:`~repro.exceptions.BuildFailedError`).
+        retries (empty for a fully successful build).
     n_resumed:
         Summaries absorbed from a checkpoint before building started.
     """

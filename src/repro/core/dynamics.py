@@ -36,11 +36,6 @@ refresh *incrementally* instead of rebuilding everything:
   topics whose member sets actually changed are invalidated; unchanged
   topics keep their cached summaries (re-keyed, since topic ids are
   label-ordered).
-* :func:`invalidate_propagation` - legacy coarse invalidation: drop every
-  cached entry that could see a set of nodes. Requires the in-memory
-  backend; a shard-served index raises
-  :class:`~repro.exceptions.ConfigurationError` (use the delta path,
-  which rewrites only dirty shards).
 
 The walk index is left untouched by all of these; it is a Monte-Carlo
 sample whose staleness degrades gracefully, and the paper likewise
@@ -89,7 +84,6 @@ from ..graph import SocialGraph, forward_closure, theta_forward_closure
 from ..obs import MetricsRegistry, get_registry
 from ..topics import TopicIndex
 from .engine import PITEngine
-from .propagation import PropagationIndex
 
 __all__ = [
     "GraphDelta",
@@ -100,7 +94,6 @@ __all__ = [
     "TopicUpdate",
     "updated_topic_index",
     "apply_topic_update",
-    "invalidate_propagation",
     "refresh_walk_index",
 ]
 
@@ -691,49 +684,8 @@ def apply_topic_update(engine: PITEngine, update: TopicUpdate) -> Dict[str, int]
 
 
 # ---------------------------------------------------------------------------
-# Coarse invalidation (legacy seam) and walk-index refresh
+# Walk-index refresh
 # ---------------------------------------------------------------------------
-
-
-def invalidate_propagation(
-    index: PropagationIndex, affected_nodes: Iterable[int]
-) -> int:
-    """Drop cached entries that could observe *affected_nodes*.
-
-    An entry must be rebuilt when its target is affected or when any
-    affected node appears in its Γ or marked sets (a changed edge there
-    can alter aggregated probabilities or marking). Returns the number of
-    entries dropped.
-
-    Raises
-    ------
-    ConfigurationError
-        When the index serves from a mapped shard backend: shard-backed
-        entries live in immutable artifact files that this per-entry
-        invalidation cannot touch. Use the delta path
-        (:func:`apply_delta_to_graph` + :func:`~repro.core.shards.\
-refresh_sharded_index`), which rewrites only the dirty shard files.
-    """
-    affected: Set[int] = {int(v) for v in affected_nodes}
-    if not affected:
-        return 0
-    if index.shards is not None:
-        raise ConfigurationError(
-            "invalidate_propagation requires the in-memory backend; this "
-            "index serves from mapped shards - refresh them with "
-            "repro.core.shards.refresh_sharded_index instead"
-        )
-    doomed = []
-    for node, entry in index.backend.entries.items():
-        if (
-            node in affected
-            or affected & set(entry.gamma)
-            or affected & entry.marked
-        ):
-            doomed.append(node)
-    for node in doomed:
-        del index.backend.entries[node]
-    return len(doomed)
 
 
 def refresh_walk_index(engine: PITEngine) -> None:

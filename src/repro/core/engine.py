@@ -10,36 +10,28 @@ Ties the whole stack together the way the paper's Algorithms 5 and 9 do:
 Summaries and propagation entries are cached, so repeated queries pay only
 the online cost - exactly the paper's amortization story.
 
-:meth:`PITEngine.build_summaries` runs the offline summarization stage the
-way :meth:`~repro.core.propagation.PropagationIndex.build_all` runs the
-index build: topics shard across a ``ProcessPoolExecutor`` when
-``workers > 1`` (every topic's summary is independent, and the RCL-A
-randomness is derived per topic, so parallel output is byte-identical to
-serial), completed summaries flush periodically to a checksummed
-checkpoint artifact, crashed workers retry on fresh pools with bounded
-backoff, and a later call resumes from the checkpoint.
+:meth:`PITEngine.build_summaries` runs the offline summarization stage
+through the same runner (:mod:`repro._build_runner`) as
+:meth:`~repro.core.propagation.PropagationIndex.build_all`: topics spread
+across worker processes when ``workers > 1`` (every topic's summary is
+independent, and the RCL-A randomness is derived per topic, so parallel
+output is byte-identical to serial), completed summaries flush
+periodically to a checksummed checkpoint artifact, crashed workers retry
+on fresh pools with bounded backoff, and a later call resumes from the
+checkpoint.
 """
 
 from __future__ import annotations
 
-import os
-import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .. import _faults
-from .._utils import (
-    SeedLike,
-    coerce_rng,
-    require_in_range,
-    require_non_negative,
-)
-from ..exceptions import BuildFailedError, ConfigurationError, ReproError
+from .._build_runner import BuildRunner
+from .._utils import SeedLike, coerce_rng
+from ..exceptions import BuildFailedError, ConfigurationError
 from ..graph import SocialGraph
 from ..obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
-from ..obs.tracing import trace
 from ..topics import KeywordQuery, TopicIndex
 from ..walks import WalkIndex
 from .lrw import LRWSummarizer
@@ -54,98 +46,78 @@ _SUMMARIZER_NAMES = ("lrw", "rcl")
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing for build_summaries(workers > 1). The initializer
-# ships the fully configured summarizer (graph, topic index, walk index) to
-# each worker once; chunks return plain (topic_id, weights-dict) pairs so
-# nothing engine-shaped is pickled per result.
+# build_summaries through the shared runner (repro._build_runner). The pool
+# initializer ships the fully configured summarizer (graph, topic index,
+# walk index) to each worker once; chunks return plain (topic_id,
+# weights-dict) pairs so nothing engine-shaped is pickled per result.
 # ---------------------------------------------------------------------------
 
-_WORKER_SUMMARIZER: Optional[Summarizer] = None
 
-
-def _summaries_worker_init(
-    summarizer: Summarizer,
-    faults: Optional[Dict[str, object]] = None,
-) -> None:
-    global _WORKER_SUMMARIZER
-    if faults is not None:
-        # Fault hooks registered in the parent travel through the pool
-        # initializer so injected crashes fire inside worker processes
-        # regardless of the multiprocessing start method.
-        _faults.install(faults)
-    _WORKER_SUMMARIZER = summarizer
-
-
-def _summaries_worker_chunk(
-    topics: Sequence[int], chunk_id: int = 0, attempt: int = 0
+def _summarize_chunk(
+    summarizer: Summarizer, topics: Sequence[int]
 ) -> List[Tuple[int, Dict[int, float]]]:
-    summarizer = _WORKER_SUMMARIZER
-    assert summarizer is not None, "worker pool used before initialization"
-    _faults.inject(
-        "summarize.worker_chunk",
-        chunk=chunk_id,
-        attempt=attempt,
-        topics=tuple(topics),
-    )
     return [
         (int(topic), dict(summarizer.summarize(int(topic)).weights))
         for topic in topics
     ]
 
 
-def _backoff(attempt: int, retry_backoff: float) -> None:
-    if retry_backoff > 0:
-        time.sleep(min(retry_backoff * (2 ** (attempt - 1)), 30.0))
+class _SummaryBuild(BuildRunner):
+    """One :meth:`PITEngine.build_summaries` call over topic ids."""
 
+    prefix, item, items, key = "summarize", "topic", "topics", "topic"
+    noun = "topic summaries"
+    worker_chunk = staticmethod(_summarize_chunk)
 
-class _SummaryCheckpointWriter:
-    """Periodic atomic flushes of the engine's cached summaries.
+    def __init__(self, engine: "PITEngine", topic_ids: List[int], **policy):
+        super().__init__(engine._metrics, **policy)
+        self.engine = engine
+        self.topic_ids = topic_ids
 
-    The checkpoint file is an ordinary summaries artifact (checksummed,
-    atomically replaced, graph-signed), so a partial checkpoint is always
-    loadable and the final checkpoint of a completed build doubles as the
-    finished artifact.
-    """
+    def missing(self) -> List[int]:
+        built = self.engine._summaries
+        return [t for t in self.topic_ids if t not in built]
 
-    def __init__(
-        self,
-        engine: "PITEngine",
-        path,
-        every: int,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self._engine = engine
-        self._path = None if path is None else Path(path)
-        self._every = int(every)
-        self._pending = 0
-        self._registry = registry
+    def load(self, path: Path) -> int:
+        from .persistence import load_summaries
 
-    @property
-    def enabled(self) -> bool:
-        return self._path is not None
+        built = self.engine._summaries
+        loaded = load_summaries(path, self.engine.graph)
+        fresh = {t: s for t, s in loaded.items() if t not in built}
+        built.update(fresh)
+        return len(fresh)
 
-    def note_built(self, count: int = 1) -> None:
-        """Record *count* newly built summaries, flushing on the cadence."""
-        if self._path is None:
-            return
-        self._pending += count
-        if self._every > 0 and self._pending >= self._every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Persist the engine's cached summaries if any are unflushed."""
-        if self._path is None or self._pending == 0:
-            return
+    def save(self, path: Path) -> None:
         from .persistence import save_summaries
 
-        registry = self._registry
-        with trace("summarize.checkpoint_flush", registry=registry):
-            save_summaries(
-                self._engine._summaries, self._engine.graph, self._path
-            )
-        if registry is not None:
-            registry.inc("summarize.checkpoint_flushes")
-        self._pending = 0
+        save_summaries(self.engine._summaries, self.engine.graph, path)
+
+    def build_item(self, topic_id: int) -> None:
+        engine = self.engine
+        engine._summaries[topic_id] = engine.summarizer.summarize(topic_id)
+
+    @contextmanager
+    def pool_state(self):
+        # Detach the summarizer's metrics registry while it ships to the
+        # workers: they record into their own process default, and the
+        # parent accounts results as they return.
+        summarizer = self.engine.summarizer  # also forces the walk index build
+        saved_metrics = getattr(summarizer, "_metrics", None)
+        if hasattr(summarizer, "set_metrics"):
+            summarizer.set_metrics(None)
+        try:
+            yield summarizer
+        finally:
+            if hasattr(summarizer, "set_metrics"):
+                summarizer.set_metrics(saved_metrics)
+
+    def adopt_chunk(self, result: List[Tuple[int, Dict[int, float]]]) -> int:
+        for topic_id, weights in result:
+            self.engine._summaries[topic_id] = TopicSummary(topic_id, weights)
+        return len(result)
+
+    def attach_partial(self, error: BuildFailedError) -> None:
+        error.partial_summaries = dict(self.engine._summaries)
 
 
 class PITEngine:
@@ -479,199 +451,32 @@ class PITEngine:
         registry delta, like the propagation build's stats.
         """
         from .diagnostics import SummaryBuildStats
-        from .persistence import load_summaries
 
-        require_in_range("checkpoint_every", checkpoint_every, 0)
-        require_in_range("max_retries", max_retries, 0)
-        require_non_negative("retry_backoff", retry_backoff)
-        if workers is None:
-            workers = getattr(os, "process_cpu_count", os.cpu_count)() or 1
-        workers = int(workers)
         if topics is None:
             topic_ids = list(range(self._topic_index.n_topics))
         else:
             topic_ids = [self._topic_index.resolve(t) for t in topics]
-        registry = (
-            self._metrics if self._metrics is not None else get_registry()
-        )
-        if not registry.enabled:
-            # Stats must exist even with metrics disabled: account into a
-            # private throwaway registry instead of forking a second
-            # bookkeeping path.
-            registry = MetricsRegistry()
-        before = registry.snapshot()
-        failed: List[int] = []
-        with trace("summarize.build_all", registry=registry, workers=workers):
-            n_resumed = 0
-            if checkpoint is not None and resume and Path(checkpoint).exists():
-                with trace("summarize.resume", registry=registry):
-                    loaded = load_summaries(checkpoint, self._graph)
-                for topic_id, summary in loaded.items():
-                    if topic_id not in self._summaries:
-                        self._summaries[topic_id] = summary
-                        n_resumed += 1
-            if n_resumed:
-                registry.inc("summarize.topics_resumed", n_resumed)
-            missing = [t for t in topic_ids if t not in self._summaries]
-            writer = _SummaryCheckpointWriter(
-                self, checkpoint, checkpoint_every, registry
-            )
-            try:
-                if workers <= 1 or len(missing) <= 1:
-                    workers = 1
-                    with trace("summarize.build_serial", registry=registry):
-                        failed = self._build_summaries_serial(
-                            missing, max_retries, retry_backoff, writer,
-                            registry,
-                        )
-                else:
-                    workers = min(workers, len(missing))
-                    with trace("summarize.build_parallel", registry=registry):
-                        failed = self._build_summaries_parallel(
-                            missing, workers, max_retries, retry_backoff,
-                            writer, registry,
-                        )
-            finally:
-                # One flush covers every exit: completion, a ReproError
-                # raise, and KeyboardInterrupt/SystemExit mid-build.
-                # Summaries built before the exit are on disk for resume.
-                writer.flush()
-        if failed:
-            registry.inc("summarize.topics_failed", len(failed))
-        delta = registry.snapshot().delta(before)
-        self.last_summary_build_stats = SummaryBuildStats.from_metrics(
-            delta,
-            n_summaries=len(self._summaries),
+        run = _SummaryBuild(
+            self,
+            topic_ids,
             workers=workers,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+        )
+        failed, n_resumed = run.build_all(checkpoint, checkpoint_every, resume)
+        self.last_summary_build_stats = SummaryBuildStats.from_metrics(
+            run.finish(failed),
+            n_summaries=len(self._summaries),
+            workers=run.workers,
             failed_topics=tuple(sorted(set(failed))),
             n_resumed=n_resumed,
         )
-        if failed:
-            if strict:
-                error = BuildFailedError(
-                    sorted(set(failed)), self.last_summary_build_stats.n_built
-                )
-                error.partial_summaries = dict(self._summaries)
-                raise error
-            warnings.warn(
-                f"{len(failed)} topic summaries failed to build after "
-                f"{max_retries} retries and were skipped "
-                f"(see last_summary_build_stats.failed_topics)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        run.settle(
+            failed,
+            strict,
+            "skipped (see last_summary_build_stats.failed_topics)",
+        )
         return self
-
-    def _build_summaries_serial(
-        self,
-        missing: List[int],
-        max_retries: int,
-        retry_backoff: float,
-        writer: _SummaryCheckpointWriter,
-        registry: MetricsRegistry,
-    ) -> List[int]:
-        """In-process build with per-topic retries; returns failed topics."""
-        failed: List[int] = []
-        summarizer = self.summarizer
-        for topic_id in missing:
-            attempt = 0
-            while True:
-                try:
-                    _faults.inject(
-                        "summarize.build_topic", topic=topic_id, attempt=attempt
-                    )
-                    summary = summarizer.summarize(topic_id)
-                except ReproError:
-                    raise  # deterministic (e.g. empty topic) - no retry
-                except Exception:
-                    attempt += 1
-                    if attempt > max_retries:
-                        failed.append(topic_id)
-                        break
-                    registry.inc("summarize.topic_retries")
-                    _backoff(attempt, retry_backoff)
-                else:
-                    self._summaries[topic_id] = summary
-                    registry.inc("summarize.topics_built")
-                    writer.note_built()
-                    break
-        return failed
-
-    def _build_summaries_parallel(
-        self,
-        missing: List[int],
-        workers: int,
-        max_retries: int,
-        retry_backoff: float,
-        writer: _SummaryCheckpointWriter,
-        registry: MetricsRegistry,
-    ) -> List[int]:
-        """Sharded build with fresh-pool chunk retries; returns failures.
-
-        Small contiguous chunks keep workers load-balanced when topic
-        sizes are skewed. A crashed worker breaks its whole pool, so each
-        retry round runs the still-failing chunks on a freshly spawned
-        pool; chunks that completed before the crash are kept and never
-        rebuilt.
-        """
-        summarizer = self.summarizer  # also forces the walk index build
-        chunk_size = max(1, len(missing) // (workers * 4))
-        pending = [
-            (i, missing[i * chunk_size : (i + 1) * chunk_size])
-            for i in range((len(missing) + chunk_size - 1) // chunk_size)
-        ]
-        # The summarizer ships through the pool initializer; detach its
-        # metrics registry first (workers record into their own process
-        # default, the parent accounts results as they return).
-        saved_metrics = getattr(summarizer, "_metrics", None)
-        if hasattr(summarizer, "set_metrics"):
-            summarizer.set_metrics(None)
-        try:
-            for attempt in range(max_retries + 1):
-                if attempt:
-                    _backoff(attempt, retry_backoff)
-                still_failing: List[Tuple[int, List[int]]] = []
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)),
-                    initializer=_summaries_worker_init,
-                    initargs=(summarizer, _faults.snapshot()),
-                ) as pool:
-                    futures = {
-                        pool.submit(
-                            _summaries_worker_chunk, chunk, chunk_id, attempt
-                        ): (chunk_id, chunk)
-                        for chunk_id, chunk in pending
-                    }
-                    for future in as_completed(futures):
-                        chunk_id, chunk = futures[future]
-                        try:
-                            results = future.result()
-                        except ReproError:
-                            raise  # deterministic - propagate immediately
-                        except Exception:
-                            # Worker crash (BrokenProcessPool fails every
-                            # in-flight chunk of the round) or an
-                            # unexpected in-worker error: retry fresh.
-                            still_failing.append((chunk_id, chunk))
-                        else:
-                            for topic_id, weights in results:
-                                self._summaries[topic_id] = TopicSummary(
-                                    topic_id, weights
-                                )
-                            registry.inc(
-                                "summarize.topics_built", len(results)
-                            )
-                            writer.note_built(len(results))
-                if not still_failing:
-                    pending = []
-                    break
-                if attempt < max_retries:
-                    registry.inc("summarize.chunk_retries", len(still_failing))
-                pending = sorted(still_failing)
-        finally:
-            if hasattr(summarizer, "set_metrics"):
-                summarizer.set_metrics(saved_metrics)
-        return [topic for _, chunk in pending for topic in chunk]
 
     @property
     def n_summaries(self) -> int:

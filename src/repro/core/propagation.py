@@ -34,32 +34,20 @@ truncated entry contains the contribution of exactly ``max_branches``
 extensions - the extension that would exceed the budget is never taken
 and no probability mass is silently dropped mid-branch.
 
-:meth:`PropagationIndex.build_all` shards nodes across a
-``ProcessPoolExecutor`` when ``workers > 1``. Every entry build is
-independent and deterministic (DFS order is fixed by the CSR layout), so
-parallel results are byte-identical to serial ones.
-
-The build is fault tolerant. With a ``checkpoint`` path, completed
-entries are periodically flushed (atomically, checksummed) so a crash,
-SIGINT, or OOM-killed worker costs at most ``checkpoint_every`` entries
-of work: the next ``build_all`` call resumes from the checkpoint and -
-because every entry is deterministic - produces output byte-identical to
-an uninterrupted build. Failed chunks are retried with bounded
-exponential backoff on a fresh process pool; nodes that still fail after
-``max_retries`` either surface in
-:attr:`~repro.core.diagnostics.PropagationBuildStats.failed_nodes`
-(graceful degradation) or raise
-:class:`~repro.exceptions.BuildFailedError` carrying the partial result,
-per the ``strict`` flag.
+:meth:`PropagationIndex.build_all` materializes every node, serially or
+across worker processes. Every entry build is independent and
+deterministic (DFS order is fixed by the CSR layout), so parallel builds
+and builds resumed from a checkpoint are byte-identical to an
+uninterrupted serial one. Retries, checkpoint flushes, and the strict
+versus keep-going handling of persistent failures come from the shared
+runner in :mod:`repro._build_runner`.
 """
 
 from __future__ import annotations
 
-import os
-import time
 import warnings
 from collections.abc import Mapping as MappingABC
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Dict,
@@ -76,17 +64,11 @@ from typing import (
 
 import numpy as np
 
-from .. import _faults
-from .._utils import require_in_range, require_non_negative, require_probability
-from ..exceptions import (
-    BudgetExceededError,
-    BuildFailedError,
-    ConfigurationError,
-    ReproError,
-)
+from .._build_runner import BuildRunner
+from .._utils import require_in_range, require_probability
+from ..exceptions import BudgetExceededError, BuildFailedError, ConfigurationError
 from ..graph import SocialGraph
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.tracing import trace
 
 __all__ = [
     "GammaView",
@@ -351,109 +333,98 @@ class PropagationEntry:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing for build_all(workers > 1). The initializer gives
-# every worker its own index over the (read-only, copy-on-write under fork)
-# CSR arrays; chunks return raw arrays so nothing entry-shaped is pickled.
+# Builds through the shared runner (repro._build_runner). Every worker gets
+# its own empty index over the (read-only, copy-on-write under fork) CSR
+# arrays; chunks return raw arrays so nothing entry-shaped is pickled.
 # ---------------------------------------------------------------------------
-
-_WORKER_INDEX: Optional["PropagationIndex"] = None
-
-_ChunkResult = Tuple[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]], int]
-
-
-def _worker_init(
-    graph: SocialGraph,
-    theta: float,
-    max_branches: int,
-    strict: bool,
-    faults: Optional[Dict[str, object]] = None,
-) -> None:
-    global _WORKER_INDEX
-    if faults is not None:
-        # Fault hooks registered in the parent travel through the pool
-        # initializer so injected crashes fire inside worker processes
-        # regardless of the multiprocessing start method.
-        _faults.install(faults)
-    _WORKER_INDEX = PropagationIndex(
-        graph, theta, max_branches=max_branches, strict=strict
-    )
 
 
 def _worker_build_chunk(
-    nodes: Sequence[int], chunk_id: int = 0, attempt: int = 0
-) -> _ChunkResult:
-    index = _WORKER_INDEX
-    assert index is not None, "worker pool used before initialization"
-    _faults.inject(
-        "propagation.worker_chunk",
-        chunk=chunk_id,
-        attempt=attempt,
-        nodes=tuple(nodes),
-    )
-    results = []
+    index: "PropagationIndex", nodes: Sequence[int]
+) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]], int]:
+    """Raw arrays of each entry plus the chunk's truncation count.
+
+    A warning raised in a worker would only reach the worker's stderr, so
+    truncations are counted here and reported once by the parent.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for node in nodes:
-            entry = index._build_entry(node)
-            results.append(
-                (
-                    entry.node,
-                    entry.sources,
-                    entry.probabilities,
-                    entry.marked_array,
-                    entry.branches,
-                )
-            )
-    n_truncated = sum(1 for w in caught if "truncated" in str(w.message))
-    return results, n_truncated
+        rows = [
+            (e.node, e.sources, e.probabilities, e.marked_array, e.branches)
+            for e in map(index._build_entry, nodes)
+        ]
+    return rows, sum(1 for w in caught if "truncated" in str(w.message))
 
 
-class _CheckpointWriter:
-    """Periodic atomic flushes of an index's cached entries.
+class _EntryBuild(BuildRunner):
+    """One build call over the nodes of a :class:`PropagationIndex`."""
 
-    The checkpoint file is an ordinary propagation-index artifact
-    (checksummed, atomically replaced), so a partial checkpoint is always
-    loadable and the final checkpoint of a completed build doubles as the
-    finished artifact.
-    """
+    prefix, item, items, key = "propagation", "entry", "entries", "node"
+    noun = "propagation entries"
+    worker_chunk = staticmethod(_worker_build_chunk)
 
-    def __init__(
-        self,
-        index: "PropagationIndex",
-        path: Optional[PathLike],
-        every: int,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self._index = index
-        self._path = None if path is None else Path(path)
-        self._every = int(every)
-        self._pending = 0
-        self._registry = registry
+    def __init__(self, index: "PropagationIndex", **policy):
+        super().__init__(index._metrics, **policy)
+        self.index = index
 
-    @property
-    def enabled(self) -> bool:
-        return self._path is not None
+    def missing(self) -> List[int]:
+        index = self.index
+        if index._shards is not None:
+            return []  # every node is served from the mapped shards
+        return [
+            node for node in range(index._graph.n_nodes)
+            if node not in index._entries
+        ]
 
-    def note_built(self, count: int = 1) -> None:
-        """Record *count* newly built entries, flushing on the cadence."""
-        if self._path is None:
-            return
-        self._pending += count
-        if self._every > 0 and self._pending >= self._every:
-            self.flush()
+    def load(self, path: Path) -> int:
+        return self.index.load_checkpoint(path)
 
-    def flush(self) -> None:
-        """Persist the index's cached entries if any are unflushed."""
-        if self._path is None or self._pending == 0:
-            return
+    def save(self, path: Path) -> None:
         from .persistence import save_propagation_index
 
-        registry = self._registry
-        with trace("propagation.checkpoint_flush", registry=registry):
-            save_propagation_index(self._index, self._path)
-        if registry is not None:
-            registry.inc("propagation.checkpoint_flushes")
-        self._pending = 0
+        save_propagation_index(self.index, path)
+
+    def build_item(self, node: int) -> None:
+        self._keep(node, self.index._build_entry(node))
+
+    def _keep(self, node: int, entry: "PropagationEntry") -> None:
+        self.index._entries[node] = entry
+        registry = self.registry
+        registry.inc("propagation.branches", entry.branches)
+        registry.inc("propagation.members", entry.size)
+        registry.observe(
+            "propagation.entry_bytes",
+            entry.memory_bytes(),
+            buckets=_ENTRY_BYTES_BUCKETS,
+        )
+
+    @contextmanager
+    def pool_state(self):
+        index = self.index
+        self._truncated = 0
+        yield PropagationIndex(
+            index._graph,
+            index._theta,
+            max_branches=index._max_branches,
+            strict=index._strict,
+        )
+        if self._truncated:
+            warnings.warn(
+                f"{self._truncated} propagation entries truncated at "
+                f"{index._max_branches} branches (theta={index._theta})",
+                RuntimeWarning,
+                stacklevel=6,  # the caller of build_all/build_sharded
+            )
+
+    def adopt_chunk(self, result) -> int:
+        rows, n_truncated = result
+        self._truncated += n_truncated
+        for row in rows:
+            self._keep(row[0], PropagationEntry.from_arrays(*row))
+        return len(rows)
+
+    def attach_partial(self, error: BuildFailedError) -> None:
+        error.partial_index = self.index
 
 
 class InMemoryBackend:
@@ -792,81 +763,26 @@ class PropagationIndex:
         """
         from .diagnostics import PropagationBuildStats
 
-        require_in_range("checkpoint_every", checkpoint_every, 0)
-        require_in_range("max_retries", max_retries, 0)
-        require_non_negative("retry_backoff", retry_backoff)
-        if workers is None:
-            workers = getattr(os, "process_cpu_count", os.cpu_count)() or 1
-        workers = int(workers)
-        strict_build = self._strict if strict is None else bool(strict)
-        registry = self._registry()
-        if not registry.enabled:
-            # Stats must exist even with metrics disabled: account into a
-            # private throwaway registry instead of forking a second
-            # bookkeeping path.
-            registry = MetricsRegistry()
-        before = registry.snapshot()
-        failed: List[int] = []
-        with trace("propagation.build_all", registry=registry, workers=workers):
-            n_resumed = 0
-            if checkpoint is not None and resume and Path(checkpoint).exists():
-                with trace("propagation.resume", registry=registry):
-                    n_resumed = self.load_checkpoint(checkpoint)
-            if n_resumed:
-                registry.inc("propagation.entries_resumed", n_resumed)
-            if self._shards is not None:
-                missing = []  # every node is served from the mapped shards
-            else:
-                missing = [
-                    node for node in range(self._graph.n_nodes)
-                    if node not in self._entries
-                ]
-            writer = _CheckpointWriter(
-                self, checkpoint, checkpoint_every, registry
-            )
-            try:
-                if workers <= 1 or len(missing) <= 1:
-                    workers = 1
-                    with trace("propagation.build_serial", registry=registry):
-                        failed = self._build_serial(
-                            missing, max_retries, retry_backoff, writer,
-                            registry,
-                        )
-                else:
-                    workers = min(workers, len(missing))
-                    with trace("propagation.build_parallel", registry=registry):
-                        failed = self._build_parallel(
-                            missing, workers, max_retries, retry_backoff,
-                            writer, registry,
-                        )
-            finally:
-                # One flush covers every exit: completion, a strict-budget
-                # raise, and KeyboardInterrupt/SystemExit mid-build. Entries
-                # built before the exit are on disk for the next resume.
-                writer.flush()
-        if failed:
-            registry.inc("propagation.entries_failed", len(failed))
-        delta = registry.snapshot().delta(before)
-        self.last_build_stats = PropagationBuildStats.from_metrics(
-            delta,
-            n_entries=len(self._entries),
+        run = _EntryBuild(
+            self,
             workers=workers,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+        )
+        failed, n_resumed = run.build_all(checkpoint, checkpoint_every, resume)
+        self.last_build_stats = PropagationBuildStats.from_metrics(
+            run.finish(failed),
+            n_entries=len(self._entries),
+            workers=run.workers,
             total_bytes=self.memory_bytes(),
-            failed_nodes=tuple(sorted(set(failed))),
+            failed_nodes=tuple(failed),
             n_resumed=n_resumed,
         )
-        if failed:
-            if strict_build:
-                error = BuildFailedError(failed, self.last_build_stats.n_built)
-                error.partial_index = self
-                raise error
-            warnings.warn(
-                f"{len(failed)} propagation entries failed to build after "
-                f"{max_retries} retries and were skipped "
-                f"(see last_build_stats.failed_nodes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        run.settle(
+            failed,
+            self._strict if strict is None else bool(strict),
+            "skipped (see last_build_stats.failed_nodes)",
+        )
         return self
 
     def build_sharded(
@@ -910,7 +826,9 @@ class PropagationIndex:
           completed shard already safe on disk.
 
         Records :class:`~repro.core.diagnostics.PropagationBuildStats` on
-        :attr:`last_build_stats`; shard progress is observable via the
+        :attr:`last_build_stats`, also when raising (the error's
+        ``n_built`` counts every entry this call built, across all shard
+        ranges); shard progress is observable via the
         ``propagation.shards_written`` / ``propagation.shards_resumed``
         counters.
         """
@@ -918,216 +836,61 @@ class PropagationIndex:
         from .shards import PropagationShardWriter
 
         require_in_range("shard_nodes", shard_nodes, 1)
-        require_in_range("max_retries", max_retries, 0)
-        require_non_negative("retry_backoff", retry_backoff)
-        if workers is None:
-            workers = getattr(os, "process_cpu_count", os.cpu_count)() or 1
-        workers = int(workers)
+        run = _EntryBuild(
+            self,
+            workers=workers,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+        )
         strict_build = self._strict if strict is None else bool(strict)
-        registry = self._registry()
-        if not registry.enabled:
-            registry = MetricsRegistry()
-        before = registry.snapshot()
         n_nodes = self._graph.n_nodes
         shard_nodes = int(shard_nodes)
         writer = PropagationShardWriter(directory, self, shard_nodes)
-        null_checkpoint = _CheckpointWriter(self, None, 0)
-        failed_all: List[int] = []
+        failed: List[int] = []
         n_resumed = 0
+        n_covered = 0
         bytes_written = 0
-        with trace(
-            "propagation.build_sharded", registry=registry, workers=workers
-        ):
+        with run.span("build_sharded", workers=run.workers):
             done = writer.resume() if resume else {}
             for lo in range(0, n_nodes, shard_nodes):
-                hi = min(lo + shard_nodes, n_nodes)
+                hi = n_covered = min(lo + shard_nodes, n_nodes)
                 record = done.get((lo, hi))
                 if record is not None:
                     n_resumed += hi - lo
                     bytes_written += int(record["nbytes"])
-                    registry.inc("propagation.shards_resumed")
+                    run.registry.inc("propagation.shards_resumed")
                     continue
-                missing = [
+                range_failed = run.run([
                     node for node in range(lo, hi)
                     if node not in self._entries
-                ]
-                if workers <= 1 or len(missing) <= 1:
-                    failed = self._build_serial(
-                        missing, max_retries, retry_backoff,
-                        null_checkpoint, registry,
-                    )
-                else:
-                    failed = self._build_parallel(
-                        missing, min(workers, len(missing)), max_retries,
-                        retry_backoff, null_checkpoint, registry,
-                    )
-                if failed and strict_build:
-                    registry.inc("propagation.entries_failed", len(failed))
-                    n_built = sum(
-                        1 for node in self._entries if lo <= node < hi
-                    )
-                    error = BuildFailedError(failed, n_built)
-                    error.partial_index = self
-                    raise error
+                ])
+                failed.extend(range_failed)
+                if range_failed and strict_build:
+                    break  # published shards stay; the manifest stays open
                 record = writer.write_range(lo, hi, self._entries)
                 bytes_written += int(record["nbytes"])
-                registry.inc("propagation.shards_written")
-                failed_all.extend(failed)
+                run.registry.inc("propagation.shards_written")
                 # Streaming: the shard is safe on disk - free its entries
                 # so peak residency stays one shard range.
                 for node in range(lo, hi):
                     self._entries.pop(node, None)
-            writer.finalize(failed_nodes=tuple(failed_all))
-        if failed_all:
-            registry.inc("propagation.entries_failed", len(failed_all))
-        delta = registry.snapshot().delta(before)
+            if not (failed and strict_build):
+                writer.finalize(failed_nodes=tuple(failed))
         self.last_build_stats = PropagationBuildStats.from_metrics(
-            delta,
-            n_entries=n_nodes - len(failed_all),
-            workers=workers,
+            run.finish(failed),
+            n_entries=n_covered - len(failed),
+            workers=run.workers,
             total_bytes=bytes_written,
-            failed_nodes=tuple(sorted(set(failed_all))),
+            failed_nodes=tuple(failed),
             n_resumed=n_resumed,
         )
-        if failed_all:
-            warnings.warn(
-                f"{len(failed_all)} propagation entries failed to build "
-                f"after {max_retries} retries and were stored as empty "
-                f"shard slots (see last_build_stats.failed_nodes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return self
-
-    @staticmethod
-    def _backoff(attempt: int, retry_backoff: float) -> None:
-        if retry_backoff > 0:
-            time.sleep(min(retry_backoff * (2 ** (attempt - 1)), 30.0))
-
-    def _build_serial(
-        self,
-        missing: List[int],
-        max_retries: int,
-        retry_backoff: float,
-        writer: _CheckpointWriter,
-        registry: MetricsRegistry,
-    ) -> List[int]:
-        """In-process build with per-node retries; returns failed nodes."""
-        failed: List[int] = []
-        for node in missing:
-            attempt = 0
-            while True:
-                try:
-                    _faults.inject(
-                        "propagation.build_entry", node=node, attempt=attempt
-                    )
-                    entry = self._build_entry(node)
-                except ReproError:
-                    raise  # deterministic (e.g. strict budget) - no retry
-                except Exception:
-                    attempt += 1
-                    if attempt > max_retries:
-                        failed.append(node)
-                        break
-                    registry.inc("propagation.entry_retries")
-                    self._backoff(attempt, retry_backoff)
-                else:
-                    self._entries[node] = entry
-                    self._account_entry(registry, entry)
-                    writer.note_built()
-                    break
-        return failed
-
-    @staticmethod
-    def _account_entry(
-        registry: MetricsRegistry, entry: PropagationEntry
-    ) -> None:
-        registry.inc("propagation.entries_built")
-        registry.inc("propagation.branches", entry.branches)
-        registry.inc("propagation.members", entry.size)
-        registry.observe(
-            "propagation.entry_bytes",
-            entry.memory_bytes(),
-            buckets=_ENTRY_BYTES_BUCKETS,
+        run.settle(
+            failed,
+            strict_build,
+            "stored as empty shard slots "
+            "(see last_build_stats.failed_nodes)",
         )
-
-    def _build_parallel(
-        self,
-        missing: List[int],
-        workers: int,
-        max_retries: int,
-        retry_backoff: float,
-        writer: _CheckpointWriter,
-        registry: MetricsRegistry,
-    ) -> List[int]:
-        """Sharded build with fresh-pool chunk retries; returns failures.
-
-        Small contiguous chunks keep workers load-balanced when entry
-        sizes are skewed (hubs cost far more than leaves). A crashed
-        worker breaks its whole pool, so each retry round runs the still
-        -failing chunks on a freshly spawned pool; chunks that completed
-        before the crash are kept and never rebuilt.
-        """
-        chunk_size = max(1, len(missing) // (workers * 4))
-        pending = [
-            (i, missing[i * chunk_size : (i + 1) * chunk_size])
-            for i in range((len(missing) + chunk_size - 1) // chunk_size)
-        ]
-        n_truncated = 0
-        for attempt in range(max_retries + 1):
-            if attempt:
-                self._backoff(attempt, retry_backoff)
-            still_failing: List[Tuple[int, List[int]]] = []
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                initializer=_worker_init,
-                initargs=(
-                    self._graph,
-                    self._theta,
-                    self._max_branches,
-                    self._strict,
-                    _faults.snapshot(),
-                ),
-            ) as pool:
-                futures = {
-                    pool.submit(_worker_build_chunk, chunk, chunk_id, attempt):
-                        (chunk_id, chunk)
-                    for chunk_id, chunk in pending
-                }
-                for future in as_completed(futures):
-                    chunk_id, chunk = futures[future]
-                    try:
-                        results, chunk_truncated = future.result()
-                    except ReproError:
-                        raise  # deterministic - propagate immediately
-                    except Exception:
-                        # Worker crash (BrokenProcessPool fails every
-                        # in-flight chunk of the round) or an unexpected
-                        # in-worker error: retry on a fresh pool.
-                        still_failing.append((chunk_id, chunk))
-                    else:
-                        n_truncated += chunk_truncated
-                        for node, sources, probabilities, marked, branches in results:
-                            entry = PropagationEntry.from_arrays(
-                                node, sources, probabilities, marked, branches
-                            )
-                            self._entries[node] = entry
-                            self._account_entry(registry, entry)
-                        writer.note_built(len(results))
-            if not still_failing:
-                pending = []
-                break
-            if attempt < max_retries:
-                registry.inc("propagation.chunk_retries", len(still_failing))
-            pending = sorted(still_failing)
-        if n_truncated:
-            warnings.warn(
-                f"{n_truncated} propagation entries truncated at "
-                f"{self._max_branches} branches (theta={self._theta})",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return [node for _, chunk in pending for node in chunk]
+        return self
 
     def memory_bytes(self) -> int:
         """Exact resident size of the index (heap entries + paged shards).

@@ -136,27 +136,28 @@ class ArtifactCorruptedError(ArtifactError):
 
 
 class BuildFailedError(ReproError):
-    """An offline index build could not materialize every entry.
+    """An offline build could not materialize every item.
 
-    Raised by :meth:`repro.core.propagation.PropagationIndex.build_all`
-    when chunks keep failing after ``max_retries`` fresh-process retries
-    and the build runs in strict mode. The entries that *did* build are
-    preserved: :attr:`partial_index` references the index (already flushed
-    to the checkpoint file when checkpointing is on), so a caller can
-    inspect or persist the partial result instead of losing hours of work.
+    Raised in strict mode by the propagation-index and topic-summary
+    builds when items keep failing after ``max_retries`` retries;
+    ``failed_nodes`` holds the failed node or topic ids. The items that
+    *did* build are preserved: the raiser attaches :attr:`partial_index`
+    (or ``partial_summaries``), already flushed to the checkpoint when
+    checkpointing is on, so a caller can inspect or persist the partial
+    result instead of losing hours of work.
 
-    ``partial_index`` is attached by the raiser and deliberately not part
-    of the pickled state (a live index does not belong on the wire).
+    The partial result is deliberately not part of the pickled state (a
+    live index does not belong on the wire).
     """
 
     def __init__(self, failed_nodes: Sequence[int], n_built: int):
-        failed = sorted(int(node) for node in failed_nodes)
-        preview = ", ".join(str(node) for node in failed[:8])
+        failed = sorted(int(item) for item in failed_nodes)
+        preview = ", ".join(str(item) for item in failed[:8])
         if len(failed) > 8:
             preview += ", ..."
         super().__init__(
-            f"index build failed for {len(failed)} node(s) [{preview}] "
-            f"after retries; {n_built} entries built"
+            f"build failed for {len(failed)} item(s) [{preview}] "
+            f"after retries; {n_built} built"
         )
         self.failed_nodes: List[int] = failed
         self.n_built = int(n_built)

@@ -17,6 +17,7 @@ from repro import _faults
 from repro.core import PITEngine, load_summaries, save_summaries
 from repro.exceptions import BuildFailedError, ConfigurationError
 from repro.graph import preferential_attachment_graph
+from repro.obs.registry import MetricsRegistry
 from repro.topics import TopicIndex
 
 SEED = 11
@@ -44,11 +45,11 @@ def topic_index(graph):
     return TopicIndex(graph.n_nodes, assignments)
 
 
-def _engine(graph, topic_index, summarizer="rcl"):
+def _engine(graph, topic_index, summarizer="rcl", metrics=None):
     return PITEngine(
         graph, topic_index, summarizer=summarizer,
         walk_length=4, samples_per_node=10,
-        rep_fraction=0.3, sample_rate=0.2, seed=SEED,
+        rep_fraction=0.3, sample_rate=0.2, seed=SEED, metrics=metrics,
     )
 
 
@@ -120,18 +121,25 @@ class TestCheckpointResume:
         self, graph, topic_index, reference_digest, tmp_path
     ):
         checkpoint = tmp_path / "summaries.ckpt.json"
+        interrupted = MetricsRegistry()
         with _faults.fault(
             "summarize.build_topic", _faults.InterruptOnTopic(7)
         ):
             with pytest.raises(KeyboardInterrupt):
-                _engine(graph, topic_index).build_summaries(
+                _engine(graph, topic_index, metrics=interrupted).build_summaries(
                     checkpoint=checkpoint, checkpoint_every=1
                 )
         # The finally-flush persisted topics 0-6 for the next run.
         assert len(load_summaries(checkpoint, graph)) == 7
+        # checkpoint_every=1: one flush per built topic, none left for exit.
+        assert interrupted.counter_value("summarize.checkpoint_flushes") == 7
 
-        resumed = _engine(graph, topic_index)
+        registry = MetricsRegistry()
+        resumed = _engine(graph, topic_index, metrics=registry)
         resumed.build_summaries(checkpoint=checkpoint, checkpoint_every=1)
+        assert registry.counter_value("summarize.checkpoint_flushes") == (
+            topic_index.n_topics - 7
+        )
         assert resumed.last_summary_build_stats.n_resumed == 7
         assert resumed.last_summary_build_stats.n_built == (
             topic_index.n_topics - 7
@@ -155,25 +163,35 @@ class TestCheckpointResume:
 
 class TestRetries:
     def test_transient_topic_failure_is_retried(self, graph, topic_index):
+        registry = MetricsRegistry()
         with _faults.fault(
             "summarize.build_topic", _faults.FailOnTopic(4, attempts=(0,))
         ):
-            engine = _engine(graph, topic_index).build_summaries()
+            engine = _engine(
+                graph, topic_index, metrics=registry
+            ).build_summaries()
         assert engine.n_summaries == topic_index.n_topics
         assert engine.last_summary_build_stats.failed_topics == ()
+        assert registry.counter_value("summarize.topic_retries") == 1
 
     def test_crashed_worker_retries_on_fresh_pool(
         self, graph, topic_index, reference_digest, tmp_path
     ):
+        registry = MetricsRegistry()
         with _faults.fault(
             "summarize.worker_chunk", _faults.ExitOnChunk(1, attempts=(0,))
         ):
-            engine = _engine(graph, topic_index).build_summaries(
-                workers=2, retry_backoff=0.01
-            )
+            engine = _engine(
+                graph, topic_index, metrics=registry
+            ).build_summaries(workers=2, retry_backoff=0.01)
         path = tmp_path / "summaries.json"
         save_summaries(engine.summaries, graph, path)
         assert _digest(path) == reference_digest
+        # The crash fails chunk 1 plus whatever else was in flight.
+        assert registry.counter_value("summarize.chunk_retries") >= 1
+        assert registry.counter_value("summarize.topics_built") == (
+            topic_index.n_topics
+        )
 
     def test_persistent_failure_strict_raises(self, graph, topic_index):
         with _faults.fault(
@@ -186,6 +204,7 @@ class TestRetries:
                 )
         error = excinfo.value
         assert error.failed_nodes == [4]
+        assert "node" not in str(error)  # topic ids, not nodes
         # Everything that did build travels with the error.
         assert len(error.partial_summaries) == topic_index.n_topics - 1
 

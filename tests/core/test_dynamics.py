@@ -6,7 +6,6 @@ from repro.core import (
     PITEngine,
     TopicUpdate,
     apply_topic_update,
-    invalidate_propagation,
     refresh_walk_index,
     updated_topic_index,
 )
@@ -140,60 +139,6 @@ class TestApplyToEngine:
         assert alpha_new != alpha_old  # "aaaa" sorts first, ids shift
         cached = engine._summaries[alpha_new]
         assert cached.topic_id == alpha_new
-
-
-class TestInvalidatePropagation:
-    def test_affected_entries_dropped(self, engine):
-        index = engine.propagation_index
-        entry = index.entry(0)
-        some_member = next(iter(entry.gamma)) if entry.gamma else 0
-        dropped = invalidate_propagation(index, [some_member])
-        assert dropped >= 1
-        assert 0 not in index._entries
-
-    def test_unrelated_entries_survive(self):
-        from repro.core import PropagationIndex
-        from repro.graph import SocialGraph
-
-        # Two disjoint chains: changes in one cannot affect the other.
-        graph = SocialGraph(
-            6, [(0, 1, 0.5), (1, 2, 0.5), (3, 4, 0.5), (4, 5, 0.5)]
-        )
-        index = PropagationIndex(graph, 0.1)
-        index.entry(2)  # Gamma = {0, 1}
-        index.entry(5)  # Gamma = {3, 4}
-        dropped = invalidate_propagation(index, [3])
-        assert dropped == 1
-        assert 2 in index._entries
-        assert 5 not in index._entries
-
-    def test_empty_update_noop(self, engine):
-        index = engine.propagation_index
-        index.entry(0)
-        assert invalidate_propagation(index, []) == 0
-
-    def test_shard_backend_rejected(self, engine, tmp_path):
-        from repro.core import load_sharded_index, save_sharded_index
-
-        engine.propagation_index.build_all(workers=1)
-        save_sharded_index(
-            engine.propagation_index, tmp_path / "shards", shard_nodes=16
-        )
-        index = load_sharded_index(tmp_path / "shards", engine.graph)
-        with pytest.raises(
-            ConfigurationError, match="refresh_sharded_index"
-        ):
-            invalidate_propagation(index, [0])
-
-    def test_shard_backend_empty_update_still_noop(self, engine, tmp_path):
-        from repro.core import load_sharded_index, save_sharded_index
-
-        engine.propagation_index.build_all(workers=1)
-        save_sharded_index(
-            engine.propagation_index, tmp_path / "shards", shard_nodes=16
-        )
-        index = load_sharded_index(tmp_path / "shards", engine.graph)
-        assert invalidate_propagation(index, []) == 0
 
 
 class TestReplaceTopicIndex:

@@ -100,13 +100,18 @@ class TestResumeAfterCrash:
         self, graph, reference_bytes, tmp_path
     ):
         """Chunks that keep failing are skipped, checkpointed, resumed."""
+        from repro.obs.registry import MetricsRegistry
+
         checkpoint = tmp_path / "prop.ckpt.npz"
+        registry = MetricsRegistry()
         with _faults.fault(
             "propagation.worker_chunk", _faults.FailOnChunk(1, attempts=(0, 1))
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                degraded = PropagationIndex(graph, THETA).build_all(
+                degraded = PropagationIndex(
+                    graph, THETA, metrics=registry
+                ).build_all(
                     workers=2,
                     checkpoint=checkpoint,
                     checkpoint_every=5,
@@ -116,6 +121,8 @@ class TestResumeAfterCrash:
                 )
         failed = degraded.last_build_stats.failed_nodes
         assert failed  # chunk 1 never built
+        # One retry round for chunk 1; the last failure is not retried.
+        assert registry.counter_value("propagation.chunk_retries") == 1
         resumed = PropagationIndex(graph, THETA).build_all(
             workers=1, checkpoint=checkpoint, checkpoint_every=5
         )

@@ -232,9 +232,10 @@ class TestStreamingBuild:
                 if node == SHARD_NODES + 1:
                     raise OSError("injected crash")
 
+        index = PropagationIndex(graph, THETA)
         with _faults.fault("propagation.build_entry", Crash()):
-            with pytest.raises(BuildFailedError):
-                PropagationIndex(graph, THETA).build_sharded(
+            with pytest.raises(BuildFailedError) as excinfo:
+                index.build_sharded(
                     directory,
                     shard_nodes=SHARD_NODES,
                     max_retries=1,
@@ -244,6 +245,13 @@ class TestStreamingBuild:
         assert shard_filename(0, SHARD_NODES) in {
             p.name for p in directory.iterdir()
         }
+        # Built this call: the published first shard plus the failing
+        # range's other SHARD_NODES - 1 entries.
+        assert excinfo.value.n_built == 2 * SHARD_NODES - 1
+        stats = index.last_build_stats
+        assert stats is not None  # recorded before the raise
+        assert stats.failed_nodes == (SHARD_NODES + 1,)
+        assert stats.n_built == 2 * SHARD_NODES - 1
 
     def test_keep_going_records_failed_nodes(self, graph, tmp_path):
         directory = tmp_path / "degraded"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PITEngine, apply_topic_update, invalidate_propagation
+from repro.core import PITEngine, apply_topic_update
 from repro.datasets import ActivityStream, data_2k
 
 
@@ -57,13 +57,3 @@ class TestStreamMaintenance:
         stats = apply_topic_update(engine, stream.next_epoch())
         # A <=3-change epoch can touch at most 3 topics' member sets.
         assert stats["kept"] >= warmed - 3
-
-    def test_propagation_invalidation_bounded(self, bundle):
-        engine = PITEngine.from_dataset(
-            bundle, summarizer="lrw", samples_per_node=5, seed=75
-        )
-        for user in (1, 2, 3, 4, 5):
-            engine.propagation_index.entry(user)
-        cached = engine.propagation_index.n_cached
-        dropped = invalidate_propagation(engine.propagation_index, [1])
-        assert 0 <= dropped <= cached

@@ -16,8 +16,7 @@ graphs and topic assignments:
   (:func:`~repro.core.influence.simple_path_influence`) to 1e-12 -
   including the top-k order.
 
-Both layers run for two fixed seeds; CI runs this module as its own
-property-harness step.
+Both layers run for two fixed seeds, as part of the tier-1 suite.
 """
 
 from __future__ import annotations

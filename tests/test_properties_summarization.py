@@ -18,8 +18,8 @@ produces is derived from *integer* reachability counts and hop
 distances (exact in float64), and the vectorized reductions replicate
 the scalar tie-breaking (first-maximum argmax, unbuffered max-scatter).
 Both sides share the per-topic RNG derivation, so randomized stages
-consume identical streams. CI runs this module in its own
-property-harness step alongside the search harness.
+consume identical streams. The module runs in the tier-1 suite
+alongside the search harness.
 """
 
 from __future__ import annotations
