@@ -19,13 +19,13 @@ module stores the same entries as a **sharded flat binary artifact**:
   :class:`~repro.exceptions.ArtifactCorruptedError` and an artifact can
   never silently be replayed against the wrong graph or ``θ``.
 
-Reading is **zero-copy**: a segment is ``np.memmap``-ed once and every
-entry is a typed view into the mapping - opening a million-node index
-costs one manifest read, and resident memory is bounded by paging the
-mapped segments through a byte-budgeted
-:class:`~repro.core.serving.ByteLRUCache`. Mapped arrays are opened in
-read-only mode, so an accidental write raises instead of corrupting the
-artifact on disk.
+Reading is **zero-copy**: paging a segment in is one ``open``, one
+``fstat`` and one read-only ``mmap`` of the file, and every entry is a
+plain ``np.frombuffer`` view into the mapping - opening a million-node
+index costs one manifest read, and resident memory is bounded by paging
+the mapped segments through a byte-budgeted
+:class:`~repro.core.serving.ByteLRUCache`. The mapping is read-only, so
+an accidental write raises instead of corrupting the artifact on disk.
 
 Shard layout (version 1), all sections 8-byte aligned::
 
@@ -46,6 +46,8 @@ a legitimate entry (a node no qualifying path reaches).
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -60,7 +62,11 @@ from .._artifacts import (
     verify_shard_file,
 )
 from .._utils import require_in_range
-from ..exceptions import ArtifactCorruptedError, ConfigurationError
+from ..exceptions import (
+    ArtifactCorruptedError,
+    ArtifactError,
+    ConfigurationError,
+)
 from ..graph import SocialGraph
 from ..obs.registry import MetricsRegistry, get_registry
 from .propagation import PropagationEntry, PropagationIndex
@@ -173,6 +179,11 @@ def _expected_nbytes(count: int, n_members: int, n_marked: int) -> int:
 class _MappedShard:
     """One memory-mapped shard segment with typed zero-copy views.
 
+    The sections are plain ``np.frombuffer`` views of one read-only
+    ``mmap``; each view (and each entry slice of it) keeps the mapping
+    alive, so the segment is unmapped once it has left the paging cache
+    and the last entry served from it is dropped.
+
     Entry objects are memoized per shard, so the per-entry caches (the
     ``marked_pairs`` resolution the Expand step reuses) live exactly as
     long as the shard is resident in the paging cache and are dropped
@@ -180,28 +191,25 @@ class _MappedShard:
     """
 
     __slots__ = (
-        "lo", "hi", "nbytes", "_buffer", "_offsets", "_marked_offsets",
+        "lo", "hi", "nbytes", "_offsets", "_marked_offsets",
         "_branches", "_sources", "_probabilities", "_marked", "_entries",
     )
 
-    def __init__(self, path: Path, lo: int, hi: int,
-                 n_members: int, n_marked: int, nbytes: int):
-        self.lo = int(lo)
-        self.hi = int(hi)
-        self.nbytes = int(nbytes)
-        count = self.hi - self.lo
-        # mode="r" maps the file copy-on-read and marks every view
-        # non-writeable: an accidental store raises ValueError instead of
-        # corrupting the artifact.
-        buffer = np.memmap(path, dtype=np.uint8, mode="r")
-        self._buffer = buffer
+    def __init__(self, mapping: mmap.mmap, lo: int, hi: int,
+                 n_members: int, n_marked: int):
+        self.lo = lo
+        self.hi = hi
+        self.nbytes = len(mapping)
+        count = hi - lo
         pos = _HEADER_BYTES
 
         def take(n_items: int, dtype) -> np.ndarray:
+            # An ACCESS_READ mapping exports a read-only buffer, so every
+            # view is non-writeable: an accidental store raises
+            # ValueError instead of corrupting the artifact.
             nonlocal pos
-            nbytes_ = 8 * n_items
-            view = buffer[pos : pos + nbytes_].view(dtype)
-            pos += nbytes_
+            view = np.frombuffer(mapping, dtype, n_items, pos)
+            pos += 8 * n_items
             return view
 
         self._offsets = take(count + 1, np.int64)
@@ -236,77 +244,87 @@ def _open_shard(
 ) -> _MappedShard:
     """Map one shard segment, validating its header against the manifest.
 
-    The header bytes pass through the ``artifact.load_bytes`` fault hook
-    so the corruption-injection harness exercises this path; ``verify``
-    additionally re-reads the whole file and checks its SHA-256 digest.
+    One descriptor serves the size check and the map; the header is
+    sliced from the mapping and passes through the
+    ``artifact.load_bytes`` fault hook so the corruption-injection
+    harness exercises this path. ``verify`` additionally re-reads the
+    whole file and checks its SHA-256 digest.
     """
     what = "propagation shard"
     if verify:
         verify_shard_file(directory, record, what)
     path = directory / str(record["name"])
-    header = read_shard_header(path)
-    version, lo, hi, n_members, n_marked = header
-    if version > SHARD_FORMAT_VERSION:
-        raise ArtifactCorruptedError(
-            path,
-            reason=(
-                f"shard format version {version} is newer than the "
-                f"supported version {SHARD_FORMAT_VERSION}"
-            ),
-        )
-    if lo != int(record["lo"]) or hi != int(record["hi"]):
-        raise ArtifactCorruptedError(
-            path,
-            reason=(
-                f"shard header covers nodes [{lo}, {hi}) but the manifest "
-                f"records [{int(record['lo'])}, {int(record['hi'])})"
-            ),
-        )
-    expected = _expected_nbytes(hi - lo, n_members, n_marked)
-    actual = path.stat().st_size
-    if actual != expected or actual != int(record["nbytes"]):
-        raise ArtifactCorruptedError(
-            path,
-            reason=(
-                f"truncated shard: {actual} bytes on disk, layout requires "
-                f"{expected}, manifest records {int(record['nbytes'])}"
-            ),
-        )
-    return _MappedShard(path, lo, hi, n_members, n_marked, actual)
-
-
-def read_shard_header(path: Path) -> Tuple[int, int, int, int, int]:
-    """``(version, lo, hi, n_members, n_marked)`` from a segment header."""
-    from .._artifacts import read_artifact_bytes  # shares fault hooks
-
+    manifest_nbytes = int(record["nbytes"])
     try:
-        with open(path, "rb") as handle:
-            header = handle.read(_HEADER_BYTES)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if size < _HEADER_BYTES:  # mmap cannot map an empty file
+                raise ArtifactCorruptedError(
+                    path,
+                    reason=(
+                        f"truncated shard: {size} bytes on disk, manifest "
+                        f"records {manifest_nbytes}"
+                    ),
+                )
+            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
     except FileNotFoundError:
-        # Route through the shared reader for its error shape.
-        read_artifact_bytes(path, "propagation shard")
-        raise  # pragma: no cover - read_artifact_bytes always raises
+        raise ArtifactError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ArtifactCorruptedError(
             path, reason=f"unreadable shard ({exc})"
         ) from exc
-    header = _faults.transform("artifact.load_bytes", header, path=path)
-    if len(header) < _HEADER_BYTES or header[:8] != SHARD_MAGIC:
-        raise ArtifactCorruptedError(
-            path, reason="bad shard magic (not a propagation shard?)"
+    try:
+        header = _faults.transform(
+            "artifact.load_bytes", mapping[:_HEADER_BYTES], path=path
         )
-    version, lo, hi, n_members, n_marked, _, _ = _HEADER.unpack(
-        header[8 : 8 + _HEADER.size]
-    )
-    if hi <= lo or n_members < 0 or n_marked < 0:
-        raise ArtifactCorruptedError(
-            path,
-            reason=(
-                f"corrupt shard header (lo={lo}, hi={hi}, "
-                f"n_members={n_members}, n_marked={n_marked})"
-            ),
+        if len(header) < _HEADER_BYTES or header[:8] != SHARD_MAGIC:
+            raise ArtifactCorruptedError(
+                path, reason="bad shard magic (not a propagation shard?)"
+            )
+        version, lo, hi, n_members, n_marked, _, _ = _HEADER.unpack(
+            header[8 : 8 + _HEADER.size]
         )
-    return int(version), int(lo), int(hi), int(n_members), int(n_marked)
+        if hi <= lo or n_members < 0 or n_marked < 0:
+            raise ArtifactCorruptedError(
+                path,
+                reason=(
+                    f"corrupt shard header (lo={lo}, hi={hi}, "
+                    f"n_members={n_members}, n_marked={n_marked})"
+                ),
+            )
+        if version > SHARD_FORMAT_VERSION:
+            raise ArtifactCorruptedError(
+                path,
+                reason=(
+                    f"shard format version {version} is newer than the "
+                    f"supported version {SHARD_FORMAT_VERSION}"
+                ),
+            )
+        if lo != int(record["lo"]) or hi != int(record["hi"]):
+            raise ArtifactCorruptedError(
+                path,
+                reason=(
+                    f"shard header covers nodes [{lo}, {hi}) but the "
+                    f"manifest records [{int(record['lo'])}, "
+                    f"{int(record['hi'])})"
+                ),
+            )
+        expected = _expected_nbytes(hi - lo, n_members, n_marked)
+        if size != expected or size != manifest_nbytes:
+            raise ArtifactCorruptedError(
+                path,
+                reason=(
+                    f"truncated shard: {size} bytes on disk, layout "
+                    f"requires {expected}, manifest records {manifest_nbytes}"
+                ),
+            )
+    except BaseException:
+        mapping.close()  # no view exports the buffer yet
+        raise
+    return _MappedShard(mapping, lo, hi, n_members, n_marked)
 
 
 class MmapShardBackend:
@@ -330,8 +348,9 @@ class MmapShardBackend:
     cache_bytes:
         Paging budget for resident segments.
     verify:
-        Re-read and SHA-256-verify every segment on first map (slow;
-        integrity spot-checks and post-transfer validation).
+        Re-read and SHA-256-verify a segment on every page-in, including
+        each re-map after eviction (slow; integrity spot-checks and
+        post-transfer validation).
     metrics:
         Registry receiving ``index.shard.*`` metrics (``None`` = process
         default).

@@ -11,6 +11,8 @@ under a small byte budget evicts in LRU order while staying bounded.
 """
 
 import hashlib
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.core import (
 )
 from repro.core.shards import (
     MmapShardBackend,
+    SHARD_FORMAT_VERSION,
     SHARD_KIND,
     shard_filename,
 )
@@ -73,6 +76,19 @@ def _dir_digest(directory):
         sha.update(path.name.encode())
         sha.update(path.read_bytes())
     return sha.hexdigest()
+
+
+def _shard_sizes(directory):
+    return [
+        path.stat().st_size for path in sorted(directory.glob("shard-*.bin"))
+    ]
+
+
+def _patch_header(path, offset, value):
+    """Overwrite one int64 header field (version at 8, lo 16, hi 24)."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<q", raw, offset, value)
+    path.write_bytes(bytes(raw))
 
 
 class TestRoundTrip:
@@ -125,22 +141,35 @@ class TestSearchParity:
         return data_2k(seed=request.param, n_nodes=250, with_corpus=False)
 
     @pytest.fixture(scope="class")
-    def engines(self, bundle, tmp_path_factory):
-        in_memory = PITEngine.from_dataset(
+    def in_memory(self, bundle):
+        engine = PITEngine.from_dataset(
             bundle, summarizer="lrw", theta=THETA, seed=bundle.seed
         )
-        in_memory.propagation_index.build_all(workers=1)
+        engine.propagation_index.build_all(workers=1)
+        return engine
+
+    @pytest.fixture(scope="class")
+    def directory(self, in_memory, tmp_path_factory):
         directory = tmp_path_factory.mktemp("parity") / "shards"
         save_sharded_index(
             in_memory.propagation_index, directory, shard_nodes=SHARD_NODES
         )
+        return directory
+
+    @staticmethod
+    def _mapped(bundle, directory, cache_bytes, metrics=None):
         mapped = PITEngine.from_dataset(
-            bundle, summarizer="lrw", theta=THETA, seed=bundle.seed
+            bundle, summarizer="lrw", theta=THETA, seed=bundle.seed,
+            metrics=metrics,
         )
         mapped.use_propagation_index(
-            load_sharded_index(directory, bundle.graph, cache_bytes=1 << 20)
+            load_sharded_index(directory, bundle.graph, cache_bytes=cache_bytes)
         )
-        return in_memory, mapped
+        return mapped
+
+    @pytest.fixture(scope="class")
+    def engines(self, bundle, in_memory, directory):
+        return in_memory, self._mapped(bundle, directory, 1 << 20)
 
     def _queries(self, bundle):
         tags = sorted(bundle.tag_bank.tags)
@@ -180,6 +209,47 @@ class TestSearchParity:
             assert want_stats == got_stats
 
 
+    def test_thrashing_budget_bit_exact(self, bundle, in_memory, directory):
+        """A budget that never holds the two largest shards together
+        re-maps shards throughout, and still answers bit-exactly."""
+        sizes = sorted(_shard_sizes(directory))
+        budget = sizes[-1] + sizes[-2] - 1
+        registry = MetricsRegistry()
+        mapped = self._mapped(bundle, directory, budget, metrics=registry)
+        shards = mapped.propagation_index.shards
+        assert shards.cache_bytes == budget
+        queries = self._queries(bundle)
+        for user in (3, 57, 120):
+            for query in queries:
+                want, want_stats = in_memory.search(
+                    user, query, k=5, with_stats=True
+                )
+                got, got_stats = mapped.search(
+                    user, query, k=5, with_stats=True
+                )
+                assert [
+                    (r.topic_id, r.influence) for r in want
+                ] == [(r.topic_id, r.influence) for r in got]
+                assert want_stats == got_stats
+                assert shards.resident_bytes() <= budget
+        requests = [
+            (user, queries[user % len(queries)]) for user in range(0, 200, 7)
+        ]
+        want = in_memory.search_batch(requests, k=5, with_stats=True)
+        got = mapped.search_batch(requests, k=5, with_stats=True)
+        assert shards.resident_bytes() <= budget
+        assert [
+            ([(r.topic_id, r.influence) for r in results], stats)
+            for results, stats in want
+        ] == [
+            ([(r.topic_id, r.influence) for r in results], stats)
+            for results, stats in got
+        ]
+        assert registry.snapshot().counters["index.shard.loads"] > (
+            shards.n_shards
+        )
+
+
 class TestStreamingBuild:
     def test_entries_freed_as_shards_flush(self, graph, tmp_path):
         index = PropagationIndex(graph, THETA)
@@ -215,8 +285,6 @@ class TestStreamingBuild:
     def test_resume_with_different_parameters_rejected(
         self, graph, shard_dir, tmp_path
     ):
-        import shutil
-
         directory = tmp_path / "copy"
         shutil.copytree(shard_dir, directory)
         with pytest.raises(ConfigurationError, match="built with"):
@@ -310,8 +378,6 @@ class TestCorruption:
                 loaded.entry(0)
 
     def test_truncated_shard_on_disk(self, graph, shard_dir, tmp_path):
-        import shutil
-
         directory = tmp_path / "truncated"
         shutil.copytree(shard_dir, directory)
         victim = directory / shard_filename(0, SHARD_NODES)
@@ -320,11 +386,45 @@ class TestCorruption:
         with pytest.raises(ArtifactCorruptedError, match="truncated"):
             loaded.entry(0)
 
+    @pytest.fixture
+    def shard_copy(self, shard_dir, tmp_path):
+        directory = tmp_path / "copy"
+        shutil.copytree(shard_dir, directory)
+        return directory
+
+    def test_header_node_range_disagrees_with_manifest(
+        self, graph, shard_copy
+    ):
+        victim = shard_copy / shard_filename(0, SHARD_NODES)
+        _patch_header(victim, 16, 1)  # lo 0 -> 1
+        loaded = load_sharded_index(shard_copy, graph)
+        with pytest.raises(
+            ArtifactCorruptedError, match="shard header covers nodes"
+        ):
+            loaded.entry(0)
+
+    def test_newer_header_version_rejected(self, graph, shard_copy):
+        victim = shard_copy / shard_filename(0, SHARD_NODES)
+        _patch_header(victim, 8, SHARD_FORMAT_VERSION + 1)
+        loaded = load_sharded_index(shard_copy, graph)
+        with pytest.raises(ArtifactCorruptedError, match="newer than"):
+            loaded.entry(0)
+
+    def test_zero_byte_shard(self, graph, shard_copy):
+        (shard_copy / shard_filename(0, SHARD_NODES)).write_bytes(b"")
+        loaded = load_sharded_index(shard_copy, graph)
+        with pytest.raises(ArtifactCorruptedError, match="truncated"):
+            loaded.entry(0)
+
+    def test_shard_deleted_after_open(self, graph, shard_copy):
+        loaded = load_sharded_index(shard_copy, graph)
+        (shard_copy / shard_filename(0, SHARD_NODES)).unlink()
+        with pytest.raises(ArtifactError, match="not found"):
+            loaded.entry(0)
+
     def test_flipped_shard_payload_caught_by_verify(
         self, graph, shard_dir, tmp_path
     ):
-        import shutil
-
         directory = tmp_path / "flipped"
         shutil.copytree(shard_dir, directory)
         victim = directory / shard_filename(0, SHARD_NODES)
@@ -342,8 +442,6 @@ class TestCorruption:
 
     def test_coverage_gap_rejected(self, graph, shard_dir, tmp_path):
         import json
-        import shutil
-
         directory = tmp_path / "gap"
         shutil.copytree(shard_dir, directory)
         manifest_path = directory / MANIFEST_NAME
@@ -409,16 +507,32 @@ class TestPagingAndAccounting:
         assert loaded.memory_bytes() > 0  # one shard now charged resident
         assert loaded.memory_bytes() <= 1 << 20
 
-    def test_mapped_arrays_read_only(self, graph, shard_dir):
-        loaded = load_sharded_index(shard_dir, graph)
-        entry = next(
-            loaded.entry(n) for n in range(graph.n_nodes)
-            if loaded.entry(n).size
+    def test_mapped_arrays_read_only(self, graph, built_index, shard_dir):
+        # Room for shard 0 alone: paging shard 1 in evicts it.
+        backend = MmapShardBackend(
+            shard_dir, graph, cache_bytes=_shard_sizes(shard_dir)[0]
         )
-        with pytest.raises(ValueError):
-            entry.sources[0] = 99
-        with pytest.raises(ValueError):
-            entry.probabilities[0] = 0.5
+        node = next(
+            n for n in range(SHARD_NODES) if built_index.entry(n).marked
+        )
+        first = backend.get(node)
+        backend.get(SHARD_NODES)
+        misses = backend.cache_stats().misses
+        again = backend.get(node)
+        assert backend.cache_stats().misses == misses + 1  # re-mapped
+        assert again is not first
+        want = built_index.entry(node)
+        for entry in (first, again):
+            # The evicted shard's entry still reads its bytes.
+            assert np.array_equal(entry.sources, want.sources)
+            assert np.array_equal(entry.probabilities, want.probabilities)
+            assert np.array_equal(entry.marked_array, want.marked_array)
+            with pytest.raises(ValueError):
+                entry.sources[0] = 99
+            with pytest.raises(ValueError):
+                entry.probabilities[0] = 0.5
+            with pytest.raises(ValueError):
+                entry.marked_array[0] = 99
 
     def test_shard_gauges_published(self, graph, shard_dir):
         registry = MetricsRegistry()
