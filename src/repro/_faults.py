@@ -36,10 +36,12 @@ Injection points
     raises here simulates a handler crash; the daemon must answer with a
     typed 500, never a traceback, and keep serving.
 ``serve.search_delay``
-    Inside the daemon's search executor, before a coalesced batch group
-    runs. Context: ``query``, ``k``, ``size``. A :class:`Delay` hook here
-    simulates a slow engine, which is how the tests provoke request
-    queueing (coalescing) and deadline expiry mid-search.
+    On the daemon's engine worker thread, before each engine call (a
+    coalesced batch, a ``/metrics`` snapshot, a delta) takes the engine
+    lock. Context: ``call`` (the function about to run). A
+    :class:`Delay` hook here simulates a busy worker, which is how the
+    tests provoke request queueing (coalescing) and deadline expiry
+    mid-search; the lock stays free, so answer-tier hits still answer.
 ``serve.reload.swap``
     In the daemon's hot-reload path, after the replacement engine loaded
     and validated but before it is swapped in. Context: ``generation``

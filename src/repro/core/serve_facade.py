@@ -390,6 +390,25 @@ class ServingEngine:
             return results, stats
         return results
 
+    def cached_answer(
+        self, user: int, query: Union[str, KeywordQuery], k: int = 10
+    ) -> Optional[Tuple[List[SearchResult], SearchStats]]:
+        """The resident ``(results, stats)`` answer, or ``None``.
+
+        Records exactly what an answer hit in :meth:`search_batch`
+        records (tier hit counter and latency, LRU hit and bump); a miss
+        records nothing, so the caller's fallback to :meth:`search_batch`
+        counts it once. ``None`` also when the answer tier is disabled.
+        """
+        answers = self._answers
+        if answers is None:
+            return None
+        started = perf_counter() if self._registry().enabled else None
+        key = self._answer_key(user, query, k)
+        if key not in answers:
+            return None
+        return self._answer_hit(answers.get(key), started)
+
     def search_batch(
         self,
         requests: Iterable[Tuple[int, Union[str, KeywordQuery]]],

@@ -318,12 +318,18 @@ class MetricsRegistry:
 
     # -- introspection -------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
-        """An immutable copy of every metric's current state."""
+        """An immutable copy of every metric's current state.
+
+        Safe while another thread creates metrics: the histogram table is
+        copied before the per-histogram ``snapshot()`` calls, which run
+        Python code and so may let that thread insert a new histogram.
+        """
         return MetricsSnapshot(
             counters=dict(self._counters),
             gauges=dict(self._gauges),
             histograms={
-                name: h.snapshot() for name, h in self._histograms.items()
+                name: h.snapshot()
+                for name, h in list(self._histograms.items())
             },
         )
 

@@ -1,13 +1,15 @@
 """Admission control: a bounded request queue with explicit shedding.
 
-The daemon runs one shared engine behind a single search executor, so
-throughput has a hard ceiling; without admission control an overload
-turns into an unbounded queue, latency grows without limit, and every
-caller times out (congestion collapse). The controller instead bounds
-the number of requests admitted-but-unfinished and *sheds* the excess
-with an immediate 429 + ``Retry-After`` - cheap for the server, honest
-to the caller, and it keeps the latency of accepted requests bounded by
-``capacity x service_time``.
+The daemon runs one shared engine behind a single worker thread, so the
+throughput of queued work has a hard ceiling; without admission control
+an overload turns into an unbounded queue, latency grows without limit,
+and every caller times out (congestion collapse). The controller
+instead bounds the number of requests admitted-but-unfinished and
+*sheds* the excess with an immediate 429 + ``Retry-After`` - cheap for
+the server, honest to the caller, and it keeps the latency of accepted
+requests bounded by ``capacity x service_time``. Only queued requests
+are admitted: an answer-tier hit answered inline on the event loop (see
+:mod:`repro.serve.server`) takes no slot and is never shed.
 
 Single-threaded by design: admit/release happen only on the event loop,
 so a plain counter is race-free. Gauges ``serve.queue_depth`` and the

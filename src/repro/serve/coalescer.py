@@ -1,10 +1,14 @@
 """Request coalescing: batch concurrent searches through one engine.
 
 The engine is not thread-safe (bounded LRU caches, compiled query plans,
-shard cache), so all search work runs on **one** worker thread. That
-constraint is also an opportunity: while the worker is busy, concurrent
-requests pile up in the queue, and the dispatcher drains them as a batch
-and routes same-``(keywords, mode, k)`` requests through
+shard cache), so every engine call made off the event loop runs on
+**one** worker thread holding the **engine lock**
+(:class:`EngineWorker`). The event loop touches the engine itself only
+to probe the answer tier, and only when it wins the same lock without
+waiting (see ``PITServer._search``); everything the probe cannot answer
+comes here. That constraint is also an opportunity: while the worker is
+busy, concurrent requests pile up in the queue, and the dispatcher drains
+them as a batch and routes same-``(keywords, mode, k)`` requests through
 ``search_batch`` - the engine's vectorized multi-request path that
 shares query-plan compilation and summary-array decoding across callers.
 Under load the daemon gets *more* efficient per request, which is the
@@ -27,7 +31,9 @@ Isolation guarantees, in order of importance:
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,7 +42,39 @@ from ..core.search import normalized_query_key
 from ..obs.registry import MetricsRegistry, NullRegistry
 from .protocol import HttpError, SearchRequest
 
-__all__ = ["Coalescer", "PendingSearch"]
+__all__ = ["Coalescer", "EngineWorker", "PendingSearch"]
+
+
+class EngineWorker:
+    """The daemon's one engine worker thread and its engine lock.
+
+    :meth:`call` is the only way engine work leaves the event loop:
+    coalesced searches, ``/metrics`` snapshots and ``/admin/delta`` all
+    run on the worker thread while holding :attr:`lock`. The loop may
+    read the engine only while it holds the lock too, taken without
+    blocking - so a probe can never see a half-applied delta, and a busy
+    worker never stalls the loop.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="pit-search"
+        )
+
+    async def call(self, fn, *args):
+        """``fn(*args)`` on the worker thread, under the engine lock."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, self._locked, fn, args)
+
+    def _locked(self, fn, args):
+        _faults.inject("serve.search_delay", call=fn)
+        with self.lock:
+            return fn(*args)
+
+    def shutdown(self) -> None:
+        """Finish the running call and stop the worker thread."""
+        self._executor.shutdown(wait=True)
 
 
 @dataclass
@@ -71,8 +109,8 @@ class Coalescer:
         its generation) is resolved per batch, so a hot reload takes
         effect at the next batch boundary with no request ever split
         across two engines.
-    executor:
-        The single-thread executor serializing all engine access.
+    worker:
+        The :class:`EngineWorker` every batch runs on.
     max_batch:
         Upper bound on requests drained per dispatch round.
     """
@@ -80,7 +118,7 @@ class Coalescer:
     def __init__(
         self,
         engines,
-        executor,
+        worker: EngineWorker,
         *,
         max_batch: int = 8,
         metrics: Optional[MetricsRegistry] = None,
@@ -88,7 +126,7 @@ class Coalescer:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._engines = engines
-        self._executor = executor
+        self._worker = worker
         self._max_batch = int(max_batch)
         self._metrics = metrics if metrics is not None else NullRegistry()
         self._queue: "asyncio.Queue[PendingSearch]" = asyncio.Queue()
@@ -111,7 +149,6 @@ class Coalescer:
 
     async def run(self) -> None:
         """Dispatcher loop; runs until cancelled (at server shutdown)."""
-        loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
             while len(batch) < self._max_batch:
@@ -128,8 +165,8 @@ class Coalescer:
                 self._metrics.inc("serve.coalesced_batches")
                 self._metrics.inc("serve.coalesced_requests", len(live))
             try:
-                outcomes = await loop.run_in_executor(
-                    self._executor, self._execute_groups, live, engine
+                outcomes = await self._worker.call(
+                    self._execute_groups, live, engine
                 )
             except Exception as exc:  # executor rejected / engine wedged
                 self._deliver_failure(live, exc)
@@ -167,7 +204,6 @@ class Coalescer:
         Returns ``(pending, outcome_or_exception)`` pairs; nothing here
         touches asyncio state.
         """
-        _faults.inject("serve.search_delay", batch=len(live))
         groups: Dict[Tuple, List[PendingSearch]] = {}
         for pending in live:
             groups.setdefault(_group_key(pending), []).append(pending)

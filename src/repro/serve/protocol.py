@@ -16,7 +16,7 @@ Two invariants this module enforces for the whole daemon:
 * **Inputs are validated before they reach the engine.** Body size is
   bounded before the body is read (413), JSON must parse to an object
   (400 ``MalformedRequest``), and fields are type- and range-checked
-  (400 ``ValidationError``) - so the search executor only ever sees
+  (400 ``ValidationError``) - so the engine only ever sees
   well-formed requests.
 """
 

@@ -4,12 +4,18 @@ Stdlib-only (``asyncio.start_server`` + hand-rolled HTTP/1.1 framing in
 :mod:`repro.serve.protocol`); no web framework, no extra dependencies.
 The moving parts and their contracts:
 
-* **One engine, one worker thread.** The engine is not thread-safe, so
-  every engine touch - searches *and* ``/metrics`` snapshots - runs on a
-  single-thread executor. The event loop only parses, validates,
-  admits, and frames bytes.
-* **Admission before work** (:mod:`repro.serve.admission`): a full queue
-  sheds with 429 instead of queueing unboundedly.
+* **One engine, one worker thread, one engine lock.** The engine is not
+  thread-safe, so every engine call off the loop - searches, ``/metrics``
+  snapshots, deltas - runs on one worker thread holding the engine lock
+  (:class:`~repro.serve.coalescer.EngineWorker`). The event loop parses,
+  validates, admits and frames bytes, and answers answer-tier hits
+  itself: when it wins the engine lock without waiting it probes
+  :meth:`~repro.core.serve_facade.ServingEngine.cached_answer`, and a
+  hit is answered with no queue and no thread hop. A busy lock or a miss
+  takes the queued path below; the loop never blocks on the lock.
+* **Admission before queued work** (:mod:`repro.serve.admission`): a
+  full queue sheds with 429 instead of queueing unboundedly. Inline hits
+  take no admission slot.
 * **Coalescing** (:mod:`repro.serve.coalescer`): concurrent same-query
   requests execute as one vectorized ``search_batch``.
 * **Deadlines**: every request carries an absolute monotonic deadline
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -42,9 +47,10 @@ from .. import _faults
 from ..obs.export import render_prometheus
 from ..obs.registry import MetricsRegistry, NullRegistry
 from .admission import AdmissionController
-from .coalescer import Coalescer
+from .coalescer import Coalescer, EngineWorker
 from .protocol import (
     HttpError,
+    SearchRequest,
     encode_response,
     error_for_exception,
     parse_delta_request,
@@ -111,12 +117,10 @@ class PITServer:
             self.config.max_queue, metrics=self._metrics
         )
         # ONE worker thread: the engine's caches/plans are not thread-safe.
-        self._search_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="pit-search"
-        )
+        self._worker = EngineWorker()
         self.coalescer = Coalescer(
             self.engines,
-            self._search_executor,
+            self._worker,
             max_batch=self.config.max_batch,
             metrics=self._metrics,
         )
@@ -202,7 +206,7 @@ class PITServer:
                 await self._dispatcher
             except (asyncio.CancelledError, Exception):
                 pass
-        self._search_executor.shutdown(wait=True)
+        self._worker.shutdown()
 
     async def run(
         self, *, ready_callback: Optional[Callable[[], None]] = None
@@ -295,11 +299,10 @@ class PITServer:
                 return
             if parsed is None:  # clean EOF between requests
                 return
-            method, target, headers, body = parsed
+            method, target, keep_alive, body = parsed
             self._active_requests += 1
             try:
                 status, payload, extra = await self._route(method, target, body)
-                keep_alive = headers.get("connection", "").lower() != "close"
                 writer.write(
                     encode_response(
                         status, payload, keep_alive=keep_alive, **extra
@@ -313,8 +316,13 @@ class PITServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one request; None on clean EOF, HttpError on garbage."""
+    ) -> Optional[Tuple[str, str, bool, bytes]]:
+        """Parse one request into ``(method, target, keep_alive, body)``;
+        None on clean EOF, HttpError on garbage.
+
+        HTTP/1.1 persists unless ``Connection`` says ``close``; HTTP/1.0
+        persists only when it says ``keep-alive``.
+        """
         try:
             line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError):
@@ -324,7 +332,7 @@ class PITServer:
         parts = line.decode("latin-1", "replace").split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise HttpError(400, "MalformedRequest", "malformed request line")
-        method, target = parts[0].upper(), parts[1]
+        method, target, version = parts[0].upper(), parts[1], parts[2]
         headers: Dict[str, str] = {}
         while True:
             try:
@@ -364,7 +372,15 @@ class PITServer:
                 raise HttpError(
                     400, "MalformedRequest", "body shorter than Content-Length"
                 )
-        return method, target, headers, body
+        tokens = {
+            token.strip()
+            for token in headers.get("connection", "").lower().split(",")
+        }
+        if version == "HTTP/1.0":
+            keep_alive = "keep-alive" in tokens
+        else:
+            keep_alive = "close" not in tokens
+        return method, target, keep_alive, body
 
     # ------------------------------------------------------------------
     # Routing
@@ -420,12 +436,9 @@ class PITServer:
         if engine is None:
             snapshot = self._metrics.snapshot()
         else:
-            # Snapshot via the search executor: gauge publication walks
-            # engine caches, which must not race active searches.
-            loop = asyncio.get_running_loop()
-            snapshot = await loop.run_in_executor(
-                self._search_executor, engine.metrics_snapshot
-            )
+            # Snapshot on the worker: gauge publication walks engine
+            # caches, which must not race active searches.
+            snapshot = await self._worker.call(engine.metrics_snapshot)
         text = render_prometheus(snapshot)
         return 200, text, {"content_type": "text/plain; version=0.0.4"}
 
@@ -439,6 +452,31 @@ class PITServer:
         request = parse_search_request(body, default_k=self.config.default_k)
         self._metrics.inc("serve.requests")
         start = time.monotonic()
+        engine, generation = self.engines.acquire()
+        outcome = self._answer_inline(engine, request)
+        if outcome is None:
+            outcome, generation = await self._search_queued(request, start)
+        else:
+            self._metrics.inc("serve.answered_inline")
+        self._metrics.observe(
+            "serve.latency_seconds", time.monotonic() - start
+        )
+        self._metrics.inc("serve.responses_ok")
+        return 200, results_payload(request, outcome, generation), {}
+
+    def _answer_inline(self, engine, request: SearchRequest):
+        """The resident answer, probed on the loop; ``None`` when the
+        engine lock is busy (a worker call is running) or on a miss."""
+        lock = self._worker.lock
+        if not lock.acquire(blocking=False):
+            return None
+        try:
+            return engine.cached_answer(request.user, request.query, request.k)
+        finally:
+            lock.release()
+
+    async def _search_queued(self, request: SearchRequest, start: float):
+        """Admission -> coalescer -> worker; ``(outcome, generation)``."""
         timeout = (
             request.deadline_s
             if request.deadline_s is not None
@@ -459,11 +497,7 @@ class PITServer:
                 ) from None
         finally:
             self.admission.release()
-        self._metrics.observe(
-            "serve.latency_seconds", time.monotonic() - start
-        )
-        self._metrics.inc("serve.responses_ok")
-        return 200, results_payload(request, outcome, generation), {}
+        return outcome, generation
 
     async def _admin_reload(self, body: bytes) -> Tuple[int, object, Dict]:
         overrides = parse_reload_request(body)
@@ -474,9 +508,10 @@ class PITServer:
         """``POST /admin/delta``: stream a graph-edit batch into the
         live engine (:meth:`ServingEngine.apply_delta`).
 
-        Runs on the search executor - the engine is single-threaded, and
-        the delta mutates it in place, so it must serialize with active
-        searches. Unlike a reload there is no generation bump: the same
+        Runs on the engine worker holding the engine lock - the delta
+        mutates the engine in place, so it must serialize with active
+        searches, and an inline answer probe that meets the held lock
+        falls through to the queue and runs after the delta. Unlike a reload there is no generation bump: the same
         engine keeps serving, minus exactly the invalidated state.
         """
         from ..core.dynamics import GraphDelta
@@ -493,9 +528,6 @@ class PITServer:
         engine = self.engines.current
         if engine is None:
             raise HttpError(503, "NotReady", "no engine is loaded")
-        loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(
-            self._search_executor, engine.apply_delta, delta
-        )
+        report = await self._worker.call(engine.apply_delta, delta)
         self._metrics.inc("serve.deltas")
         return 200, {"status": "applied", **report}, {}

@@ -174,6 +174,26 @@ class TestDelta:
         assert snapshot.counter("c") == 1.0
         assert snapshot.histogram("h").count == 1
 
+    def test_snapshot_survives_histogram_created_mid_walk(self):
+        # The daemon snapshots on its worker thread while the event loop
+        # may create a histogram on first use; a histogram's snapshot()
+        # is Python code, so the insert can land mid-walk. Model that
+        # deterministically: one histogram's snapshot() creates another.
+        registry = MetricsRegistry()
+        registry.observe("before", 1.0)
+
+        class Inserting(Histogram):
+            __slots__ = ()
+
+            def snapshot(self):
+                registry.observe("created.mid.walk", 2.0)
+                return super().snapshot()
+
+        registry._histograms["inserting"] = Inserting(DEFAULT_LATENCY_BUCKETS)
+        snapshot = registry.snapshot()
+        assert set(snapshot.histograms) == {"before", "inserting"}
+        assert "created.mid.walk" in registry.snapshot().histograms
+
 
 class TestRegistryLifecycle:
     def test_clear_and_len(self):

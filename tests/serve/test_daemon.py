@@ -4,6 +4,7 @@ failure modes, admission, coalescing, hot reload, and graceful drain."""
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -148,6 +149,98 @@ class TestFailureModes:
         assert status == 500
         assert body["error"]["type"] == "InternalError"
         assert "kaboom" not in json.dumps(body)
+
+
+class TestHttpFraming:
+    @staticmethod
+    def read_to_eof(sock):
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+    def test_http10_closes_without_keep_alive(self, daemon):
+        with socket.create_connection(
+            ("127.0.0.1", daemon.server.port), timeout=5
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            reply = self.read_to_eof(sock)  # socket.timeout if left open
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
+    def test_http10_persists_on_explicit_keep_alive(self, daemon):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with socket.create_connection(
+            ("127.0.0.1", daemon.server.port), timeout=5
+        ) as sock:
+            sock.sendall(request + request)
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            replies = self.read_to_eof(sock)
+        assert replies.count(b"HTTP/1.1 200") == 3
+        assert replies.count(b"Connection: keep-alive") == 2
+        assert replies.count(b"Connection: close") == 1
+
+
+class TestInlineAnswers:
+    """Answer-tier hits are answered on the event loop, off the queue."""
+
+    @staticmethod
+    def inline_count(daemon):
+        return daemon.registry.snapshot().counter("serve.answered_inline")
+
+    def test_hit_answers_while_worker_busy_and_queues_behind_held_lock(
+        self, stack, make_daemon
+    ):
+        daemon = make_daemon(answer_cache_bytes=1 << 20)
+        expected = expected_results(stack, 3, "phone", 5)
+        status, body, _ = daemon.search(3, "phone", k=5)  # miss: warms it
+        assert status == 200 and body["results"] == expected
+        assert self.inline_count(daemon) == 0
+
+        slow = {}
+        with _faults.fault("serve.search_delay", _faults.Delay(0.5)):
+            busy = threading.Thread(
+                target=lambda: slow.update(r=daemon.search(11, "camera"))
+            )
+            busy.start()
+            time.sleep(0.1)  # the worker now sleeps inside the fault
+            started = time.monotonic()
+            status, body, _ = daemon.search(3, "phone", k=5)
+            elapsed = time.monotonic() - started
+            busy.join(30)
+        assert status == 200
+        assert body["results"] == expected
+        assert body["generation"] == daemon.server.engines.generation == 1
+        assert elapsed < 0.25
+        assert self.inline_count(daemon) == 1
+        assert slow["r"][0] == 200
+
+        # A held engine lock sends the same hit through the queue; the
+        # loop stays free and the request completes once it is released.
+        lock = daemon.server._worker.lock
+        queued = {}
+        lock.acquire()
+        try:
+            waiter = threading.Thread(
+                target=lambda: queued.update(r=daemon.search(3, "phone", k=5))
+            )
+            waiter.start()
+            time.sleep(0.2)
+            assert waiter.is_alive()
+            status, health, _ = daemon.request("GET", "/healthz")
+            assert status == 200 and health["status"] == "ok"
+        finally:
+            lock.release()
+        waiter.join(30)
+        status, body, _ = queued["r"]
+        assert status == 200
+        assert body["results"] == expected
+        assert body["generation"] == 1
+        assert self.inline_count(daemon) == 1
 
 
 class TestAdmission:

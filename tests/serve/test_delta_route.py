@@ -10,7 +10,7 @@ from-scratch :class:`ServingEngine` oracle built over the edited graph
 import numpy as np
 import pytest
 
-from repro.core import ServingEngine, apply_delta_to_graph
+from repro.core import ServingEngine, affected_nodes, apply_delta_to_graph
 from repro.core.dynamics import GraphDelta
 from repro.obs import MetricsRegistry
 
@@ -146,3 +146,78 @@ class TestDeltaRoute:
                 "expansion_rounds": stats.expansion_rounds,
                 "representatives_touched": stats.representatives_touched,
             }
+
+
+def payload(results):
+    return [
+        {"topic_id": r.topic_id, "label": r.label, "influence": r.influence}
+        for r in results
+    ]
+
+
+class TestInlineAnswers:
+    """Answer-tier hits served on the event loop obey the delta and
+    accounting contracts of the queued path."""
+
+    def test_warm_hit_of_reachable_user_never_stale(self, stack, make_daemon):
+        graph = stack.bundle.graph
+        theta = stack.engine.propagation_index.theta
+        sources, targets, probs = graph.edge_arrays()
+        strongest = int(np.argmax(probs))
+        edge = (int(sources[strongest]), int(targets[strongest]))
+        delta = GraphDelta(deletes=(edge,))
+        new_graph, application = apply_delta_to_graph(graph, delta)
+        reachable = affected_nodes(graph, new_graph, application)
+        pre = ServingEngine(
+            graph, stack.bundle.topic_index, stack.engine.summaries,
+            theta=theta,
+        )
+        post = ServingEngine(
+            new_graph, stack.bundle.topic_index, stack.engine.summaries,
+            theta=theta,
+        )
+        # A reachable user whose answer the delta changes: serving the
+        # warm pre-delta answer after the delta would be caught.
+        user, term = next(
+            (u, q)
+            for u in reachable.tolist()
+            for q in ("phone", "camera", "music")
+            if pre.search(u, q, 5) != post.search(u, q, 5)
+        )
+
+        registry = MetricsRegistry()
+        daemon = make_daemon(registry=registry, answer_cache_bytes=1 << 20)
+        for _ in range(2):  # miss, then an inline hit
+            status, body, _ = daemon.search(user, term, k=5)
+            assert status == 200
+            assert body["results"] == payload(pre.search(user, term, 5))
+        assert registry.snapshot().counter("serve.answered_inline") == 1
+
+        status, report, _ = daemon.request(
+            "POST", "/admin/delta", {"deletes": [list(edge)]}
+        )
+        assert status == 200 and report["answers_invalidated"] >= 1
+        status, body, _ = daemon.search(user, term, k=5)
+        assert status == 200
+        assert body["generation"] == 1
+        assert body["results"] == payload(post.search(user, term, 5))
+
+    def test_hits_and_misses_counted_once(self, make_daemon):
+        registry = MetricsRegistry()
+        daemon = make_daemon(registry=registry, answer_cache_bytes=1 << 20)
+        sequence = [
+            (3, "phone"), (3, "phone"), (11, "phone"), (3, "Phone"),
+            (11, "camera"), (11, "phone"), (5, "music"), (5, "music"),
+            (11, "camera"),
+        ]
+        for user, term in sequence:
+            status, _, _ = daemon.search(user, term, k=5)
+            assert status == 200
+        counters = registry.snapshot().counters
+        hits = counters.get("cache.tier.answers.hits", 0)
+        misses = counters.get("cache.tier.answers.misses", 0)
+        assert (hits, misses) == (5, 4)
+        assert hits + misses == counters["serve.responses_ok"] == len(sequence)
+        assert counters["serve.answered_inline"] == hits
+        lru = daemon.server.engines.current.answer_cache_stats()
+        assert (lru.hits, lru.misses) == (hits, misses)
