@@ -29,7 +29,8 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -38,6 +39,10 @@ from ._utils import require_in_range, require_non_negative
 from .exceptions import BuildFailedError, ReproError
 from .obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
 from .obs.tracing import trace
+
+# How long the runner waits for a chunk before it checks again whether
+# the pool broke under a future that will never finish.
+_POLL_SECONDS = 1.0
 
 # The per-process state shipped once through the pool initializer (an
 # index, a summarizer); chunks read it instead of receiving it per call.
@@ -244,36 +249,16 @@ class BuildRunner:
             (i, list(items[i * chunk_size : (i + 1) * chunk_size]))
             for i in range((len(items) + chunk_size - 1) // chunk_size)
         ]
-        chunk_args = (
-            f"{self.prefix}.worker_chunk", f"{self.key}s", self.worker_chunk
-        )
         with self.pool_state() as state:
             for attempt in range(self.max_retries + 1):
                 if attempt:
                     self._backoff(attempt)
-                still_failing: List[Tuple[int, List[int]]] = []
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(pending)),
                     initializer=_pool_init,
                     initargs=(_faults.snapshot(), state),
                 ) as pool:
-                    futures = {
-                        pool.submit(_pool_chunk, *chunk_args, chunk, i, attempt):
-                            (i, chunk)
-                        for i, chunk in pending
-                    }
-                    for future in as_completed(futures):
-                        try:
-                            result = future.result()
-                        except ReproError:
-                            raise  # deterministic - propagate immediately
-                        except Exception:
-                            # A worker crash (BrokenProcessPool fails every
-                            # in-flight chunk of the round) or an unexpected
-                            # in-worker error: retry on a fresh pool.
-                            still_failing.append(futures[future])
-                        else:
-                            self._built(self.adopt_chunk(result))
+                    still_failing = self._round(pool, pending, attempt)
                 if not still_failing:
                     return []
                 if attempt < self.max_retries:
@@ -282,3 +267,63 @@ class BuildRunner:
                     )
                 pending = sorted(still_failing)
         return [item for _, chunk in pending for item in chunk]
+
+    def _round(
+        self,
+        pool: ProcessPoolExecutor,
+        chunks: Sequence[Tuple[int, List[int]]],
+        attempt: int,
+    ) -> List[Tuple[int, List[int]]]:
+        """Run *chunks* on *pool*, adopting results; return the failed ones.
+
+        Every chunk ends adopted or failed. A worker crash breaks the pool
+        and fails every chunk in flight, and a chunk whose submit meets the
+        broken pool fails too. On Python 3.11 a submit racing the break
+        can also be accepted and never run, so once the pool is broken the
+        round shuts it down and fails whatever is still unfinished.
+        """
+        site = f"{self.prefix}.worker_chunk"
+        failed: List[Tuple[int, List[int]]] = []
+        futures = {}
+        for i, chunk in chunks:
+            try:
+                future = pool.submit(
+                    _pool_chunk, site, f"{self.key}s", self.worker_chunk,
+                    chunk, i, attempt,
+                )
+            except BrokenProcessPool:
+                failed.append((i, chunk))
+            else:
+                futures[future] = (i, chunk)
+
+        def settle(future) -> None:
+            try:
+                result = future.result()
+            except ReproError:
+                raise  # deterministic - propagate immediately
+            except Exception:
+                # A worker crash (BrokenProcessPool) or an unexpected
+                # in-worker error: retry on a fresh pool.
+                failed.append(futures[future])
+            else:
+                self._built(self.adopt_chunk(result))
+
+        remaining = set(futures)
+        while remaining:
+            done, remaining = wait(
+                remaining, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+            )
+            for future in done:
+                settle(future)
+            # A broken pool finishes nothing more: it marks itself
+            # ``_broken`` and then fails the futures it knows of.
+            if remaining and getattr(pool, "_broken", False):
+                pool.shutdown(wait=True)
+                for future in remaining:
+                    if future.done():
+                        settle(future)
+                    else:
+                        future.cancel()
+                        failed.append(futures[future])
+                break
+        return failed

@@ -47,7 +47,7 @@ def _padded_paths(walk_index: WalkIndex, sources: Sequence[int]):
     Returns ``(paths, row_of)``: *paths* is ``(n_walks, width)`` int64
     padded with ``-1`` (column 0 is the walk's start node), *row_of* maps
     each walk back to the index of its source in *sources*. The rows are
-    sliced out of the walk index's cached global padded matrix
+    sliced out of the walk index's global padded matrix
     (:meth:`~repro.walks.WalkIndex.padded_paths`), so assembling a
     topic's walks is one fancy-index instead of a per-record loop.
     """

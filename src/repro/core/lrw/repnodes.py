@@ -110,8 +110,12 @@ def diversified_pagerank(
     restart = np.zeros(n, dtype=np.float64)
     restart[nodes] = 1.0 / len(nodes)
 
-    transition = graph.transition_matrix()          # P0[u, v]
-    transition_t = transition.T.tocsr()
+    # P0 @ x and P0ᵀ @ x as row sums over the graph's out- and in-CSR: the
+    # same products, in the same order, as scipy's csr_matvec.
+    out_rows = np.repeat(np.arange(n), graph.out_degrees())
+    in_rows = np.repeat(np.arange(n), graph.in_degrees())
+    out_cols, out_probs = graph._out_targets, graph._out_probs
+    in_cols, in_probs = graph._in_sources, graph._in_probs
     hit = walk_index.hitting_frequencies()          # H[j][v]
 
     rank = restart.copy() if initial == "restart" else np.ones(n, dtype=np.float64)
@@ -124,13 +128,17 @@ def diversified_pagerank(
             frequency = cumulative + 1e-12
         # D_T(u) = Σ_w P0(u, w) · N_T(w); a node with D_T(u) = 0 has no
         # reinforcement mass to pass on.
-        normalizer = transition @ frequency
+        normalizer = np.bincount(
+            out_rows, out_probs * frequency[out_cols], minlength=n
+        )
         outflow = np.where(
             normalizer > 0.0,
             rank / np.where(normalizer > 0.0, normalizer, 1.0),
             0.0,
         )
-        contribution = frequency * (transition_t @ outflow)
+        contribution = frequency * np.bincount(
+            in_rows, in_probs * outflow[in_cols], minlength=n
+        )
         rank = (1.0 - damping) * restart + damping * contribution
         cumulative = cumulative + rank
     return rank

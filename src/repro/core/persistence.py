@@ -23,7 +23,7 @@ graph.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .._artifacts import (
 from ..exceptions import ArtifactCorruptedError, ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
 from ..walks import WalkIndex
-from ..walks.engine import WalkRecord
 from .propagation import PropagationEntry, PropagationIndex
 from .summarization import TopicSummary
 
@@ -254,27 +253,69 @@ _WALK_KEYS = (
 
 
 def save_walk_index(index: WalkIndex, path: PathLike) -> None:
-    """Write a built walk index to NPZ (paths flattened with offsets)."""
+    """Write a built walk index to NPZ.
+
+    Layout: walk ``k`` of node ``v`` is record ``v * R + k``; its
+    first-visit path is ``paths[offsets[r]:offsets[r + 1]]`` and its
+    visit counts the same slice of ``counts``; ``hit`` is ``H``.
+    """
     if not index.is_built:
         raise IndexNotBuiltError("cannot save an unbuilt WalkIndex")
-    flat_paths: List[int] = []
-    flat_counts: List[int] = []
-    offsets: List[int] = [0]
-    for node in range(index.graph.n_nodes):
-        for record in index.walks_from(node):
-            flat_paths.extend(int(v) for v in record.path)
-            flat_counts.extend(int(c) for c in record.visit_counts)
-            offsets.append(len(flat_paths))
+    padded = index.padded_paths()
+    on_path = padded >= 0
+    offsets = np.zeros(padded.shape[0] + 1, dtype=np.int64)
+    np.cumsum(on_path.sum(axis=1), out=offsets[1:])
     save_npz_payload(Path(path), {
         "n_nodes": np.asarray([index.graph.n_nodes]),
         "n_edges": np.asarray([index.graph.n_edges]),
         "walk_length": np.asarray([index.walk_length]),
         "samples": np.asarray([index.samples_per_node]),
-        "offsets": np.asarray(offsets, dtype=np.int64),
-        "paths": np.asarray(flat_paths, dtype=np.int64),
-        "counts": np.asarray(flat_counts, dtype=np.int64),
+        "offsets": offsets,
+        "paths": padded[on_path],
+        "counts": index.padded_visit_counts()[on_path],
         "hit": index.hitting_frequencies(),
     })
+
+
+def _unflatten_walks(payload: Dict[str, np.ndarray], n_nodes: int):
+    """The flat walk arrays as ``(paths, counts, steps, hit)`` matrices.
+
+    Raises ``ValueError`` when the arrays do not describe ``n * R``
+    walks of at most ``L`` steps, each starting at its own node.
+    """
+    length = int(payload["walk_length"][0])
+    samples = int(payload["samples"][0])
+    offsets = payload["offsets"].astype(np.int64, casting="safe")
+    flat_paths = payload["paths"].astype(np.int64, casting="safe")
+    flat_counts = payload["counts"].astype(np.int64, casting="safe")
+    hit = payload["hit"].astype(np.float64, casting="safe")
+    n_walks = n_nodes * samples
+    if offsets.shape != (n_walks + 1,) or offsets[0] != 0:
+        raise ValueError(f"offsets must hold {n_walks + 1} entries from 0")
+    if not offsets[-1] == flat_paths.size == flat_counts.size:
+        raise ValueError("offsets, paths and counts disagree in length")
+    if hit.shape != (length + 1, n_nodes):
+        raise ValueError(f"hit has shape {hit.shape}, not {(length + 1, n_nodes)}")
+    sizes = np.diff(offsets)
+    if n_walks and not 1 <= sizes.min() <= sizes.max() <= length + 1:
+        raise ValueError(f"path lengths must lie in [1, {length + 1}]")
+    if flat_paths.size and not (
+        0 <= flat_paths.min() and flat_paths.max() < n_nodes
+        and flat_counts.min() >= 1
+    ):
+        raise ValueError("node ids or visit counts out of range")
+    width = int(sizes.max()) if n_walks else 1
+    rows = np.repeat(np.arange(n_walks), sizes)
+    columns = np.arange(flat_paths.size) - np.repeat(offsets[:-1], sizes)
+    paths = np.full((n_walks, width), -1, dtype=np.int64)
+    paths[rows, columns] = flat_paths
+    counts = np.zeros((n_walks, width), dtype=np.int64)
+    counts[rows, columns] = flat_counts
+    if n_walks and not np.array_equal(
+        paths[:, 0], np.repeat(np.arange(n_nodes), samples)
+    ):
+        raise ValueError("a walk does not start at its own node")
+    return paths, counts, counts.sum(axis=1) - 1, hit
 
 
 def load_walk_index(path: PathLike, graph: SocialGraph) -> WalkIndex:
@@ -296,29 +337,11 @@ def load_walk_index(path: PathLike, graph: SocialGraph) -> WalkIndex:
         int(payload["walk_length"][0]),
         int(payload["samples"][0]),
     )
-    samples = index.samples_per_node
-    offsets = payload["offsets"]
-    paths = payload["paths"]
-    counts = payload["counts"]
-    walks: List[List[WalkRecord]] = [[] for _ in range(graph.n_nodes)]
-    reverse = [set() for _ in range(graph.n_nodes)]
-    cursor = 0
     try:
-        for node in range(graph.n_nodes):
-            for _ in range(samples):
-                lo, hi = int(offsets[cursor]), int(offsets[cursor + 1])
-                cursor += 1
-                path_arr = paths[lo:hi].copy()
-                count_arr = counts[lo:hi].copy()
-                steps = int(count_arr.sum() - 1)
-                walks[node].append(WalkRecord(path_arr, count_arr, steps))
-                for visited in path_arr[1:]:
-                    reverse[int(visited)].add(node)
-    except (IndexError, ValueError) as exc:
+        arrays = _unflatten_walks(payload, graph.n_nodes)
+    except (IndexError, TypeError, ValueError) as exc:
         raise ArtifactCorruptedError(
             path, reason=f"inconsistent walk payload ({exc})"
         ) from exc
-    index._walks = walks
-    index._hit_frequency = payload["hit"]
-    index._reverse = reverse
+    index._adopt(*arrays)
     return index

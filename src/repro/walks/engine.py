@@ -8,8 +8,9 @@ is deduplicated: each node is appended only on its first visit. A walk
 terminates early at a dead end (node with no out-edges).
 
 :class:`WalkEngine` pre-computes per-node cumulative probability tables so a
-step is a single binary search, which is what makes index construction on
-tens of thousands of nodes practical in pure Python.
+step is a single binary search. It samples one walk at a time; the
+Algorithm 6 index (:mod:`repro.walks.index`) samples all of its walks as
+arrays instead.
 """
 
 from __future__ import annotations

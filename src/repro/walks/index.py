@@ -8,6 +8,15 @@ reachability index ``I_L[v]`` listing the walk start nodes whose walks
 reached ``v`` (the Monte-Carlo stand-in for "nodes that can reach v within L
 hops" used by Algorithms 1 and 4).
 
+All ``n * R`` walks are sampled together, one step at a time: each step is
+one global binary search over the graph's cumulative transition mass, one
+first-visit check against the padded path matrix and one ``np.maximum.at``
+into ``H``. Sampling contract: walk ``k`` of node ``v`` owns row
+``v * R + k`` of ``U = rng.random(n * R * L).reshape(n * R, L)`` and takes
+step ``j`` with ``U[v * R + k, j - 1]``. A walk that stops at a dead end
+leaves the rest of its row unused; unweighted walks choose among the
+out-edges with equal masses from the same uniforms.
+
 The paper bounds the sample size ``R`` via the Hoeffding inequality;
 :func:`hoeffding_sample_size` reproduces that bound so callers can pick
 ``R`` from a target accuracy instead of guessing.
@@ -16,14 +25,14 @@ The paper bounds the sample size ``R`` via the Hoeffding inequality;
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._utils import SeedLike, coerce_rng, require_in_range
 from ..exceptions import ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
-from .engine import WalkEngine, WalkRecord
+from .engine import WalkRecord
 
 __all__ = ["WalkIndex", "hoeffding_sample_size"]
 
@@ -41,6 +50,88 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     return int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
+def _sample_walks(
+    graph: SocialGraph,
+    length: int,
+    samples: int,
+    weighted: bool,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 6 lines 1-19 for all ``n * R`` walks at once.
+
+    Returns ``(paths, counts, steps, hit)``: the ``(n * R, L + 1)``
+    first-visit path matrix padded with ``-1``, the visit counts aligned
+    with it (``0`` in the padding), the transitions each walk took, and
+    the ``(L + 1, n)`` table ``H``.
+    """
+    n = graph.n_nodes
+    n_walks = n * samples
+    indptr = graph._out_indptr
+    targets = graph._out_targets
+    masses = graph._out_probs if weighted else np.ones(targets.size)
+    cum = np.cumsum(masses)
+    # below[i]: the mass of every CSR slot before slot i.
+    below = np.concatenate(([0.0], cum))
+    uniforms = rng.random(n_walks * length).reshape(n_walks, length)
+
+    paths = np.full((n_walks, length + 1), -1, dtype=np.int64)
+    paths[:, 0] = np.repeat(np.arange(n, dtype=np.int64), samples)
+    counts = np.zeros((n_walks, length + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    steps = np.zeros(n_walks, dtype=np.int64)
+    sizes = np.ones(n_walks, dtype=np.int64)
+    hit = np.zeros((length + 1, n), dtype=np.float64)
+    # visited[] after c visits, summed one 1/R at a time as line 17 does.
+    frequency = np.zeros(length + 2, dtype=np.float64)
+    inv_r = 1.0 / samples
+    for c in range(1, length + 2):
+        frequency[c] = frequency[c - 1] + inv_r
+
+    walks = np.arange(n_walks, dtype=np.int64)
+    current = paths[:, 0]
+    for j in range(1, length + 1):
+        lo = indptr[current]
+        degree = indptr[current + 1] - lo
+        moving = degree > 0
+        if not moving.all():
+            walks, lo, degree = walks[moving], lo[moving], degree[moving]
+            if walks.size == 0:
+                break
+        base = below[lo]
+        draw = base + uniforms[walks, j - 1] * (below[lo + degree] - base)
+        slot = np.minimum(
+            np.searchsorted(cum, draw, side="right") - lo, degree - 1
+        )
+        current = targets[lo + slot]
+        steps[walks] = j
+        match = paths[walks] == current[:, None]
+        seen = match.any(axis=1)
+        position = np.where(seen, match.argmax(axis=1), sizes[walks])
+        paths[walks, position] = current
+        counts[walks, position] += 1
+        sizes[walks] += ~seen
+        np.maximum.at(hit[j], current, frequency[counts[walks, position]])
+    width = int(sizes.max()) if n_walks else 1
+    return (
+        np.ascontiguousarray(paths[:, :width]),
+        np.ascontiguousarray(counts[:, :width]),
+        steps,
+        hit,
+    )
+
+
+def _reverse_csr(
+    paths: np.ndarray, samples: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``I_L`` as CSR: sorted walk start nodes per visited node."""
+    body = paths[:, 1:]
+    walk, column = np.nonzero(body >= 0)
+    pairs = np.unique(body[walk, column] * n + walk // samples)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    return indptr, pairs % n
+
+
 class WalkIndex:
     """Materialized random-walk samples for every node of a graph.
 
@@ -53,9 +144,12 @@ class WalkIndex:
     samples_per_node:
         ``R`` - walks sampled from every node.
     weighted:
-        Passed to :class:`~repro.walks.engine.WalkEngine`.
+        When true (default), the next hop is chosen with probability
+        proportional to the edge transition probability; when false, with
+        equal mass per out-edge (DESIGN.md note 1).
     seed:
         Seed or generator; a fixed seed makes the whole index deterministic.
+        :meth:`build` draws exactly ``n * R * L`` doubles from it.
 
     Call :meth:`build` (or construct via :meth:`built`) before querying.
     """
@@ -74,11 +168,16 @@ class WalkIndex:
         self._graph = graph
         self._length = int(walk_length)
         self._samples = int(samples_per_node)
-        self._engine = WalkEngine(graph, weighted=weighted, seed=seed)
-        self._walks: Optional[List[List[WalkRecord]]] = None
+        self._weighted = bool(weighted)
+        self._rng = coerce_rng(seed)
+        # Row v * R + k of the path/count matrices is walk k of node v.
+        self._paths: Optional[np.ndarray] = None
+        self._counts: Optional[np.ndarray] = None
+        self._steps: Optional[np.ndarray] = None
         self._hit_frequency: Optional[np.ndarray] = None
-        self._reverse: Optional[List[Set[int]]] = None
-        self._padded: Optional[np.ndarray] = None
+        self._reverse_indptr: Optional[np.ndarray] = None
+        self._reverse_sources: Optional[np.ndarray] = None
+        self._records: Dict[int, List[WalkRecord]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -120,10 +219,10 @@ class WalkIndex:
     @property
     def is_built(self) -> bool:
         """Whether :meth:`build` has completed."""
-        return self._walks is not None
+        return self._paths is not None
 
     def _require_built(self) -> None:
-        if self._walks is None:
+        if self._paths is None:
             raise IndexNotBuiltError("WalkIndex.build() has not been called")
 
     # ------------------------------------------------------------------
@@ -132,94 +231,70 @@ class WalkIndex:
 
         Idempotent: calling build twice leaves the first result in place.
         """
-        if self._walks is not None:
+        if self._paths is not None:
             return self
-        n = self._graph.n_nodes
-        length = self._length
-        samples = self._samples
-        inv_r = 1.0 / samples
-
-        walks: List[List[WalkRecord]] = [[] for _ in range(n)]
-        # Row j (1-based step) holds H[j][v]; row 0 stays zero.
-        hit = np.zeros((length + 1, n), dtype=np.float64)
-        reverse: List[Set[int]] = [set() for _ in range(n)]
-
-        for start in range(n):
-            for _ in range(samples):
-                record = self._sample_and_account(start, length, inv_r, hit, reverse)
-                walks[start].append(record)
-
-        self._walks = walks
-        self._hit_frequency = hit
-        self._reverse = reverse
+        self._adopt(*_sample_walks(
+            self._graph, self._length, self._samples, self._weighted, self._rng
+        ))
         return self
 
-    def _sample_and_account(
+    def _adopt(
         self,
-        start: int,
-        length: int,
-        inv_r: float,
+        paths: np.ndarray,
+        counts: np.ndarray,
+        steps: np.ndarray,
         hit: np.ndarray,
-        reverse: List[Set[int]],
-    ) -> WalkRecord:
-        """One walk plus its Algorithm 6 bookkeeping (lines 6-19)."""
-        path: List[int] = [start]
-        position: Dict[int, int] = {start: 0}
-        counts: List[int] = [1]
-        visited: Dict[int, float] = {start: inv_r}
-        current = start
-        steps = 0
-        for j in range(1, length + 1):
-            nxt = self._engine.step(current)
-            if nxt is None:
-                break
-            steps += 1
-            if nxt not in visited:
-                visited[nxt] = inv_r
-                position[nxt] = len(path)
-                path.append(nxt)
-                counts.append(1)
-                reverse[nxt].add(start)
-            else:
-                visited[nxt] += inv_r
-                counts[position[nxt]] += 1
-            if hit[j][nxt] < visited[nxt]:
-                hit[j][nxt] = visited[nxt]
-            current = nxt
-        return WalkRecord(
-            np.asarray(path, dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-            steps,
+    ) -> None:
+        """Install a sampled (or loaded) walk set and derive ``I_L``."""
+        for array in (paths, counts, steps, hit):
+            array.setflags(write=False)
+        self._reverse_indptr, self._reverse_sources = _reverse_csr(
+            paths, self._samples, self._graph.n_nodes
         )
+        self._counts, self._steps, self._hit_frequency = counts, steps, hit
+        self._paths = paths
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def walks_from(self, node: int) -> List[WalkRecord]:
-        """The ``R`` walk records sampled from *node* (``I[.][node]``)."""
+        """The ``R`` walk records sampled from *node* (``I[.][node]``).
+
+        Built on first call per node and cached; the records' arrays are
+        read-only views into the index.
+        """
         self._require_built()
-        return self._walks[self._graph._check_node(node)]
+        node = self._graph._check_node(node)
+        records = self._records.get(node)
+        if records is None:
+            rows = range(node * self._samples, (node + 1) * self._samples)
+            records = []
+            for row in rows:
+                size = int(np.count_nonzero(self._counts[row]))
+                records.append(WalkRecord(
+                    self._paths[row, :size],
+                    self._counts[row, :size],
+                    int(self._steps[row]),
+                ))
+            self._records[node] = records
+        return records
 
     def padded_paths(self) -> np.ndarray:
         """Every walk's first-visit path as one padded int matrix.
 
-        Shape ``(n_nodes * R, width)`` int64, padded with ``-1``: row
-        ``v * R + k`` is walk ``k`` of node ``v`` (column 0 the start
-        node), so a batch of source nodes maps to row blocks with pure
-        arithmetic - no per-record Python loop. Built lazily on first
-        call and cached; the array is read-only shared state, do not
-        mutate it.
+        Shape ``(n_nodes * R, width)`` int64, padded with ``-1``, where
+        *width* is the longest path: row ``v * R + k`` is walk ``k`` of
+        node ``v`` (column 0 the start node), so a batch of source nodes
+        maps to row blocks with pure arithmetic - no per-record Python
+        loop. The array is read-only shared state.
         """
         self._require_built()
-        if self._padded is None:
-            records = [r for walks in self._walks for r in walks]
-            width = max(r.path.size for r in records)
-            padded = np.full((len(records), width), -1, dtype=np.int64)
-            for k, record in enumerate(records):
-                padded[k, : record.path.size] = record.path
-            padded.setflags(write=False)
-            self._padded = padded
-        return self._padded
+        return self._paths
+
+    def padded_visit_counts(self) -> np.ndarray:
+        """Visit counts aligned with :meth:`padded_paths` (``0`` in the padding)."""
+        self._require_built()
+        return self._counts
 
     def hitting_frequency(self, step: int, node: int) -> float:
         """``H[step][node]`` - max per-walk visit frequency at walk step *step*.
@@ -243,21 +318,18 @@ class WalkIndex:
         already visited).
         """
         self._require_built()
-        members = self._reverse[self._graph._check_node(node)]
-        return np.asarray(sorted(members), dtype=np.int64)
+        node = self._graph._check_node(node)
+        lo, hi = self._reverse_indptr[node], self._reverse_indptr[node + 1]
+        return self._reverse_sources[lo:hi].copy()
 
     def reverse_reachable_set(self, node: int) -> Set[int]:
-        """``I_L[node]`` as a set (no copy of the internal set is exposed)."""
-        self._require_built()
-        return set(self._reverse[self._graph._check_node(node)])
+        """``I_L[node]`` as a set."""
+        return set(self.reverse_reachable(node).tolist())
 
     def memory_bytes(self) -> int:
-        """Approximate resident size of the index payload, in bytes."""
+        """Resident size of the index arrays, in bytes."""
         self._require_built()
-        total = self._hit_frequency.nbytes
-        for records in self._walks:
-            for record in records:
-                total += record.path.nbytes + record.visit_counts.nbytes
-        for members in self._reverse:
-            total += 8 * len(members)
-        return int(total)
+        return int(sum(array.nbytes for array in (
+            self._paths, self._counts, self._steps, self._hit_frequency,
+            self._reverse_indptr, self._reverse_sources,
+        )))

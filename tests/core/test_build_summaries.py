@@ -9,11 +9,13 @@ summaries attached) or degrade to a warning per ``strict``.
 """
 
 import hashlib
+import threading
 import warnings
+from concurrent.futures import Future, wait
 
 import pytest
 
-from repro import _faults
+from repro import _build_runner, _faults
 from repro.core import PITEngine, load_summaries, save_summaries
 from repro.exceptions import BuildFailedError, ConfigurationError
 from repro.graph import preferential_attachment_graph
@@ -189,6 +191,63 @@ class TestRetries:
         assert _digest(path) == reference_digest
         # The crash fails chunk 1 plus whatever else was in flight.
         assert registry.counter_value("summarize.chunk_retries") >= 1
+        assert registry.counter_value("summarize.topics_built") == (
+            topic_index.n_topics
+        )
+
+    @pytest.mark.parametrize("orphan", [False, True], ids=["raises", "orphaned"])
+    def test_worker_dies_before_every_chunk_is_submitted(
+        self, graph, topic_index, reference_digest, tmp_path, monkeypatch, orphan
+    ):
+        # Chunk 0's worker exits, and the first pool's second submit waits
+        # until that crash has broken the pool. The submit then raises
+        # BrokenProcessPool, or (orphan) is accepted and never run, as a
+        # submit racing the break can be on Python 3.11.
+        pools = []
+
+        class SubmitAfterCrash(_build_runner.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self.first = None
+
+            def submit(self, fn, *args, **kwargs):
+                if self is not pools[0]:
+                    return super().submit(fn, *args, **kwargs)
+                if self.first is None:
+                    self.first = super().submit(fn, *args, **kwargs)
+                    return self.first
+                wait([self.first], timeout=30)
+                if orphan:
+                    return Future()
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(_build_runner, "ProcessPoolExecutor", SubmitAfterCrash)
+        registry = MetricsRegistry()
+        outcome = {}
+
+        def build():
+            try:
+                with _faults.fault(
+                    "summarize.worker_chunk",
+                    _faults.ExitOnChunk(0, attempts=(0,)),
+                ):
+                    outcome["engine"] = _engine(
+                        graph, topic_index, metrics=registry
+                    ).build_summaries(workers=2, retry_backoff=0.01)
+            except Exception as exc:  # reported by the assert below
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=build, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "build hung on an unfinished future"
+        assert "error" not in outcome, outcome.get("error")
+        path = tmp_path / "summaries.json"
+        save_summaries(outcome["engine"].summaries, graph, path)
+        assert _digest(path) == reference_digest
+        assert len(pools) == 2  # one broken pool, one clean retry round
+        assert registry.counter_value("summarize.chunk_retries") >= 2
         assert registry.counter_value("summarize.topics_built") == (
             topic_index.n_topics
         )

@@ -149,6 +149,101 @@ class TestWalkIndexPersistence:
             load_walk_index(path, other)
 
 
+class TestWalkIndexLayout:
+    """The walk NPZ keeps its flat ``offsets/paths/counts/hit`` layout:
+    record ``v * R + k`` is walk ``k`` of node ``v``."""
+
+    def test_roundtrip_gives_identical_arrays_and_answers(self, graph, tmp_path):
+        from repro.core.lrw import migration_matrix, select_representatives
+
+        index = WalkIndex.built(graph, 4, 6, seed=5)
+        path = tmp_path / "walks.npz"
+        save_walk_index(index, path)
+        loaded = load_walk_index(path, graph)
+        assert np.array_equal(loaded.padded_paths(), index.padded_paths())
+        assert np.array_equal(
+            loaded.padded_visit_counts(), index.padded_visit_counts()
+        )
+        assert np.array_equal(
+            loaded.hitting_frequencies(), index.hitting_frequencies()
+        )
+        assert loaded.memory_bytes() == index.memory_bytes()
+        for node in graph.nodes:
+            assert [r.steps_taken for r in loaded.walks_from(node)] == [
+                r.steps_taken for r in index.walks_from(node)
+            ]
+            assert np.array_equal(
+                loaded.reverse_reachable(node), index.reverse_reachable(node)
+            )
+        topic = list(range(0, 40, 3))
+        for reinforcement in ("walk", "divrank"):
+            reps = select_representatives(
+                graph, topic, index, reinforcement=reinforcement
+            )
+            assert np.array_equal(reps, select_representatives(
+                graph, topic, loaded, reinforcement=reinforcement
+            ))
+            assert np.array_equal(
+                migration_matrix(index, topic, reps),
+                migration_matrix(loaded, topic, reps),
+            )
+
+    def test_hand_built_flat_payload_loads(self, tmp_path):
+        # 0 -> 1 -> 2, L = 2, R = 1: walks 0-1-2, 1-2 and the dead end 2.
+        chain = SocialGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        hit = np.zeros((3, 3))
+        hit[1, 1] = hit[1, 2] = hit[2, 2] = 1.0
+        path = tmp_path / "walks.npz"
+        np.savez(
+            path, n_nodes=np.asarray([3]), n_edges=np.asarray([2]),
+            walk_length=np.asarray([2]), samples=np.asarray([1]),
+            offsets=np.asarray([0, 3, 5, 6]),
+            paths=np.asarray([0, 1, 2, 1, 2, 2]),
+            counts=np.asarray([1, 1, 1, 1, 1, 1]),
+            hit=hit,
+        )
+        loaded = load_walk_index(path, chain)
+        assert [r.path.tolist() for r in loaded.walks_from(0)] == [[0, 1, 2]]
+        assert [r.steps_taken for r in loaded.walks_from(1)] == [1]
+        assert [r.steps_taken for r in loaded.walks_from(2)] == [0]
+        assert loaded.padded_paths().tolist() == [
+            [0, 1, 2], [1, 2, -1], [2, -1, -1],
+        ]
+        assert loaded.reverse_reachable(2).tolist() == [0, 1]
+        assert loaded.hitting_frequency(2, 2) == 1.0
+        save_walk_index(loaded, tmp_path / "again.npz")
+        with np.load(tmp_path / "again.npz") as again:
+            assert again["offsets"].tolist() == [0, 3, 5, 6]
+            assert again["paths"].tolist() == [0, 1, 2, 1, 2, 2]
+
+    @pytest.mark.parametrize("field,value", [
+        ("offsets", np.asarray([0, 3, 5])),                 # too few records
+        ("offsets", np.asarray([0, 3, 5, 7])),              # past the arrays
+        ("offsets", np.asarray([0, 3, 3, 6])),              # empty walk
+        ("offsets", np.asarray([0, 4, 5, 6])),              # longer than L + 1
+        ("paths", np.asarray([1, 0, 2, 1, 2, 2])),          # wrong start node
+        ("paths", np.asarray([0, 1, 9, 1, 2, 2])),          # unknown node id
+        ("paths", np.asarray([0.0, 1.0, 2.0, 1.0, 2.0, 2.0])),  # not int ids
+        ("counts", np.asarray([1, 1, 1, 1, 1])),            # short counts
+        ("hit", np.zeros((2, 3))),                          # wrong H shape
+    ])
+    def test_inconsistent_payload_rejected(self, tmp_path, field, value):
+        chain = SocialGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        arrays = dict(
+            n_nodes=np.asarray([3]), n_edges=np.asarray([2]),
+            walk_length=np.asarray([2]), samples=np.asarray([1]),
+            offsets=np.asarray([0, 3, 5, 6]),
+            paths=np.asarray([0, 1, 2, 1, 2, 2]),
+            counts=np.asarray([1, 1, 1, 1, 1, 1]),
+            hit=np.zeros((3, 3)),
+        )
+        arrays[field] = value
+        path = tmp_path / "walks.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ArtifactCorruptedError, match="inconsistent walk"):
+            load_walk_index(path, chain)
+
+
 class TestCorruptedArtifacts:
     """Damaged artifacts must surface as typed errors, never raw numpy
     / json / zipfile exceptions from deep inside a loader."""

@@ -28,7 +28,52 @@ def community_graph():
     return builder.build()
 
 
+def _scipy_pagerank(graph, topic_nodes, walk_index, *, damping, initial,
+                    reinforcement):
+    """Equation 5 iterated with scipy CSR products (the reference)."""
+    n = graph.n_nodes
+    nodes = sorted(set(topic_nodes))
+    restart = np.zeros(n)
+    restart[nodes] = 1.0 / len(nodes)
+    transition = graph.transition_matrix()
+    transition_t = transition.T.tocsr()
+    hit = walk_index.hitting_frequencies()
+    rank = restart.copy() if initial == "restart" else np.ones(n)
+    cumulative = rank.copy()
+    for step in range(1, walk_index.walk_length + 1):
+        frequency = hit[step] if reinforcement == "walk" else cumulative + 1e-12
+        normalizer = transition @ frequency
+        outflow = np.where(
+            normalizer > 0.0,
+            rank / np.where(normalizer > 0.0, normalizer, 1.0),
+            0.0,
+        )
+        rank = (1.0 - damping) * restart + damping * (
+            frequency * (transition_t @ outflow)
+        )
+        cumulative = cumulative + rank
+    return rank
+
+
 class TestDiversifiedPagerank:
+    @pytest.mark.parametrize("initial", ["restart", "uniform"])
+    @pytest.mark.parametrize("reinforcement", ["divrank", "walk"])
+    def test_matches_scipy_products_bit_for_bit(self, initial, reinforcement):
+        from repro.graph import preferential_attachment_graph
+
+        graph = preferential_attachment_graph(150, 4, seed=8)
+        walk_index = WalkIndex.built(graph, 5, 8, seed=2)
+        topic = list(range(3, 150, 7))
+        scores = diversified_pagerank(
+            graph, topic, walk_index, initial=initial,
+            reinforcement=reinforcement,
+        )
+        expected = _scipy_pagerank(
+            graph, topic, walk_index, damping=0.85, initial=initial,
+            reinforcement=reinforcement,
+        )
+        assert np.array_equal(scores, expected)
+
     def test_restart_mass_on_topic(self, community_graph):
         walk_index = WalkIndex.built(community_graph, 4, 10, seed=1)
         scores = diversified_pagerank(
