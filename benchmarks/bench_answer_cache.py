@@ -59,7 +59,6 @@ from repro.core import (  # noqa: E402
     ServingEngine,
     build_precompute,
     save_precompute,
-    save_propagation_index,
     save_summaries,
 )
 from repro.datasets import data_2k, generate_workload, replay_requests  # noqa: E402
@@ -79,13 +78,12 @@ def build_stack(seed: int, n_nodes: int, directory: Path, summarizer: str):
     bundle = data_2k(seed=seed, n_nodes=n_nodes, with_corpus=False)
     engine = PITEngine.from_dataset(bundle, summarizer=summarizer, seed=seed)
     workers = max(1, min(4, os.cpu_count() or 1))
-    engine.propagation_index.build_all(workers=workers)
-    engine.build_summaries(workers=workers)
-    index_path = directory / f"prop_{seed}.npz"
+    index_dir = directory / f"prop_{seed}"
     sums_path = directory / f"sums_{seed}.json"
-    save_propagation_index(engine.propagation_index, index_path)
+    engine.propagation_index.build_sharded(index_dir, workers=workers)
+    engine.build_summaries(workers=workers)
     save_summaries(engine.summaries, bundle.graph, sums_path)
-    return bundle, index_path, sums_path
+    return bundle, index_dir, sums_path
 
 
 def run_storm_with_reload(
@@ -191,7 +189,7 @@ def work_tuple(stats) -> tuple:
 
 
 def engine_parity(
-    bundle, index_path, sums_path, precompute_path, records, seed
+    bundle, index_dir, sums_path, precompute_path, records, seed
 ) -> Dict:
     """Warm cached engine vs. fresh uncached engine, across a generation bump.
 
@@ -206,7 +204,7 @@ def engine_parity(
     def fresh(cached: bool, generation: int) -> ServingEngine:
         engine = ServingEngine.from_artifacts(
             bundle.graph, bundle.topic_index, sums_path,
-            index_path=index_path,
+            index_dir=index_dir,
             answer_cache_bytes=(32 << 20) if cached else None,
             precompute_path=precompute_path if cached else None,
         )
@@ -237,10 +235,10 @@ def engine_parity(
     }
 
 
-def daemon_spot_check(port: int, bundle, index_path, sums_path, records) -> Dict:
+def daemon_spot_check(port: int, bundle, index_dir, sums_path, records) -> Dict:
     """Post-reload daemon responses vs. a fresh uncached engine."""
     plain = ServingEngine.from_artifacts(
-        bundle.graph, bundle.topic_index, sums_path, index_path=index_path
+        bundle.graph, bundle.topic_index, sums_path, index_dir=index_dir
     )
     mismatches = 0
     checked = 0
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
     print(f"dataset: data_2k({args.nodes} nodes), workload {args.queries} "
           f"queries x {args.users} users, skew={args.skew}, k={args.k}",
           flush=True)
-    bundle, index_path, sums_path = build_stack(
+    bundle, index_dir, sums_path = build_stack(
         args.seed, args.nodes, directory, args.summarizer
     )
 
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
     )
 
     offline = ServingEngine.from_artifacts(
-        bundle.graph, bundle.topic_index, sums_path, index_path=index_path
+        bundle.graph, bundle.topic_index, sums_path, index_dir=index_dir
     )
     artifact = build_precompute(
         offline, trace_path,
@@ -365,13 +363,13 @@ def main(argv=None) -> int:
         registry_holder = {}
 
         def loader(overrides):
-            paths = {"summaries": str(sums_path), "index": str(index_path)}
+            paths = {"summaries": str(sums_path), "index_dir": str(index_dir)}
             if cached:
                 paths["precompute"] = str(precompute_path)
             paths.update(overrides)
             return ServingEngine.from_artifacts(
                 bundle.graph, bundle.topic_index, paths["summaries"],
-                index_path=paths.get("index"),
+                index_dir=paths["index_dir"],
                 answer_cache_bytes=(32 << 20) if cached else None,
                 precompute_path=paths.get("precompute"),
                 metrics=registry_holder["registry"],
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
         spot = None
         if cached:
             spot = daemon_spot_check(
-                port, bundle, index_path, sums_path,
+                port, bundle, index_dir, sums_path,
                 replay_records[: min(40, len(replay_records))],
             )
 
@@ -462,7 +460,7 @@ def main(argv=None) -> int:
             "".join(json.dumps(r) + "\n" for r in p_trace), encoding="utf-8"
         )
         p_offline = ServingEngine.from_artifacts(
-            p_bundle.graph, p_bundle.topic_index, p_sums, index_path=p_index
+            p_bundle.graph, p_bundle.topic_index, p_sums, index_dir=p_index
         )
         p_art = build_precompute(
             p_offline, p_trace_path,

@@ -51,7 +51,6 @@ from typing import Dict, List
 from repro.core import (
     PITEngine,
     ServingEngine,
-    save_propagation_index,
     save_summaries,
 )
 from repro.datasets import (
@@ -268,14 +267,12 @@ def main(argv=None) -> int:
         bundle, summarizer=args.summarizer, seed=args.seed
     )
     workers = max(1, min(4, os.cpu_count() or 1))
-    engine.propagation_index.build_all(workers=workers)
-    engine.build_summaries(workers=workers)
-
     tmp = tempfile.TemporaryDirectory(prefix="bench_serve_")
     artifact_dir = Path(tmp.name)
-    index_path = artifact_dir / "prop.npz"
+    index_dir = artifact_dir / "prop_shards"
     sums_path = artifact_dir / "sums.json"
-    save_propagation_index(engine.propagation_index, index_path)
+    engine.propagation_index.build_sharded(index_dir, workers=workers)
+    engine.build_summaries(workers=workers)
     save_summaries(engine.summaries, bundle.graph, sums_path)
     print(f"artifacts built -> {artifact_dir}", flush=True)
 
@@ -298,11 +295,11 @@ def main(argv=None) -> int:
     registry_holder = {}
 
     def loader(overrides):
-        paths = {"summaries": str(sums_path), "index": str(index_path)}
+        paths = {"summaries": str(sums_path), "index_dir": str(index_dir)}
         paths.update(overrides)
         return ServingEngine.from_artifacts(
             bundle.graph, bundle.topic_index, paths["summaries"],
-            index_path=paths.get("index"),
+            index_dir=paths["index_dir"],
             metrics=registry_holder["registry"],
         )
 

@@ -314,14 +314,18 @@ class ShardWriter:
         return list(self._shards)
 
     def resume(self, what: str = "sharded artifact") -> list:
-        """Absorb a previous run's shards, verifying each one.
+        """Verify a previous run's shards and return their records.
 
         Returns the verified shard records (empty when no manifest
         exists). The existing manifest's ``kind`` and ``meta`` must match
         this writer's; each listed shard file is re-read and its SHA-256
         compared against the manifest, so a truncated or corrupted shard
         surfaces as :class:`ArtifactCorruptedError` *before* the resumed
-        build trusts it.
+        build trusts it. The records are not listed in this writer's
+        manifest yet: the caller relists each one it keeps with
+        :meth:`adopt_shard` (``verify=False``), in build order, and
+        rewrites the rest - so a resumed manifest comes out identical to
+        an uninterrupted one.
         """
         from .exceptions import ConfigurationError
 
@@ -335,9 +339,7 @@ class ShardWriter:
             )
         for record in manifest["shards"]:
             verify_shard_file(self._dir, record, what)
-        self._shards = list(manifest["shards"])
-        self._complete = bool(manifest["complete"])
-        return list(self._shards)
+        return list(manifest["shards"])
 
     def write_shard(self, name: str, data: bytes, **extra: Any) -> dict:
         """Atomically publish one shard and update the manifest.

@@ -8,8 +8,9 @@ owns the policy they share, documented once in ``docs/operations.md``
 ("Resumable builds"): worker-count resolution, per-item retries with
 capped exponential backoff (never for a :class:`~repro.exceptions.ReproError`),
 chunked builds on a fresh process pool per retry round, checkpoint
-flushes on a cadence and on every exit, the stats delta, and the strict
-raise or keep-going warning.
+flushes on a cadence and on every exit (summaries; a Γ build resumes
+from its shard manifest instead), the stats delta, and the strict raise
+or keep-going warning.
 
 The runner's metric, span and fault-site names derive from a subclass's
 ``prefix``, ``item``, ``items`` and ``key``: the fault sites
@@ -83,7 +84,8 @@ class BuildRunner:
       one chunk's result and returns its item count;
     * ``missing()``, ``load(path) -> n_resumed`` and ``save(path)`` -
       the items still to build and the checkpoint format (only
-      :meth:`build_all` uses them);
+      :meth:`build_all` uses them, and ``load``/``save`` only when given
+      a checkpoint);
     * ``attach_partial(error)`` - put the partial result on a strict
       :class:`~repro.exceptions.BuildFailedError`.
     """
@@ -128,11 +130,15 @@ class BuildRunner:
         return trace(f"{self.prefix}.{name}", registry=self.registry, **attrs)
 
     def build_all(
-        self, checkpoint: Optional[Path], every: int, resume: bool
+        self,
+        checkpoint: Optional[Path] = None,
+        every: int = 0,
+        resume: bool = False,
     ) -> Tuple[List[int], int]:
         """Resume from *checkpoint*, build the missing items, flush.
 
-        Returns ``(failed items, items resumed from the checkpoint)``.
+        Without a *checkpoint* nothing is loaded or flushed. Returns
+        ``(failed items, items resumed from the checkpoint)``.
         """
         require_in_range("checkpoint_every", every, 0)
         with self.span("build_all", workers=self.workers):

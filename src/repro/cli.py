@@ -10,17 +10,17 @@ Commands
     query-serving layer, reporting QPS and cache hit rates.
 ``build-index``
     Pre-build the full §5.1 propagation index (optionally in parallel)
-    and persist it to an ``.npz`` for reuse by ``search --index``. The
-    build checkpoints periodically (``--checkpoint-every``) and can pick
-    up an interrupted run with ``--resume``; see ``docs/operations.md``.
-    With ``--shard-nodes N``, ``--output`` names a *directory* instead:
-    the build streams completed node-range shards to disk (bounded RSS,
-    shard-granularity resume) for ``search --index-dir``.
+    into the shard directory ``--output`` (``--shard-nodes`` contiguous
+    nodes per shard) for ``search``/``serve``/``precompute --index-dir``.
+    The build streams completed shards to disk (bounded RSS) and
+    ``--resume`` picks an interrupted run up at shard granularity; see
+    ``docs/operations.md``.
 ``build-summaries``
     Pre-build the per-topic summaries (§3 RCL-A or §4 LRW-A), optionally
     in parallel, and persist them as a checksummed JSON artifact for
-    audit or warm-start. Checkpoints and ``--resume`` work exactly like
-    ``build-index``; parallel builds are byte-identical to serial ones.
+    audit or warm-start. The build checkpoints periodically
+    (``--checkpoint-every``) and ``--resume`` picks up an interrupted
+    run; parallel builds are byte-identical to serial ones.
 ``serve``
     Run the resilient serving daemon over prebuilt artifacts: a
     dependency-free asyncio HTTP/JSON server with admission control,
@@ -51,12 +51,8 @@ Examples
 ::
 
     pit-search datasets --size 800
-    pit-search build-index --dataset data_2k --workers 4 --output prop.npz \
-        --checkpoint-every 500 --resume
-    pit-search build-index --dataset data_2k --shard-nodes 4096 \
+    pit-search build-index --dataset data_2k --workers 4 --shard-nodes 4096 \
         --output prop_shards/ --resume
-    pit-search search --dataset data_2k --user 3 --query phone --k 5 \
-        --index prop.npz
     pit-search search --dataset data_2k --user 3 --query phone --k 5 \
         --index-dir prop_shards/ --shard-cache-mb 64
     pit-search search --dataset data_2k --batch workload.jsonl --k 5
@@ -68,10 +64,12 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .core.shards import DEFAULT_SHARD_NODES
 from .evaluation import ExperimentConfig, ExperimentSuite
 from .exceptions import DatasetError, ReproError
 
@@ -95,22 +93,13 @@ FIGURES = {
 }
 
 
-def _add_build_flags(
-    parser, *, suffix: str, every: int, built: str, unit: str, item: str
-) -> None:
+def _add_build_flags(parser, *, resume: str, item: str) -> None:
     """Flags shared by the resumable build commands."""
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (0 = all CPUs)")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help=f"checkpoint file (default: <output stem>"
-                             f".ckpt{suffix} next to --output)")
-    parser.add_argument("--checkpoint-every", type=int, default=every,
-                        metavar="N",
-                        help=f"flush completed {built} to the checkpoint "
-                             f"every N {unit} (0 = only on exit)")
     parser.add_argument("--resume", action="store_true",
-                        help="resume from an existing checkpoint "
-                             "instead of rebuilding from scratch")
+                        help=f"resume from {resume} instead of "
+                             "rebuilding from scratch")
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
                         help="fresh-process retries for crashed workers")
     parser.add_argument("--keep-going", action="store_true",
@@ -122,13 +111,20 @@ def _add_build_flags(
     parser.add_argument("--seed", type=int, default=42)
 
 
+# No prefix matching: a removed flag such as ``--index`` is a usage
+# error, not an abbreviation of ``--index-dir``.
+_Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI definition (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pit-search",
         description="Personalized Influential Topic Search (paper reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser
+    )
 
     datasets = sub.add_parser(
         "datasets", help="print the Figure 4 dataset summary"
@@ -154,13 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--k", type=int, default=10)
     search.add_argument("--summarizer", default="lrw", choices=["lrw", "rcl"])
     search.add_argument("--theta", type=float, default=0.002)
-    search.add_argument("--index", default=None, metavar="PATH",
-                        help="reuse a propagation index built by build-index "
-                             "(its theta overrides --theta)")
     search.add_argument("--index-dir", default=None, metavar="DIR",
                         help="serve from a sharded index directory built by "
-                             "build-index --shard-nodes (zero-copy mmap; its "
-                             "theta overrides --theta)")
+                             "build-index (zero-copy mmap; its theta "
+                             "overrides --theta)")
     search.add_argument("--shard-cache-mb", type=int, default=256,
                         metavar="MB",
                         help="paging budget for resident shard segments "
@@ -180,17 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
     build_index.add_argument("--size", type=int, default=None)
     build_index.add_argument("--theta", type=float, default=0.002)
     build_index.add_argument("--max-branches", type=int, default=200_000)
-    build_index.add_argument("--output", required=True, metavar="PATH",
-                             help="destination .npz file (or directory "
-                                  "with --shard-nodes)")
-    build_index.add_argument("--shard-nodes", type=int, default=None,
-                             metavar="N",
-                             help="stream the index to --output as shards "
-                                  "of N contiguous nodes instead of one "
-                                  "NPZ: bounded RSS, per-shard checksums, "
-                                  "shard-granularity --resume")
-    _add_build_flags(build_index, suffix=".npz", every=1000,
-                     built="entries", unit="entries", item="nodes")
+    build_index.add_argument("--output", required=True, metavar="DIR",
+                             help="destination shard directory")
+    build_index.add_argument("--shard-nodes", type=int,
+                             default=DEFAULT_SHARD_NODES, metavar="N",
+                             help="contiguous nodes per shard (default "
+                                  f"{DEFAULT_SHARD_NODES}); completed shards "
+                                  "stream to disk, bounding RSS")
+    _add_build_flags(build_index, resume="the completed shards in --output",
+                     item="nodes")
 
     build_summaries = sub.add_parser(
         "build-summaries",
@@ -214,8 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
                                       "for lrw)")
     build_summaries.add_argument("--output", required=True, metavar="PATH",
                                  help="destination .json artifact")
-    _add_build_flags(build_summaries, suffix=".json", every=16,
-                     built="summaries", unit="topics", item="topics")
+    build_summaries.add_argument("--checkpoint", default=None, metavar="PATH",
+                                 help="checkpoint file (default: <output "
+                                      "stem>.ckpt.json next to --output)")
+    build_summaries.add_argument("--checkpoint-every", type=int, default=16,
+                                 metavar="N",
+                                 help="flush completed summaries to the "
+                                      "checkpoint every N topics (0 = only "
+                                      "on exit)")
+    _add_build_flags(build_summaries, resume="an existing checkpoint",
+                     item="topics")
 
     diagnose = sub.add_parser(
         "diagnose", help="print summary diagnostics for a query's topics"
@@ -239,11 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--summaries", required=True, metavar="PATH",
                        help="prebuilt summaries artifact (build-summaries)")
-    serve.add_argument("--index", default=None, metavar="PATH",
-                       help="prebuilt propagation index .npz (build-index)")
     serve.add_argument("--index-dir", default=None, metavar="DIR",
                        help="sharded propagation index directory "
-                            "(build-index --shard-nodes)")
+                            "(build-index)")
     serve.add_argument("--shard-cache-mb", type=int, default=256, metavar="MB",
                        help="paging budget for resident shard segments "
                             "with --index-dir (default 256)")
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=10,
                        help="default k for requests that send none")
     serve.add_argument("--theta", type=float, default=0.002,
-                       help="theta for lazy propagation when no --index[-dir] "
+                       help="theta for lazy propagation when no --index-dir "
                             "is given (a prebuilt index's theta governs)")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="admission capacity; excess requests are shed "
@@ -296,15 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument("--summaries", required=True, metavar="PATH",
                             help="prebuilt summaries artifact the daemon "
                                  "will serve")
-    precompute.add_argument("--index", default=None, metavar="PATH",
-                            help="prebuilt propagation index .npz")
     precompute.add_argument("--index-dir", default=None, metavar="DIR",
                             help="sharded propagation index directory")
     precompute.add_argument("--shard-cache-mb", type=int, default=256,
                             metavar="MB")
     precompute.add_argument("--theta", type=float, default=0.002,
                             help="theta for lazy propagation when no "
-                                 "--index[-dir] is given")
+                                 "--index-dir is given")
     precompute.add_argument("--trace", required=True, metavar="PATH",
                             help="JSONL workload trace "
                                  "({'user','query','k'} records, the "
@@ -370,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/scenarios.md)",
     )
     scenario_sub = scenario.add_subparsers(
-        dest="scenario_command", required=True
+        dest="scenario_command", required=True, parser_class=_Parser
     )
     scenario_sub.add_parser("list", help="print the scenario catalogue")
     generate = scenario_sub.add_parser(
@@ -529,16 +524,12 @@ def _emit_metrics(snapshot, path: str) -> None:
 
 
 def _run_search(args) -> int:
-    from .core import PITEngine, load_propagation_index, load_sharded_index
+    from .core import PITEngine, load_sharded_index
     from .exceptions import ConfigurationError
 
     if args.batch is None and (args.user is None or args.query is None):
         raise ConfigurationError(
             "search needs --user and --query (or --batch for a workload)"
-        )
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
         )
     bundle = _load_bundle(args)
     print(bundle.describe())
@@ -562,12 +553,7 @@ def _run_search(args) -> int:
         summary_cache_bytes=8 << 20 if args.batch else None,
         metrics=metrics,
     )
-    if args.index is not None:
-        prebuilt = load_propagation_index(args.index, bundle.graph)
-        engine.use_propagation_index(prebuilt)
-        print(f"using prebuilt propagation index {args.index} "
-              f"({prebuilt.n_cached} entries, theta={prebuilt.theta})")
-    elif args.index_dir is not None:
+    if args.index_dir is not None:
         prebuilt = load_sharded_index(
             args.index_dir, bundle.graph,
             cache_bytes=args.shard_cache_mb << 20,
@@ -600,21 +586,16 @@ def _run_search(args) -> int:
     return 0
 
 
-def _build_setup(args, suffix: str):
-    """Dataset, checkpoint path and metrics registry of a build command."""
+def _build_setup(args):
+    """Dataset and metrics registry of a build command."""
     bundle = _load_bundle(args)
     print(bundle.describe())
-    checkpoint = Path(args.checkpoint or args.output)
-    if not args.checkpoint:  # <output stem>.ckpt<suffix> next to --output
-        stem = checkpoint.name
-        stem = stem[: -len(suffix)] if stem.endswith(suffix) else stem
-        checkpoint = checkpoint.with_name(stem + ".ckpt" + suffix)
     metrics = None
     if args.metrics_out is not None:
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    return bundle, checkpoint, metrics
+    return bundle, metrics
 
 
 def _build_policy(args) -> dict:
@@ -628,54 +609,46 @@ def _build_policy(args) -> dict:
 
 
 def _run_build_index(args) -> int:
-    from .core import PropagationIndex, save_propagation_index
+    from .core import PropagationIndex
 
-    bundle, checkpoint, metrics = _build_setup(args, ".npz")
+    bundle, metrics = _build_setup(args)
     index = PropagationIndex(
         bundle.graph, args.theta, max_branches=args.max_branches,
         metrics=metrics,
     )
-    if args.shard_nodes is None:
-        index.build_all(
-            checkpoint=checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            **_build_policy(args),
-        )
-        save_propagation_index(index, args.output)
-        source, layout, dropped = f"from {checkpoint}", "", "skipped"
-    else:
-        # The shard manifest doubles as the checkpoint (rewritten after
-        # every shard), so the NPZ checkpoint flags do not apply.
-        index.build_sharded(
-            args.output, shard_nodes=args.shard_nodes, **_build_policy(args)
-        )
-        source = "(completed shards verified and kept)"
-        layout = f" in shards of {args.shard_nodes} nodes"
-        dropped = "stored empty"
+    # The shard manifest doubles as the checkpoint: it is rewritten after
+    # every shard, so an interrupt loses at most one shard range.
+    index.build_sharded(
+        args.output, shard_nodes=args.shard_nodes, **_build_policy(args)
+    )
     stats = index.last_build_stats
     if stats.n_resumed:
-        print(f"resumed {stats.n_resumed} entries {source}")
+        print(f"resumed {stats.n_resumed} entries "
+              f"(completed shards verified and kept)")
     print(f"built {stats.n_built} entries in {stats.wall_seconds:.2f}s "
           f"({stats.entries_per_second:.0f} entries/s, "
           f"{stats.workers} worker(s), "
-          f"{stats.total_bytes / 1024:.1f} KiB{layout}) -> {args.output}")
+          f"{stats.total_bytes / 1024:.1f} KiB in shards of "
+          f"{args.shard_nodes} nodes) -> {args.output}")
     if stats.failed_nodes:
         print(f"warning: {stats.n_failed} entries failed to build and were "
-              f"{dropped}: {list(stats.failed_nodes)[:10]}", file=sys.stderr)
+              f"stored empty: {list(stats.failed_nodes)[:10]}",
+              file=sys.stderr)
     if metrics is not None:
-        metrics.set_gauge("propagation.entries_cached", index.n_cached)
-        metrics.set_gauge("propagation.index_bytes", index.memory_bytes())
+        metrics.set_gauge("propagation.entries_cached", stats.n_entries)
+        metrics.set_gauge("propagation.index_bytes", stats.total_bytes)
         _emit_metrics(metrics.snapshot(), args.metrics_out)
-    if args.shard_nodes is None:
-        # The finished artifact is saved; the checkpoint is now redundant.
-        checkpoint.unlink(missing_ok=True)
     return 0
 
 
 def _run_build_summaries(args) -> int:
     from .core import PITEngine, save_summaries
 
-    bundle, checkpoint, metrics = _build_setup(args, ".json")
+    bundle, metrics = _build_setup(args)
+    checkpoint = Path(args.checkpoint or args.output)
+    if not args.checkpoint:  # <output stem>.ckpt.json next to --output
+        stem = checkpoint.name.removesuffix(".json")
+        checkpoint = checkpoint.with_name(stem + ".ckpt.json")
     engine = PITEngine.from_dataset(
         bundle,
         summarizer=args.summarizer,
@@ -789,20 +762,13 @@ def _run_serve(args) -> int:
     import asyncio
 
     from .core import ServingEngine
-    from .exceptions import ConfigurationError
     from .obs import MetricsRegistry
     from .serve import PITServer, ServeConfig
 
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
-        )
     bundle = _load_bundle(args)
     print(bundle.describe(), flush=True)
     registry = MetricsRegistry()
     base = {"summaries": args.summaries}
-    if args.index is not None:
-        base["index"] = args.index
     if args.index_dir is not None:
         base["index_dir"] = args.index_dir
     if args.precompute is not None:
@@ -811,17 +777,10 @@ def _run_serve(args) -> int:
     def loader(overrides):
         paths = dict(base)
         paths.update(overrides)
-        # An override that switches index format replaces, not joins,
-        # the configured one.
-        if "index" in overrides:
-            paths.pop("index_dir", None)
-        if "index_dir" in overrides:
-            paths.pop("index", None)
         return ServingEngine.from_artifacts(
             bundle.graph,
             bundle.topic_index,
             paths["summaries"],
-            index_path=paths.get("index"),
             index_dir=paths.get("index_dir"),
             shard_cache_bytes=args.shard_cache_mb << 20,
             theta=args.theta,
@@ -869,12 +828,7 @@ def _run_precompute(args) -> int:
 
     from .core import ServingEngine
     from .core.precompute import build_precompute, save_precompute
-    from .exceptions import ConfigurationError
 
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
-        )
     bundle = _load_bundle(args)
     print(bundle.describe())
     metrics = None
@@ -886,7 +840,6 @@ def _run_precompute(args) -> int:
         bundle.graph,
         bundle.topic_index,
         args.summaries,
-        index_path=args.index,
         index_dir=args.index_dir,
         shard_cache_bytes=args.shard_cache_mb << 20,
         theta=args.theta,

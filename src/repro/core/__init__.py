@@ -30,10 +30,8 @@ from .dynamics import (
 )
 from .engine import PITEngine
 from .persistence import (
-    load_propagation_index,
     load_summaries,
     load_walk_index,
-    save_propagation_index,
     save_summaries,
     save_walk_index,
 )
@@ -126,8 +124,6 @@ __all__ = [
     "refresh_walk_index",
     "save_summaries",
     "load_summaries",
-    "save_propagation_index",
-    "load_propagation_index",
     "save_sharded_index",
     "load_sharded_index",
     "refresh_sharded_index",

@@ -114,7 +114,8 @@ class PropagationBuildStats:
         Nodes whose entries could not be built after the configured
         retries (empty for a fully successful build).
     n_resumed:
-        Entries absorbed from a checkpoint before building started.
+        Entries a resumed :meth:`~repro.core.propagation.PropagationIndex.build_sharded`
+        found already published in verified shards.
     """
 
     n_entries: int
@@ -138,30 +139,32 @@ class PropagationBuildStats:
         total_bytes: int,
         failed_nodes: Tuple[int, ...] = (),
         n_resumed: int = 0,
+        phase: str = "build_all",
     ) -> "PropagationBuildStats":
         """View one build's stats out of a registry delta snapshot.
 
         *delta* is ``registry.snapshot().delta(before)`` taken around one
-        :meth:`~repro.core.propagation.PropagationIndex.build_all` call;
-        the ``propagation.*`` counters and the
-        ``phase.propagation.build_all.seconds`` histogram it carries are
-        the single source of truth for throughput accounting. Quantities
-        a snapshot cannot express (cache size after the call, the worker
-        count, which nodes failed) come in as keywords.
+        :meth:`~repro.core.propagation.PropagationIndex.build_all` or
+        ``build_sharded`` call; the ``propagation.*`` counters and the
+        ``phase.propagation.<phase>.seconds`` histogram of that call's
+        *phase* are the single source of truth for throughput
+        accounting. Quantities a snapshot cannot express (cache size after
+        the call, the worker count, which nodes failed) come in as
+        keywords.
 
         ``peak_entry_bytes`` is read from the ``propagation.entry_bytes``
         histogram, whose ``max`` tracks the registry's lifetime - on a
         long-lived shared registry it is an upper bound over all builds,
         not only this one.
         """
-        phase = delta.histogram("phase.propagation.build_all.seconds")
+        wall = delta.histogram(f"phase.propagation.{phase}.seconds")
         entry_bytes = delta.histogram("propagation.entry_bytes")
         return cls(
             n_entries=int(n_entries),
             n_built=int(delta.counter("propagation.entries_built")),
             total_branches=int(delta.counter("propagation.branches")),
             total_members=int(delta.counter("propagation.members")),
-            wall_seconds=phase.sum if phase is not None else 0.0,
+            wall_seconds=wall.sum if wall is not None else 0.0,
             workers=int(workers),
             peak_entry_bytes=(
                 int(entry_bytes.max)

@@ -6,8 +6,10 @@ once, this cost is amortized", §6.6) - which presumes the artifacts are
 *stored*. This module provides that storage:
 
 * topic summaries - JSON (human-inspectable, tiny);
-* propagation entries - compressed NPZ (flat arrays);
 * walk indexes - compressed NPZ (paths flattened with offsets).
+
+The propagation index Γ has one on-disk format, the sharded mmap
+directory of :mod:`repro.core.shards`.
 
 A seven-hour artifact must also be *trustworthy*, so every writer goes
 through :mod:`repro._artifacts`: writes are atomic (same-directory temp
@@ -23,7 +25,7 @@ graph.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -37,16 +39,11 @@ from .._artifacts import (
 from ..exceptions import ArtifactCorruptedError, ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
 from ..walks import WalkIndex
-from .propagation import PropagationEntry, PropagationIndex
 from .summarization import TopicSummary
 
 __all__ = [
     "save_summaries",
     "load_summaries",
-    "pack_entry_blocks",
-    "iter_entry_blocks",
-    "save_propagation_index",
-    "load_propagation_index",
     "save_walk_index",
     "load_walk_index",
 ]
@@ -109,137 +106,6 @@ def load_summaries(path: PathLike, graph: SocialGraph) -> Dict[int, TopicSummary
             path, reason=f"malformed summaries payload ({exc})"
         ) from exc
     return summaries
-
-
-# ---------------------------------------------------------------------------
-# Propagation index
-# ---------------------------------------------------------------------------
-
-_PROPAGATION_KEYS = (
-    "n_nodes", "n_edges", "theta", "nodes", "offsets", "sources",
-    "probabilities", "marked_offsets", "marked_nodes", "branch_counts",
-)
-
-
-def pack_entry_blocks(
-    entries: Sequence[PropagationEntry],
-) -> Dict[str, np.ndarray]:
-    """Concatenate *entries* into flat CSR-style arrays.
-
-    The shared serialization core of the legacy single-NPZ artifact and
-    the sharded binary format (:mod:`repro.core.shards`): entries already
-    store Γ as sorted source/probability arrays, so the flat payload is a
-    straight concatenation - no per-entry dict walks. Deterministic for a
-    given entry sequence, which is what keeps both artifact formats
-    byte-identical across resumed builds.
-    """
-    nodes = np.fromiter(
-        (e.node for e in entries), dtype=np.int64, count=len(entries)
-    )
-    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    np.cumsum(
-        np.asarray([e.size for e in entries], dtype=np.int64), out=offsets[1:]
-    )
-    marked_offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    np.cumsum(
-        np.asarray([e.marked_array.size for e in entries], dtype=np.int64),
-        out=marked_offsets[1:],
-    )
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-    return {
-        "nodes": nodes,
-        "offsets": offsets,
-        "sources": np.concatenate([e.sources for e in entries] or [empty_i]),
-        "probabilities": np.concatenate(
-            [e.probabilities for e in entries] or [empty_f]
-        ),
-        "marked_offsets": marked_offsets,
-        "marked_nodes": np.concatenate(
-            [e.marked_array for e in entries] or [empty_i]
-        ),
-        "branch_counts": np.fromiter(
-            (e.branches for e in entries), dtype=np.int64, count=len(entries)
-        ),
-    }
-
-
-def iter_entry_blocks(payload: Dict[str, np.ndarray]):
-    """Yield zero-copy :class:`PropagationEntry` views from flat blocks.
-
-    Inverse of :func:`pack_entry_blocks`; raises ``IndexError`` /
-    ``ValueError`` on inconsistent offsets (callers wrap these in
-    :class:`~repro.exceptions.ArtifactCorruptedError`).
-    """
-    nodes = payload["nodes"]
-    offsets = payload["offsets"]
-    marked_offsets = payload["marked_offsets"]
-    sources = payload["sources"]
-    probabilities = payload["probabilities"]
-    marked_nodes = payload["marked_nodes"]
-    branch_counts = payload["branch_counts"]
-    for i, node in enumerate(nodes):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        mlo, mhi = int(marked_offsets[i]), int(marked_offsets[i + 1])
-        yield PropagationEntry.from_arrays(
-            int(node),
-            sources[lo:hi],
-            probabilities[lo:hi],
-            marked_nodes[mlo:mhi],
-            int(branch_counts[i]),
-        )
-
-
-def save_propagation_index(index: PropagationIndex, path: PathLike) -> None:
-    """Write every *cached* entry of a propagation index to NPZ.
-
-    Lazy entries that were never materialized are not persisted; loading
-    restores exactly the cached set (further entries rebuild lazily).
-    A thin adapter over :func:`pack_entry_blocks` + the shared artifact
-    layer: the write is atomic and the payload checksummed; identical
-    entry sets produce byte-identical files, which is what lets a resumed
-    build be compared digest-for-digest against an uninterrupted one.
-    """
-    entries = [index._entries[node] for node in sorted(index._entries)]
-    save_npz_payload(Path(path), {
-        "n_nodes": np.asarray([index.graph.n_nodes]),
-        "n_edges": np.asarray([index.graph.n_edges]),
-        "theta": np.asarray([index.theta]),
-        "max_branches": np.asarray([index.max_branches]),
-        "strict": np.asarray([int(index.strict)]),
-        **pack_entry_blocks(entries),
-    })
-
-
-def load_propagation_index(path: PathLike, graph: SocialGraph) -> PropagationIndex:
-    """Read a propagation index written by :func:`save_propagation_index`.
-
-    Entries are reconstructed as zero-copy views into the flat payload
-    arrays, so a fully built index loads in milliseconds and occupies
-    exactly its storage-array footprint.
-    """
-    path = Path(path)
-    payload = load_npz_payload(path, "propagation index artifact")
-    require_keys(payload, _PROPAGATION_KEYS, path)
-    _check_signature(
-        {"n_nodes": payload["n_nodes"][0], "n_edges": payload["n_edges"][0]},
-        graph,
-        path,
-    )
-    kwargs = {}
-    if "max_branches" in payload:
-        kwargs["max_branches"] = int(payload["max_branches"][0])
-    if "strict" in payload:
-        kwargs["strict"] = bool(payload["strict"][0])
-    index = PropagationIndex(graph, float(payload["theta"][0]), **kwargs)
-    try:
-        for entry in iter_entry_blocks(payload):
-            index._entries[entry.node] = entry
-    except (IndexError, ValueError) as exc:
-        raise ArtifactCorruptedError(
-            path, reason=f"inconsistent propagation payload ({exc})"
-        ) from exc
-    return index
 
 
 # ---------------------------------------------------------------------------

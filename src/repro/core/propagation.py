@@ -34,13 +34,15 @@ truncated entry contains the contribution of exactly ``max_branches``
 extensions - the extension that would exceed the budget is never taken
 and no probability mass is silently dropped mid-branch.
 
-:meth:`PropagationIndex.build_all` materializes every node, serially or
-across worker processes. Every entry build is independent and
+:meth:`PropagationIndex.build_all` materializes every node in memory,
+serially or across worker processes; :meth:`PropagationIndex.build_sharded`
+does the same while streaming finished node ranges to the sharded
+on-disk format of :mod:`repro.core.shards` (the only one), which is also
+how an interrupted build resumes. Every entry build is independent and
 deterministic (DFS order is fixed by the CSR layout), so parallel builds
-and builds resumed from a checkpoint are byte-identical to an
-uninterrupted serial one. Retries, checkpoint flushes, and the strict
-versus keep-going handling of persistent failures come from the shared
-runner in :mod:`repro._build_runner`.
+and resumed builds are byte-identical to an uninterrupted serial one.
+Retries and the strict versus keep-going handling of persistent failures
+come from the shared runner in :mod:`repro._build_runner`.
 """
 
 from __future__ import annotations
@@ -376,14 +378,6 @@ class _EntryBuild(BuildRunner):
             if node not in index._entries
         ]
 
-    def load(self, path: Path) -> int:
-        return self.index.load_checkpoint(path)
-
-    def save(self, path: Path) -> None:
-        from .persistence import save_propagation_index
-
-        save_propagation_index(self.index, path)
-
     def build_item(self, node: int) -> None:
         self._keep(node, self.index._build_entry(node))
 
@@ -430,11 +424,13 @@ class _EntryBuild(BuildRunner):
 class InMemoryBackend:
     """Dict-backed entry storage - the default, fully resident backend.
 
-    The counterpart of :class:`~repro.core.shards.MmapShardBackend` on
-    the index's backend seam: entries built (or loaded from NPZ) are held
-    as ordinary heap arrays keyed by node. The index aliases
-    :attr:`entries` directly, so the backend adds no indirection to the
-    hot lookup path.
+    The unmapped counterpart of :class:`~repro.core.shards.MmapShardBackend`
+    on the index's backend seam: entries built in this process (lazily,
+    by :meth:`PropagationIndex.build_all`, or by a delta's
+    :meth:`PropagationIndex.rebuilt_for`) are held as ordinary heap
+    arrays keyed by node. It is never read from disk; the on-disk Γ is
+    always the shard directory. The index aliases :attr:`entries`
+    directly, so the backend adds no indirection to the hot lookup path.
     """
 
     __slots__ = ("entries",)
@@ -677,43 +673,15 @@ class PropagationIndex:
         """
         return self._build_entry(self._graph._check_node(node))
 
-    def load_checkpoint(self, path: PathLike) -> int:
-        """Absorb entries from a checkpoint written by an earlier build.
-
-        The checkpoint's graph signature, ``theta``, and ``max_branches``
-        must match this index (a checkpoint built under different
-        parameters would silently change Γ); mismatches raise
-        :class:`~repro.exceptions.ConfigurationError`. Returns the number
-        of entries absorbed (already-cached nodes are kept as-is).
-        """
-        from .persistence import load_propagation_index
-
-        loaded = load_propagation_index(path, self._graph)
-        if loaded.theta != self._theta or loaded.max_branches != self._max_branches:
-            raise ConfigurationError(
-                f"{path}: checkpoint was built with theta={loaded.theta}, "
-                f"max_branches={loaded.max_branches}; this index uses "
-                f"theta={self._theta}, max_branches={self._max_branches}"
-            )
-        absorbed = 0
-        for node, entry in loaded._entries.items():
-            if node not in self._entries:
-                self._entries[node] = entry
-                absorbed += 1
-        return absorbed
-
     def build_all(
         self,
         workers: Optional[int] = 1,
         *,
-        checkpoint: Optional[PathLike] = None,
-        checkpoint_every: int = 1000,
-        resume: bool = True,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         strict: Optional[bool] = None,
     ) -> "PropagationIndex":
-        """Materialize every node (offline pre-processing).
+        """Materialize every node in memory (offline pre-processing).
 
         Parameters
         ----------
@@ -723,18 +691,6 @@ class PropagationIndex:
             Parallel results are byte-identical to serial ones - each
             entry's DFS order is fixed by the CSR layout regardless of
             which process runs it.
-        checkpoint:
-            Path of a checkpoint artifact. When set, completed entries are
-            flushed there every ``checkpoint_every`` entries (atomically,
-            checksummed), on interruption, and when the build finishes -
-            so a crashed build loses at most one flush interval of work.
-        checkpoint_every:
-            Entries between periodic checkpoint flushes; ``0`` flushes
-            only at interruption/completion.
-        resume:
-            Load an existing checkpoint before building (default). The
-            checkpoint must match this index's graph, ``theta``, and
-            ``max_branches``.
         max_retries:
             Fresh-process retry rounds for chunks whose worker crashed or
             raised an unexpected error. Deterministic library errors
@@ -747,7 +703,7 @@ class PropagationIndex:
         strict:
             What to do with nodes that still fail after ``max_retries``:
             ``True`` raises :class:`~repro.exceptions.BuildFailedError`
-            (with the partial index attached and the checkpoint flushed);
+            (with the partial index attached);
             ``False`` records them in ``failed_nodes`` on the build stats
             and continues. ``None`` (default) follows the index's own
             ``strict`` flag.
@@ -769,14 +725,13 @@ class PropagationIndex:
             max_retries=max_retries,
             retry_backoff=retry_backoff,
         )
-        failed, n_resumed = run.build_all(checkpoint, checkpoint_every, resume)
+        failed, _ = run.build_all()
         self.last_build_stats = PropagationBuildStats.from_metrics(
             run.finish(failed),
             n_entries=len(self._entries),
             workers=run.workers,
             total_bytes=self.memory_bytes(),
             failed_nodes=tuple(failed),
-            n_resumed=n_resumed,
         )
         run.settle(
             failed,
@@ -807,8 +762,8 @@ class PropagationIndex:
         Serve the result with
         :func:`~repro.core.shards.load_sharded_index`.
 
-        Determinism, checkpointing, and retries carry over from
-        :meth:`build_all`:
+        Determinism and retries carry over from :meth:`build_all`, and
+        the manifest doubles as the build's checkpoint:
 
         * entries are deterministic, so shard files are byte-identical
           across runs - an interrupted build resumed with ``resume=True``
@@ -821,7 +776,8 @@ class PropagationIndex:
           behave exactly as in :meth:`build_all`; nodes that still fail
           in keep-going mode are stored as empty shard slots and listed
           under ``failed_nodes`` in the manifest (and on the build
-          stats), while ``strict`` raises
+          stats) - a resumed build rebuilds their shards - while
+          ``strict`` raises
           :class:`~repro.exceptions.BuildFailedError` with every
           completed shard already safe on disk.
 
@@ -856,6 +812,7 @@ class PropagationIndex:
                 hi = n_covered = min(lo + shard_nodes, n_nodes)
                 record = done.get((lo, hi))
                 if record is not None:
+                    writer.adopt(record, verify=False)
                     n_resumed += hi - lo
                     bytes_written += int(record["nbytes"])
                     run.registry.inc("propagation.shards_resumed")
@@ -867,7 +824,7 @@ class PropagationIndex:
                 failed.extend(range_failed)
                 if range_failed and strict_build:
                     break  # published shards stay; the manifest stays open
-                record = writer.write_range(lo, hi, self._entries)
+                record = writer.write_range(lo, hi, self._entries, range_failed)
                 bytes_written += int(record["nbytes"])
                 run.registry.inc("propagation.shards_written")
                 # Streaming: the shard is safe on disk - free its entries
@@ -875,7 +832,7 @@ class PropagationIndex:
                 for node in range(lo, hi):
                     self._entries.pop(node, None)
             if not (failed and strict_build):
-                writer.finalize(failed_nodes=tuple(failed))
+                writer.finalize()
         self.last_build_stats = PropagationBuildStats.from_metrics(
             run.finish(failed),
             n_entries=n_covered - len(failed),
@@ -883,6 +840,7 @@ class PropagationIndex:
             total_bytes=bytes_written,
             failed_nodes=tuple(failed),
             n_resumed=n_resumed,
+            phase="build_sharded",
         )
         run.settle(
             failed,

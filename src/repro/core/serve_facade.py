@@ -145,7 +145,7 @@ class ServingEngine:
         absent from the mapping fail that request with
         :class:`~repro.exceptions.ConfigurationError`.
     propagation_index:
-        A prebuilt (NPZ or sharded) index, or ``None`` to materialize
+        A prebuilt (sharded or in-memory) index, or ``None`` to materialize
         entries lazily at ``theta``.
     theta:
         Path-probability threshold for a lazily materializing index
@@ -233,10 +233,8 @@ class ServingEngine:
         topic_index: TopicIndex,
         summaries_path,
         *,
-        index_path=None,
         index_dir=None,
         shard_cache_bytes: Optional[int] = None,
-        verify_shards: bool = False,
         theta: float = 0.002,
         max_expand_rounds: int = 8,
         entry_cache_bytes: Optional[int] = None,
@@ -248,12 +246,13 @@ class ServingEngine:
     ) -> "ServingEngine":
         """Open a serving engine over on-disk artifacts.
 
-        Loads the summaries artifact and, when given, the propagation
-        index (``index_path`` for the single-NPZ format, ``index_dir``
-        for the sharded mmap format - mutually exclusive). Every load
-        verifies checksums and the graph signature; a corrupt or
-        mismatched artifact raises and nothing is partially adopted,
-        which is what makes this the daemon's hot-reload primitive.
+        Loads the summaries artifact and, when ``index_dir`` is given,
+        the sharded propagation index (mapped, paged under
+        ``shard_cache_bytes``); without it, Γ entries build lazily at
+        ``theta``. Every load verifies checksums and the graph
+        signature; a corrupt or mismatched artifact raises and nothing
+        is partially adopted, which is what makes this the daemon's
+        hot-reload primitive.
 
         ``precompute_path`` warm-loads a :mod:`repro.core.precompute`
         artifact into the plan and answer tiers after construction (same
@@ -261,17 +260,11 @@ class ServingEngine:
         different graph/theta/summaries raises and the engine is not
         returned).
         """
-        from .persistence import load_propagation_index, load_summaries
+        from .persistence import load_summaries
 
-        if index_path is not None and index_dir is not None:
-            raise ConfigurationError(
-                "index_path and index_dir are mutually exclusive"
-            )
         summaries = load_summaries(summaries_path, graph)
         index: Optional[PropagationIndex] = None
-        if index_path is not None:
-            index = load_propagation_index(index_path, graph)
-        elif index_dir is not None:
+        if index_dir is not None:
             from .shards import DEFAULT_SHARD_CACHE_BYTES, load_sharded_index
 
             index = load_sharded_index(
@@ -280,7 +273,6 @@ class ServingEngine:
                     DEFAULT_SHARD_CACHE_BYTES if shard_cache_bytes is None
                     else shard_cache_bytes
                 ),
-                verify=verify_shards,
                 metrics=metrics,
             )
         engine = cls(

@@ -1,10 +1,10 @@
 """Memory-mapped, sharded propagation-index storage (scale extension).
 
 The paper's offline propagation index (``Γ(v)`` per node, §5.1) is the
-system's largest artifact. The single-NPZ persistence in
-:mod:`repro.core.persistence` round-trips the *whole* index through RAM,
-which caps graph size at memory and makes cold start O(index size). This
-module stores the same entries as a **sharded flat binary artifact**:
+system's largest artifact, and this module holds its one on-disk format.
+A format that round-trips the *whole* index through RAM would cap graph
+size at memory and make cold start O(index size), so the entries are
+stored as a **sharded flat binary artifact**:
 
 * entries are grouped by contiguous node range (``shard_nodes`` per
   shard) into independent segment files;
@@ -50,7 +50,7 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -559,21 +559,34 @@ class PropagationShardWriter:
     def resume(self) -> Dict[Tuple[int, int], dict]:
         """Verified ``(lo, hi) -> record`` map of already-written shards.
 
-        Raises :class:`~repro.exceptions.ConfigurationError` when the
-        directory holds shards built under different parameters, and
+        A shard holding the empty slot of a node that failed to build is
+        left out, so the resumed build retries it. Raises
+        :class:`~repro.exceptions.ConfigurationError` when the directory
+        holds shards built under different parameters, and
         :class:`~repro.exceptions.ArtifactCorruptedError` when a listed
         shard fails size/digest verification.
         """
         records = self._writer.resume("sharded propagation index")
         return {
-            (int(r["lo"]), int(r["hi"])): r for r in records
+            (int(r["lo"]), int(r["hi"])): r
+            for r in records if not r.get("failed_nodes")
         }
 
     def write_range(
-        self, lo: int, hi: int, entries: Mapping[int, PropagationEntry]
+        self,
+        lo: int,
+        hi: int,
+        entries: Mapping[int, PropagationEntry],
+        failed: Sequence[int] = (),
     ) -> dict:
-        """Pack and atomically publish the shard of nodes ``[lo, hi)``."""
+        """Pack and atomically publish the shard of nodes ``[lo, hi)``.
+
+        *failed* lists the range's nodes stored as empty slots after
+        their build failed; the shard's record keeps them for a resumed
+        build to retry and for :meth:`finalize`.
+        """
         data = pack_shard(lo, hi, entries)
+        extra = {"failed_nodes": sorted(map(int, failed))} if failed else {}
         n_members = sum(
             entries[n].size for n in range(lo, hi) if n in entries
         )
@@ -584,6 +597,7 @@ class PropagationShardWriter:
             shard_filename(lo, hi), data,
             lo=int(lo), hi=int(hi),
             n_members=int(n_members), n_marked=int(n_marked),
+            **extra,
         )
 
     def adopt(self, record: Mapping[str, object], *, verify: bool = True) -> dict:
@@ -597,11 +611,11 @@ class PropagationShardWriter:
         """
         return self._writer.adopt_shard(record, verify=verify)
 
-    def finalize(self, failed_nodes: Tuple[int, ...] = ()) -> dict:
-        """Publish the completed manifest."""
-        return self._writer.finalize(
-            failed_nodes=sorted(int(n) for n in failed_nodes)
-        )
+    def finalize(self) -> dict:
+        """Publish the completed manifest, listing every failed node."""
+        return self._writer.finalize(failed_nodes=sorted(
+            n for r in self._writer.shards for n in r.get("failed_nodes", ())
+        ))
 
 
 def save_sharded_index(
@@ -610,13 +624,14 @@ def save_sharded_index(
     *,
     shard_nodes: int = DEFAULT_SHARD_NODES,
 ) -> Path:
-    """Write a fully materialized in-memory index as a sharded artifact.
+    """Write a fully built in-memory index as a sharded artifact.
 
-    The migration path from the legacy single-NPZ format: load the NPZ
-    with :func:`~repro.core.persistence.load_propagation_index`, then
-    save it sharded. Requires every node's entry to be cached - a shard
-    slot cannot distinguish "never built" from "empty Γ", so persisting a
-    partial index would silently change query results.
+    For an index already materialized by :meth:`PropagationIndex.build_all`
+    (or every entry touched lazily); :meth:`PropagationIndex.build_sharded`
+    builds and writes in one bounded-memory pass instead. Requires every
+    node's entry to be cached - a shard slot cannot distinguish "never
+    built" from "empty Γ", so persisting a partial index would silently
+    change query results.
     """
     n_nodes = index.graph.n_nodes
     missing = n_nodes - sum(
@@ -725,6 +740,7 @@ def refresh_sharded_index(
             carried += 1
             continue
         entries: Dict[int, PropagationEntry] = {}
+        still_failed = []
         for node in range(lo, hi):
             if mask[node]:
                 entries[node] = builder.build_entry(node)
@@ -732,11 +748,11 @@ def refresh_sharded_index(
             elif node not in failed:
                 entries[node] = backend.get(node)
                 copied += 1
-        writer.write_range(lo, hi, entries)
+            else:
+                still_failed.append(node)
+        writer.write_range(lo, hi, entries, failed=still_failed)
         rewritten += 1
-    writer.finalize(
-        failed_nodes=tuple(n for n in failed if not mask[n])
-    )
+    writer.finalize()
     registry = metrics if metrics is not None else get_registry()
     registry.inc("dynamics.shards_rewritten", rewritten)
     registry.inc("dynamics.shards_carried", carried)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import PITEngine
-from ..core.persistence import save_propagation_index, save_summaries
+from ..core.persistence import save_summaries
 from ..core.precompute import build_precompute, save_precompute
 from ..core.serve_facade import ServingEngine
 from ..exceptions import ConfigurationError, ReproError
@@ -69,14 +70,14 @@ def _build_artifacts(
     directory: Path,
     *,
     reseed: int = 0,
-    index_path: Optional[Path] = None,
+    index_dir: Optional[Path] = None,
 ) -> Tuple[Path, Path]:
     """Build generation *reseed*'s artifacts; returns (index, summaries).
 
-    Generation 0 builds the propagation index; later generations (churn
-    reloads) rebuild only the summaries - with a shifted seed *and* a
-    nudged representative budget, so the summaries fingerprint is
-    guaranteed to change and a stale precompute is provably refused.
+    Generation 0 builds the sharded propagation index; later generations
+    (churn reloads) rebuild only the summaries - with a shifted seed
+    *and* a nudged representative budget, so the summaries fingerprint
+    is guaranteed to change and a stale precompute is provably refused.
     """
     rep_fraction = min(1.0, scenario.rep_fraction + 0.05 * reseed)
     engine = PITEngine.from_dataset(
@@ -86,20 +87,31 @@ def _build_artifacts(
         rep_fraction=rep_fraction,
         seed=data.seed + 1000 * reseed,
     )
-    if index_path is None:
-        engine.propagation_index.build_all(workers=1)
-        index_path = directory / "prop.npz"
-        save_propagation_index(engine.propagation_index, index_path)
+    if index_dir is None:
+        index_dir = directory / "prop_shards"
+        engine.propagation_index.build_sharded(index_dir, workers=1)
     engine.build_summaries()
     sums_path = directory / f"sums_{reseed}.json"
     save_summaries(engine.summaries, data.bundle.graph, sums_path)
-    return index_path, sums_path
+    return index_dir, sums_path
+
+
+def _served_copy(index_dir: Path) -> Path:
+    """A private copy of the shard directory for one engine to serve.
+
+    A delta rewrites the served shards in place; a copy keeps the built
+    artifact for a later reload over the pre-delta graph, unlike
+    ``pit-search serve`` (see ``docs/dynamics.md``).
+    """
+    copy = Path(tempfile.mkdtemp(prefix="served-", dir=index_dir.parent))
+    shutil.copytree(index_dir, copy, dirs_exist_ok=True)
+    return copy
 
 
 def _open_engine(
     data: ScenarioData,
     scenario: Scenario,
-    index_path: Path,
+    index_dir: Path,
     sums_path: Path,
     *,
     precompute_path: Optional[Path] = None,
@@ -109,7 +121,7 @@ def _open_engine(
         data.bundle.graph,
         data.bundle.topic_index,
         sums_path,
-        index_path=index_path,
+        index_dir=_served_copy(index_dir),
         theta=scenario.theta,
         answer_cache_bytes=_ANSWER_CACHE_BYTES,
         plan_cache_bytes=_PLAN_CACHE_BYTES,
@@ -121,12 +133,12 @@ def _open_engine(
 def _mine_precompute(
     data: ScenarioData,
     scenario: Scenario,
-    index_path: Path,
+    index_dir: Path,
     sums_path: Path,
     directory: Path,
 ) -> Path:
     """Mine the scenario's own trace into a warm-load artifact."""
-    engine = _open_engine(data, scenario, index_path, sums_path)
+    engine = _open_engine(data, scenario, index_dir, sums_path)
     artifact = build_precompute(
         engine, data.records, top_queries=16, top_answers=64
     )
@@ -260,13 +272,13 @@ def _search_burst(engine: ServingEngine, burst) -> List:
 def _replay_engine(
     scenario: Scenario,
     data: ScenarioData,
-    index_path: Path,
+    index_dir: Path,
     sums_path: Path,
     directory: Path,
     precompute_path: Optional[Path],
 ) -> Dict[str, object]:
     engine = _open_engine(
-        data, scenario, index_path, sums_path,
+        data, scenario, index_dir, sums_path,
         precompute_path=precompute_path,
     )
     warm = engine.tier_stats().get("answers")
@@ -315,19 +327,19 @@ def _replay_engine(
                 reseed = int(event.get("reseed", 1))
                 _, new_sums = _build_artifacts(
                     data, scenario, directory,
-                    reseed=reseed, index_path=index_path,
+                    reseed=reseed, index_dir=index_dir,
                 )
                 if event.get("stale_precompute") and precompute_path:
                     try:
                         _open_engine(
-                            data, scenario, index_path, new_sums,
+                            data, scenario, index_dir, new_sums,
                             precompute_path=precompute_path,
                         )
                         outcome["stale_precompute_refused"] = False
                     except ConfigurationError:
                         outcome["stale_precompute_refused"] = True
                 engine = _open_engine(
-                    data, scenario, index_path, new_sums
+                    data, scenario, index_dir, new_sums
                 )
                 generation += 1
                 engine.set_reload_generation(generation)
@@ -426,7 +438,7 @@ class _Daemon:
 def _replay_daemon(
     scenario: Scenario,
     data: ScenarioData,
-    index_path: Path,
+    index_dir: Path,
     sums_path: Path,
     directory: Path,
     precompute_path: Optional[Path],
@@ -434,7 +446,7 @@ def _replay_daemon(
 ) -> Dict[str, object]:
     from ..serve import ServeConfig
 
-    base = {"summaries": str(sums_path), "index": str(index_path)}
+    base = {"summaries": str(sums_path), "index_dir": str(index_dir)}
     if precompute_path is not None:
         base["precompute"] = str(precompute_path)
 
@@ -451,7 +463,7 @@ def _replay_daemon(
             data.bundle.graph,
             data.bundle.topic_index,
             paths["summaries"],
-            index_path=paths.get("index"),
+            index_dir=_served_copy(Path(paths["index_dir"])),
             theta=scenario.theta,
             answer_cache_bytes=_ANSWER_CACHE_BYTES,
             plan_cache_bytes=_PLAN_CACHE_BYTES,
@@ -489,7 +501,7 @@ def _replay_daemon(
                     reseed = int(event.get("reseed", 1))
                     _, new_sums = _build_artifacts(
                         data, scenario, directory,
-                        reseed=reseed, index_path=index_path,
+                        reseed=reseed, index_dir=index_dir,
                     )
                     if event.get("stale_precompute") and precompute_path:
                         status, _ = daemon.request(
@@ -649,21 +661,21 @@ def run_scenario(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        index_path, sums_path = _build_artifacts(data, scenario, workdir)
+        index_dir, sums_path = _build_artifacts(data, scenario, workdir)
         precompute_path = None
         if scenario.wants_precompute:
             precompute_path = _mine_precompute(
-                data, scenario, index_path, sums_path, workdir
+                data, scenario, index_dir, sums_path, workdir
             )
         replay = daemon = None
         if mode == "engine":
             replay = _replay_engine(
-                scenario, data, index_path, sums_path, workdir,
+                scenario, data, index_dir, sums_path, workdir,
                 precompute_path,
             )
         else:
             daemon = _replay_daemon(
-                scenario, data, index_path, sums_path, workdir,
+                scenario, data, index_dir, sums_path, workdir,
                 precompute_path, registry,
             )
     finally:

@@ -180,7 +180,7 @@ def parse_search_request(
     return SearchRequest(user=user, query=query, k=k, deadline_s=deadline_s)
 
 
-_RELOAD_KEYS = frozenset({"index", "index_dir", "summaries", "precompute"})
+_RELOAD_KEYS = frozenset({"index_dir", "summaries", "precompute"})
 
 
 def parse_reload_request(body: bytes) -> Dict[str, str]:
@@ -188,8 +188,8 @@ def parse_reload_request(body: bytes) -> Dict[str, str]:
 
     An empty body (or ``{}``) reloads the daemon's configured artifact
     paths - the "a new file replaced the old one on disk" flow. Keys
-    ``index`` / ``index_dir`` / ``summaries`` / ``precompute`` override
-    individual paths; anything else is a typed 400.
+    ``index_dir`` / ``summaries`` / ``precompute`` override individual
+    paths; anything else is a typed 400 that lists the allowed keys.
     """
     if not body:
         return {}
@@ -209,11 +209,6 @@ def parse_reload_request(body: bytes) -> Dict[str, str]:
                 f"reload field {key!r} must be a non-empty path string",
             )
         overrides[key] = value
-    if "index" in overrides and "index_dir" in overrides:
-        raise HttpError(
-            400, "ValidationError",
-            "reload fields 'index' and 'index_dir' are mutually exclusive",
-        )
     return overrides
 
 

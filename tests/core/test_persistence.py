@@ -6,10 +6,10 @@ import pytest
 from repro.core import (
     PropagationIndex,
     TopicSummary,
-    load_propagation_index,
+    load_sharded_index,
     load_summaries,
     load_walk_index,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
     save_walk_index,
 )
@@ -50,15 +50,15 @@ class TestSummaries:
 
 
 class TestPropagationIndexPersistence:
+    """Γ persists as shards: the in-memory index round-trips bit-exact."""
+
     def test_roundtrip_entries(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        for node in (0, 5, 11):
-            index.entry(node)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
+        index = PropagationIndex(graph, 0.02).build_all()
+        path = tmp_path / "prop"
+        save_sharded_index(index, path, shard_nodes=16)
+        loaded = load_sharded_index(path, graph)
         assert loaded.theta == index.theta
-        assert loaded.n_cached == 3
+        assert loaded.n_cached == graph.n_nodes
         for node in (0, 5, 11):
             original = index.entry(node)
             restored = loaded.entry(node)
@@ -66,50 +66,36 @@ class TestPropagationIndexPersistence:
             assert restored.marked == original.marked
             assert restored.branches == original.branches
 
-    def test_uncached_entries_rebuild_lazily(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
-        fresh = loaded.entry(7)  # not persisted; rebuilt on demand
-        assert fresh.gamma == pytest.approx(
-            PropagationIndex(graph, 0.02).entry(7).gamma
-        )
-
     def test_wrong_graph_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
+        index = PropagationIndex(graph, 0.02).build_all()
+        path = tmp_path / "prop"
+        save_sharded_index(index, path)
         other = SocialGraph(3, [(0, 1, 0.5)])
         with pytest.raises(ConfigurationError):
-            load_propagation_index(path, other)
+            load_sharded_index(path, other)
 
     def test_fully_built_index_round_trips_exactly(self, graph, tmp_path):
         index = PropagationIndex(graph, 0.02, max_branches=5000).build_all()
-        path = tmp_path / "prop_full.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
+        path = tmp_path / "prop_full"
+        save_sharded_index(index, path, shard_nodes=16)
+        loaded = load_sharded_index(path, graph)
         assert loaded.n_cached == graph.n_nodes
+        # A mapped index charges paged-in bytes to memory_bytes(); its
+        # full footprint is the shard files.
+        assert loaded.mapped_bytes() == sum(
+            shard.stat().st_size for shard in path.glob("shard-*.bin")
+        )
         assert loaded.theta == index.theta
         assert loaded.max_branches == 5000
         assert loaded.strict == index.strict
-        assert loaded.memory_bytes() == index.memory_bytes()
         for node in graph.nodes:
             original = index.entry(node)
             restored = loaded.entry(node)
-            # Exact equality: floats survive the NPZ round trip bit-for-bit.
+            # Exact equality: floats survive the shard round trip
+            # bit-for-bit.
             assert dict(restored.gamma) == dict(original.gamma)
             assert restored.marked == original.marked
             assert restored.branches == original.branches
-
-    def test_empty_index_round_trips(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        path = tmp_path / "prop_empty.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
-        assert loaded.n_cached == 0
 
 
 class TestWalkIndexPersistence:
@@ -248,16 +234,6 @@ class TestCorruptedArtifacts:
     """Damaged artifacts must surface as typed errors, never raw numpy
     / json / zipfile exceptions from deep inside a loader."""
 
-    def test_truncated_propagation_npz_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ArtifactCorruptedError, match="unreadable NPZ"):
-            load_propagation_index(path, graph)
-
     def test_truncated_walk_npz_rejected(self, graph, tmp_path):
         index = WalkIndex.built(graph, 3, 2, seed=1)
         path = tmp_path / "walks.npz"
@@ -266,12 +242,6 @@ class TestCorruptedArtifacts:
         path.write_bytes(raw[:-40])
         with pytest.raises(ArtifactCorruptedError):
             load_walk_index(path, graph)
-
-    def test_propagation_npz_missing_arrays_rejected(self, graph, tmp_path):
-        path = tmp_path / "prop.npz"
-        np.savez(path, theta=np.asarray([0.02]))
-        with pytest.raises(ArtifactCorruptedError, match="missing keys"):
-            load_propagation_index(path, graph)
 
     def test_walk_npz_missing_arrays_rejected(self, graph, tmp_path):
         path = tmp_path / "walks.npz"
@@ -302,20 +272,9 @@ class TestCorruptedArtifacts:
         with pytest.raises(ArtifactCorruptedError, match="checksum mismatch"):
             load_summaries(path, graph)
 
-    def test_flipped_byte_in_propagation_npz_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ArtifactCorruptedError):
-            load_propagation_index(path, graph)
-
     def test_missing_artifacts_typed_errors(self, graph, tmp_path):
         with pytest.raises(ArtifactError, match="not found"):
-            load_propagation_index(tmp_path / "nope.npz", graph)
+            load_sharded_index(tmp_path / "nope", graph)
         with pytest.raises(ArtifactError, match="not found"):
             load_walk_index(tmp_path / "nope.npz", graph)
         with pytest.raises(ArtifactError, match="not found"):

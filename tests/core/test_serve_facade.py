@@ -5,11 +5,11 @@ import pytest
 from repro.core import (
     PITEngine,
     ServingEngine,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
 )
 from repro.datasets import data_2k
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ArtifactCorruptedError, ConfigurationError
 from repro.obs import MetricsRegistry
 
 
@@ -68,13 +68,13 @@ class TestParity:
 class TestFromArtifacts:
     def test_round_trip_through_disk(self, built, tmp_path):
         bundle, engine = built
-        index_path = tmp_path / "prop.npz"
+        index_dir = tmp_path / "prop"
         sums_path = tmp_path / "sums.json"
-        save_propagation_index(engine.propagation_index, index_path)
+        save_sharded_index(engine.propagation_index, index_dir)
         save_summaries(engine.summaries, bundle.graph, sums_path)
         serving = ServingEngine.from_artifacts(
             bundle.graph, bundle.topic_index, sums_path,
-            index_path=index_path,
+            index_dir=index_dir,
         )
         assert serving.n_summaries == engine.n_summaries
         assert serving.theta == engine.propagation_index.theta
@@ -83,14 +83,18 @@ class TestFromArtifacts:
             user, query, k=5
         )
 
-    def test_index_path_and_dir_are_exclusive(self, built, tmp_path):
+    def test_npz_file_as_index_dir_refused(self, built, tmp_path):
+        # Γ has one on-disk format; a single-file index is refused with
+        # the typed shard-manifest error, not read some other way.
         bundle, engine = built
         sums_path = tmp_path / "sums.json"
         save_summaries(engine.summaries, bundle.graph, sums_path)
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
+        stale = tmp_path / "prop.npz"
+        stale.write_bytes(b"PK\x03\x04 not a shard directory")
+        with pytest.raises(ArtifactCorruptedError, match="manifest"):
             ServingEngine.from_artifacts(
                 bundle.graph, bundle.topic_index, sums_path,
-                index_path=tmp_path / "a.npz", index_dir=tmp_path,
+                index_dir=stale,
             )
 
     def test_wrong_graph_rejected(self, built, tmp_path):

@@ -22,9 +22,8 @@ from repro._artifacts import MANIFEST_NAME
 from repro.core import (
     PITEngine,
     PropagationIndex,
-    load_propagation_index,
     load_sharded_index,
-    save_propagation_index,
+    refresh_sharded_index,
     save_sharded_index,
 )
 from repro.core.shards import (
@@ -114,19 +113,6 @@ class TestRoundTrip:
             streamed, shard_nodes=SHARD_NODES
         )
         assert _dir_digest(streamed) == _dir_digest(shard_dir)
-
-    def test_npz_migration_path(self, graph, built_index, tmp_path):
-        """Legacy NPZ -> load -> save sharded -> identical entries."""
-        npz = tmp_path / "prop.npz"
-        save_propagation_index(built_index, npz)
-        via_npz = load_propagation_index(npz, graph)
-        directory = tmp_path / "migrated"
-        save_sharded_index(via_npz, directory, shard_nodes=SHARD_NODES)
-        loaded = load_sharded_index(directory, graph)
-        for node in (0, 17, 42, graph.n_nodes - 1):
-            assert dict(loaded.entry(node).gamma) == dict(
-                built_index.entry(node).gamma
-            )
 
     def test_partial_index_rejected(self, graph, tmp_path):
         partial = PropagationIndex(graph, THETA)
@@ -341,6 +327,37 @@ class TestStreamingBuild:
         loaded = load_sharded_index(directory, graph)
         assert loaded.shards.failed_nodes == (3,)
         assert loaded.entry(3).size == 0  # empty slot, not a crash
+
+    def test_refresh_keeps_failed_slots_it_does_not_rebuild(
+        self, graph, built_index, tmp_path
+    ):
+        directory = tmp_path / "degraded"
+
+        def crash(*, node, **_):
+            if node == 3:
+                raise OSError("injected crash")
+
+        with _faults.fault("propagation.build_entry", crash):
+            with pytest.warns(RuntimeWarning, match="stored as empty"):
+                PropagationIndex(graph, THETA).build_sharded(
+                    directory,
+                    shard_nodes=SHARD_NODES,
+                    max_retries=0,
+                    strict=False,
+                )
+        index = load_sharded_index(directory, graph)
+        # A refresh of another shard carries node 3's shard, empty slot
+        # and failure record included.
+        index = refresh_sharded_index(
+            index.shards, graph, [graph.n_nodes - 1]
+        )
+        assert index.shards.failed_nodes == (3,)
+        assert index.entry(3).size == 0
+        # A refresh that covers node 3 rebuilds it for real.
+        index = refresh_sharded_index(index.shards, graph, [3])
+        assert index.shards.failed_nodes == ()
+        assert dict(index.entry(3).gamma) == dict(built_index.entry(3).gamma)
+        assert index.entry(3).size > 0
 
     def test_metrics_counters(self, graph, tmp_path):
         registry = MetricsRegistry()

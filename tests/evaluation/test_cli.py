@@ -78,22 +78,24 @@ class TestCommands:
             build_parser().parse_args(["build-index"])
 
     def test_build_index_then_search_reuses_it(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
+        artifact = tmp_path / "prop"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "200",
             "--seed", "3", "--output", str(artifact),
         ])
         assert code == 0
-        assert artifact.exists()
-        assert "built 200 entries" in capsys.readouterr().out
+        assert (artifact / "manifest.json").exists()
+        out = capsys.readouterr().out
+        assert "built 200 entries" in out
+        assert "in shards of 4096 nodes" in out
         code = main([
             "search", "--dataset", "data_2k", "--size", "200",
             "--user", "3", "--query", "phone", "--k", "3", "--seed", "3",
-            "--index", str(artifact),
+            "--index-dir", str(artifact),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "using prebuilt propagation index" in out
+        assert "using sharded propagation index" in out
         assert "Top-3" in out
 
     def test_search_batch_workload(self, capsys, tmp_path):
@@ -152,7 +154,7 @@ class TestCommands:
         metrics_path = tmp_path / "build-metrics.json"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "200",
-            "--seed", "3", "--output", str(tmp_path / "prop.npz"),
+            "--seed", "3", "--output", str(tmp_path / "prop"),
             "--metrics-out", str(metrics_path),
         ])
         assert code == 0
@@ -160,7 +162,7 @@ class TestCommands:
         validate_metrics_json(payload)
         assert payload["counters"]["propagation.entries_built"] == 200
         assert (
-            "phase.propagation.build_all.seconds" in payload["histograms"]
+            "phase.propagation.build_sharded.seconds" in payload["histograms"]
         )
         assert payload["gauges"]["propagation.entries_cached"] == 200
 
@@ -229,34 +231,37 @@ class TestCommands:
         assert "contains no requests" in capsys.readouterr().err
 
     def test_build_index_removes_checkpoint_on_success(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
-        checkpoint = tmp_path / "prop.ckpt.npz"
+        # The shard manifest is the build's only checkpoint: a finished
+        # build leaves the manifest and its shards, and nothing else.
+        artifact = tmp_path / "prop"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "120",
-            "--seed", "3", "--output", str(artifact),
-            "--checkpoint", str(checkpoint), "--checkpoint-every", "40",
+            "--seed", "3", "--output", str(artifact), "--shard-nodes", "40",
         ])
         assert code == 0
-        assert artifact.exists()
-        assert not checkpoint.exists()  # redundant once output is published
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prop"]
+        assert sorted(p.name for p in artifact.iterdir()) == [
+            "manifest.json",
+            "shard-0000000000-0000000040.bin",
+            "shard-0000000040-0000000080.bin",
+            "shard-0000000080-0000000120.bin",
+        ]
 
     def test_build_index_resume_from_checkpoint(self, capsys, tmp_path):
-        from repro.core import PropagationIndex, save_propagation_index
-        from repro.datasets import data_2k
+        from repro import _faults
 
-        bundle = data_2k(n_nodes=120, seed=3, with_corpus=False)
-        partial = PropagationIndex(bundle.graph, 0.002, max_branches=200_000)
-        for node in range(50):
-            partial.entry(node)
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        save_propagation_index(partial, checkpoint)
-
-        artifact = tmp_path / "prop.npz"
-        code = main([
+        artifact = tmp_path / "prop"
+        argv = [
             "build-index", "--dataset", "data_2k", "--size", "120",
-            "--seed", "3", "--output", str(artifact),
-            "--checkpoint", str(checkpoint), "--resume",
-        ])
+            "--seed", "3", "--output", str(artifact), "--shard-nodes", "25",
+        ]
+        # Interrupt inside the third shard: shards [0, 50) are published.
+        with _faults.fault(
+            "propagation.build_entry", _faults.InterruptOnEntry(60)
+        ):
+            assert main(argv) == 130
+        capsys.readouterr()
+        code = main(argv + ["--resume"])
         assert code == 0
         out = capsys.readouterr().out
         assert "resumed 50 entries" in out
@@ -289,32 +294,86 @@ class TestErrorHandling:
         code = main([
             "search", "--dataset", "data_2k", "--size", "200",
             "--user", "3", "--query", "phone", "--seed", "3",
-            "--index", str(tmp_path / "nope.npz"),
+            "--index-dir", str(tmp_path / "nope"),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert "pit-search: error:" in err and "not found" in err
 
     def test_corrupted_index_artifact_exits_2(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
+        artifact = tmp_path / "prop"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "120",
             "--seed", "3", "--output", str(artifact),
         ])
         assert code == 0
         capsys.readouterr()
-        raw = bytearray(artifact.read_bytes())
+        manifest = artifact / "manifest.json"
+        raw = bytearray(manifest.read_bytes())
         raw[len(raw) // 2] ^= 0x10  # flip one bit mid-file
-        artifact.write_bytes(bytes(raw))
+        manifest.write_bytes(bytes(raw))
         code = main([
             "search", "--dataset", "data_2k", "--size", "120",
             "--user", "3", "--query", "phone", "--seed", "3",
-            "--index", str(artifact),
+            "--index-dir", str(artifact),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert "pit-search: error:" in err
         assert str(artifact) in err
+
+    @pytest.mark.parametrize("command", ["search", "serve", "precompute"])
+    def test_npz_as_index_dir_exits_2(self, capsys, tmp_path, command):
+        # Γ has one on-disk format: a leftover single-file index is
+        # refused with the typed one-line error, never a traceback.
+        stale = tmp_path / "prop.npz"
+        stale.write_bytes(b"PK\x03\x04 not a shard directory")
+        summaries = tmp_path / "sums.json"
+        if command != "search":
+            code = main([
+                "build-summaries", "--dataset", "data_2k", "--size", "120",
+                "--seed", "3", "--summarizer", "rcl",
+                "--output", str(summaries),
+            ])
+            assert code == 0
+            capsys.readouterr()
+        argv = {
+            "search": ["--user", "3", "--query", "phone"],
+            "serve": ["--summaries", str(summaries), "--port", "0"],
+            "precompute": [
+                "--summaries", str(summaries),
+                "--trace", str(tmp_path / "trace.jsonl"),
+                "--output", str(tmp_path / "pre.json"),
+            ],
+        }[command]
+        code = main([
+            command, "--dataset", "data_2k", "--size", "120", "--seed", "3",
+            "--index-dir", str(stale), *argv,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pit-search: error: ")
+        assert err.count("\n") == 1
+        assert "manifest.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["search", "serve", "precompute"])
+    def test_index_flag_is_usage_error(self, capsys, command):
+        required = {
+            "search": [],
+            "serve": ["--summaries", "s.json"],
+            "precompute": [
+                "--summaries", "s.json", "--trace", "t", "--output", "o",
+            ],
+        }[command]
+        # Not even as an abbreviation of --index-dir.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, *required, "--index", "prop.npz"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --index prop.npz" in err
 
 
 class TestSignalContract:
@@ -376,11 +435,13 @@ class TestServeParser:
         assert args.default_deadline_ms == 5000
         assert args.drain_seconds == 10.0
 
-    def test_serve_index_and_index_dir_exclusive(self, capsys):
-        code = main([
-            "serve", "--summaries", "/tmp/s.json",
-            "--index", "/tmp/a.npz", "--index-dir", "/tmp/b",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err
+    def test_build_index_checkpoint_flags_removed(self, capsys):
+        # The shard manifest is the Γ build's checkpoint; only
+        # build-summaries keeps the checkpoint-file flags.
+        for flag in ("--checkpoint", "--checkpoint-every"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["build-index", "--output", "/tmp/p", flag, "5"]
+                )
+        args = build_parser().parse_args(["build-index", "--output", "/tmp/p"])
+        assert args.shard_nodes == 4096

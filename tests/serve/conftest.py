@@ -20,11 +20,12 @@ import pytest
 from repro.core import (
     PITEngine,
     ServingEngine,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
 )
 from repro.datasets import data_2k
 from repro.obs import MetricsRegistry
+from repro.scenarios.runner import _served_copy
 from repro.serve import PITServer, ServeConfig
 
 
@@ -34,15 +35,15 @@ def build_stack(seed: int, n_nodes: int, directory):
     engine = PITEngine.from_dataset(bundle, summarizer="rcl", seed=seed)
     engine.propagation_index.build_all(workers=1)
     engine.build_summaries()
-    index_path = directory / f"prop_{seed}.npz"
+    index_dir = directory / f"prop_{seed}"
     sums_path = directory / f"sums_{seed}.json"
-    save_propagation_index(engine.propagation_index, index_path)
+    save_sharded_index(engine.propagation_index, index_dir)
     save_summaries(engine.summaries, bundle.graph, sums_path)
     return SimpleNamespace(
         seed=seed,
         bundle=bundle,
         engine=engine,
-        index_path=index_path,
+        index_dir=index_dir,
         sums_path=sums_path,
     )
 
@@ -66,21 +67,23 @@ def stack(stacks):
 def make_loader(stack, registry, *, answer_cache_bytes=None,
                 precompute_path=None):
     """The same loader shape the CLI builds: paths + overrides -> engine."""
-    base = {"summaries": str(stack.sums_path), "index": str(stack.index_path)}
+    # POST /admin/delta rewrites the served shards in place; each loader
+    # serves a private copy so the package-scoped stacks stay as built.
+    base = {
+        "summaries": str(stack.sums_path),
+        "index_dir": str(_served_copy(stack.index_dir)),
+    }
     if precompute_path is not None:
         base["precompute"] = str(precompute_path)
 
     def loader(overrides):
         paths = dict(base)
         paths.update(overrides)
-        if "index_dir" in overrides:
-            paths.pop("index", None)
         return ServingEngine.from_artifacts(
             stack.bundle.graph,
             stack.bundle.topic_index,
             paths["summaries"],
-            index_path=paths.get("index"),
-            index_dir=paths.get("index_dir"),
+            index_dir=paths["index_dir"],
             answer_cache_bytes=answer_cache_bytes,
             precompute_path=paths.get("precompute"),
             metrics=registry,

@@ -44,7 +44,7 @@ def fresh_engine(stack, sums_path=None):
         stack.bundle.graph,
         stack.bundle.topic_index,
         sums_path if sums_path is not None else stack.sums_path,
-        index_path=stack.index_path,
+        index_dir=stack.index_dir,
     )
 
 

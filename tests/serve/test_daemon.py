@@ -293,6 +293,18 @@ class TestReload:
         status, body, _ = daemon.request("POST", "/admin/reload", {})
         assert status == 200 and body["generation"] == 2
 
+    def test_single_file_index_key_is_typed_400(self, stack, daemon):
+        status, body, _ = daemon.request(
+            "POST", "/admin/reload", {"index": str(stack.index_dir)}
+        )
+        assert status == 400
+        assert body["error"]["type"] == "ValidationError"
+        assert "allowed: ['index_dir', 'precompute', 'summaries']" in (
+            body["error"]["message"]
+        )
+        status, body, _ = daemon.search(3, "phone", k=5)
+        assert status == 200 and body["generation"] == 1
+
     def test_reload_under_traffic_drops_nothing(self, stack, daemon):
         class SlowLoad:
             def __call__(self, *, data, **_):
@@ -384,7 +396,7 @@ class TestRealSignals:
                 sys.executable, "-m", "repro.cli", "serve",
                 "--dataset", "data_2k", "--size", "140", "--seed", "7",
                 "--summaries", str(stack.sums_path),
-                "--index", str(stack.index_path),
+                "--index-dir", str(stack.index_dir),
                 "--port", "0", "--drain-seconds", "5",
             ],
             stdout=subprocess.PIPE,

@@ -79,6 +79,25 @@ class TestDeltaRoute:
         status, _, _ = daemon.search(0, "phone")
         assert status == 200
 
+    def test_reload_after_delta_is_refused(self, make_daemon):
+        # The delta rewrote the served shards for the edited graph, but a
+        # reload reopens them over the graph the daemon started with: the
+        # manifest's edge count no longer matches, so the reload is
+        # refused and the post-delta engine keeps serving.
+        daemon = make_daemon()
+        s, t, _ = existing_edges(daemon.server.engines.current.graph)[0]
+        status, _, _ = daemon.request(
+            "POST", "/admin/delta", {"deletes": [[s, t]]},
+        )
+        assert status == 200
+        status, body, _ = daemon.request("POST", "/admin/reload", {})
+        assert status == 400
+        assert body["error"]["type"] == "ConfigurationError"
+        assert "edges" in body["error"]["message"]
+        assert daemon.server.engines.generation == 1
+        status, body, _ = daemon.search(0, "phone")
+        assert status == 200 and body["generation"] == 1
+
     def test_get_method_rejected(self, daemon):
         status, body, _ = daemon.request("GET", "/admin/delta")
         assert status == 405

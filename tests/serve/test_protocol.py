@@ -98,24 +98,30 @@ class TestParseReloadRequest:
 
     def test_overrides_pass_through(self):
         overrides = parse_reload_request(
-            _encode({"summaries": "/tmp/s.json", "index": "/tmp/p.npz"})
+            _encode({"summaries": "/tmp/s.json", "index_dir": "/tmp/p"})
         )
-        assert overrides == {"summaries": "/tmp/s.json", "index": "/tmp/p.npz"}
+        assert overrides == {"summaries": "/tmp/s.json", "index_dir": "/tmp/p"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(HttpError) as exc:
             parse_reload_request(_encode({"indexdir": "/x"}))
         assert exc.value.status == 400
 
-    def test_index_and_index_dir_exclusive(self):
-        with pytest.raises(HttpError, match="mutually exclusive"):
-            parse_reload_request(
-                _encode({"index": "/a", "index_dir": "/b"})
-            )
+    def test_index_key_rejected_listing_allowed_keys(self):
+        # Γ reloads only as a shard directory: the old single-file key is
+        # an unknown field, refused with the keys that are allowed.
+        with pytest.raises(HttpError) as exc:
+            parse_reload_request(_encode({"index": "/tmp/p.npz"}))
+        assert exc.value.status == 400
+        assert exc.value.error_type == "ValidationError"
+        assert "['index']" in str(exc.value)
+        assert "allowed: ['index_dir', 'precompute', 'summaries']" in str(
+            exc.value
+        )
 
     def test_non_string_path_rejected(self):
         with pytest.raises(HttpError):
-            parse_reload_request(_encode({"index": 5}))
+            parse_reload_request(_encode({"index_dir": 5}))
 
 
 class TestErrorMapping:
