@@ -21,9 +21,9 @@ Both phases use the keep-alive replay client and identical records, so
 the p99 delta is the answer tier's doing. Gates:
 
 * answer-tier hit ratio >= 0.5 under the overload replay;
-* cached success p99 below the in-run uncached p99 *and* below the
-  committed PR 7 ``BENCH_serve.json`` overload p99 (full profile only -
-  a smoke run's numbers are not comparable to the committed baseline);
+* cached success p99 below the in-run uncached p99 (both storms run on
+  the same host in the same run; no committed number from another host
+  is a gate);
 * cached answers bit-exact vs. uncached search over the differential
   seeds 7 and 1234 - results and the five deterministic work-stat
   fields - including after a reload generation bump, and a daemon-level
@@ -297,9 +297,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="JSON destination (default: "
                              "benchmarks/BENCH_answer_cache.json)")
-    parser.add_argument("--baseline", default=None,
-                        help="BENCH_serve.json to gate the cached p99 "
-                             "against (default: committed sibling)")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -477,24 +474,11 @@ def main(argv=None) -> int:
               f"generations {parity[str(seed)]['generations_checked']}, "
               f"{parity[str(seed)]['mismatches']} mismatches", flush=True)
 
-    baseline_path = Path(
-        args.baseline if args.baseline is not None
-        else Path(__file__).parent / "BENCH_serve.json"
-    )
-    baseline_p99_ms = None
-    if baseline_path.exists():
-        baseline_p99_ms = json.loads(baseline_path.read_text())[
-            "overload"]["p99_ms"]
-
     cached_p99 = cached["phase"]["p99_ms"]
     uncached_p99 = uncached["phase"]["p99_ms"]
     gates = {
         "answer_hit_ratio_ge_50pct": cached["answer_hit_ratio"] >= 0.5,
         "cached_p99_below_uncached": cached_p99 < uncached_p99,
-        "cached_p99_below_pr7_baseline": (
-            True if (args.smoke or baseline_p99_ms is None)
-            else cached_p99 < baseline_p99_ms
-        ),
         "parity_seed_7": parity["7"]["ok"],
         "parity_seed_1234": parity["1234"]["ok"],
         "daemon_spot_check_bit_exact": cached["spot_check"]["ok"],
@@ -545,7 +529,6 @@ def main(argv=None) -> int:
         "p99_speedup": (
             uncached_p99 / cached_p99 if cached_p99 > 0 else None
         ),
-        "baseline_pr7_p99_ms": baseline_p99_ms,
         "parity": parity,
         "gates": gates,
         "ok": all(gates.values()),

@@ -214,8 +214,9 @@ def parity_leg(
     hit (surgical, not clear-all).
     """
     bundle = data_2k(seed=seed, n_nodes=n_nodes, with_corpus=False)
+    registry = MetricsRegistry()
     engine = PITEngine.from_dataset(
-        bundle, summarizer="rcl", seed=seed, theta=theta
+        bundle, summarizer="rcl", seed=seed, theta=theta, metrics=registry
     )
     engine.propagation_index.build_all(workers=workers)
     engine.build_summaries(workers=workers)
@@ -227,15 +228,7 @@ def parity_leg(
         )
     else:
         index = engine.propagation_index
-    registry = MetricsRegistry()
-    serving = ServingEngine(
-        bundle.graph,
-        bundle.topic_index,
-        engine.summaries,
-        index,
-        answer_cache_bytes=1 << 20,
-        metrics=registry,
-    )
+    serving = engine.serving(index, answer_cache_bytes=1 << 20)
     rng = np.random.default_rng(seed)
     requests = sorted(
         {

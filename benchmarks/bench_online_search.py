@@ -11,8 +11,8 @@ seeded ``data_2k``-style workload and writes ``BENCH_online_search.json``:
   :class:`~repro.core.search.PersonalizedSearcher`, one request at a time
   (compiled query plans warm, as in steady-state serving);
 * ``batched`` - the same searcher through
-  :meth:`~repro.core.engine.PITEngine.search_batch`, requests grouped by
-  keyword query.
+  :meth:`~repro.core.serve_facade.ServingEngine.search_batch`, requests
+  grouped by keyword query.
 
 Both sides share one propagation index and one summary store, pre-warmed
 before timing, so the numbers isolate the search computation itself.
@@ -121,7 +121,7 @@ def _measure_overhead(engine, requests, k: int, passes: int) -> Dict:
 
     Both sides run the same warm single-request loop best-of-*passes*;
     the only difference is the registry routed through
-    :meth:`PITEngine.set_metrics`. The instrumented side pays the real
+    :meth:`ServingEngine.set_metrics`. The instrumented side pays the real
     hot-path cost (two clock reads, one histogram observe, six counter
     adds per search), which must stay under ``OVERHEAD_LIMIT``.
     """
@@ -181,16 +181,14 @@ def main(argv=None) -> int:
           f"{args.queries} queries x {args.users} users, k={args.k}",
           flush=True)
     bundle = data_2k(seed=args.seed, n_nodes=args.nodes, with_corpus=True)
-    engine = PITEngine.from_dataset(
-        bundle,
-        summarizer=args.summarizer,
-        theta=args.theta,
-        seed=args.seed,
-        entry_cache_bytes=64 << 20,
-        summary_cache_bytes=8 << 20,
+    builder = PITEngine.from_dataset(
+        bundle, summarizer=args.summarizer, theta=args.theta, seed=args.seed
+    )
+    engine = builder.serving(
+        entry_cache_bytes=64 << 20, summary_cache_bytes=8 << 20
     )
     scalar = ScalarReferenceSearcher(
-        engine.topic_index, engine.summary, engine.propagation_index
+        builder.topic_index, builder.summary, builder.propagation_index
     )
     workload = generate_workload(
         bundle, n_queries=args.queries, n_users=args.users, seed=args.seed

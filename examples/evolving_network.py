@@ -36,7 +36,7 @@ def main() -> None:
 
     user, query, k = 10, "music", 5
     print("Before the update:")
-    before = engine.search(user, query, k)
+    before = engine.serving().search(user, query, k)
     for result in before:
         print(f"  {result.label:24s} {result.influence:.5f}")
 
@@ -57,7 +57,7 @@ def main() -> None:
           f"{stats['topics']} topics total")
 
     print("\nAfter the update:")
-    after = engine.search(user, query, k)
+    after = engine.serving().search(user, query, k)
     for result in after:
         marker = "  <- new" if result.label == hot_label else ""
         print(f"  {result.label:24s} {result.influence:.5f}{marker}")
@@ -80,7 +80,7 @@ def main() -> None:
     print(f"Edge change rebuilt {delta['entries_rebuilt']} of "
           f"{engine.graph.n_nodes} propagation entries "
           f"({delta['entries_copied']} carried over)")
-    engine.search(user, query, k)
+    engine.serving().search(user, query, k)
     print("Search after the partial rebuild still works.")
 
     print("\nReplay churn against the serving stack (invalidation + "

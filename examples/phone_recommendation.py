@@ -50,7 +50,7 @@ def main() -> None:
         graph, topic_index, summarizer="lrw", theta=0.005,
         rep_fraction=1.0, samples_per_node=50, seed=1,
     )
-    for result in engine.search(3, "phone", k=3):
+    for result in engine.serving().search(3, "phone", k=3):
         print(f"  {result.label:16s} {result.influence:.4f}")
 
     print("\nReplay Figure 1 as serving traffic (oracle-gated) with:\n"

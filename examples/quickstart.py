@@ -6,7 +6,9 @@ A thin wrapper over the ``quickstart`` scenario
 generation. Steps:
 
 1. generate the scenario's dataset (graph + topic space);
-2. build the offline indexes lazily through :class:`repro.core.PITEngine`;
+2. build the offline indexes lazily through :class:`repro.core.PITEngine`
+   and serve them through the :class:`repro.core.ServingEngine` it hands
+   out;
 3. run the same keyword query for two different users and see that the
    *personalized* rankings differ - the paper's core claim.
 
@@ -27,7 +29,7 @@ def main() -> None:
     bundle = data.bundle
     print(bundle.describe())
 
-    engine = PITEngine.from_dataset(bundle, summarizer="lrw", seed=7)
+    engine = PITEngine.from_dataset(bundle, summarizer="lrw", seed=7).serving()
 
     query = "phone"
     users = [3, 42]

@@ -63,8 +63,9 @@ def main() -> None:
     # Sanity: the targeted audience should also see the campaign topic rank
     # highly in their own PIT-Search results.
     hits = 0
+    serving = engine.serving()
     for user in audience[:10]:
-        results = engine.search(user, "phone", k=5)
+        results = serving.search(user, "phone", k=5)
         hits += any(r.topic_id == campaign for r in results)
     print(f"\nCampaign topic in the personal top-5 of {hits}/10 "
           f"targeted users")

@@ -18,7 +18,7 @@ Quickstart::
     from repro import PITEngine, datasets
 
     bundle = datasets.data_2k(seed=7)
-    engine = PITEngine.from_dataset(bundle, summarizer="lrw")
+    engine = PITEngine.from_dataset(bundle, summarizer="lrw").serving()
     results = engine.search(user=3, query="phone", k=5)
 """
 

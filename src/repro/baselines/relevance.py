@@ -77,7 +77,8 @@ class HybridRanker:
         The topic space.
     influence_search:
         Any ``search(user, query, k) -> [SearchResult]`` callable (a
-        :class:`~repro.core.engine.PITEngine`'s ``search`` or a baseline's).
+        :class:`~repro.core.serve_facade.ServingEngine`'s ``search`` or a
+        baseline's).
     influence_weight:
         ``w`` in ``relevance^(1-w) * influence^w``; 0 = pure keyword
         search, 1 = pure PIT-Search.

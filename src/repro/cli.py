@@ -541,24 +541,25 @@ def _run_search(args) -> int:
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    engine = PITEngine.from_dataset(
+    builder = PITEngine.from_dataset(
         bundle,
         summarizer=args.summarizer,
         theta=args.theta,
         seed=args.seed,
+        metrics=metrics,
+    )
+    prebuilt = None if args.index_dir is None else load_sharded_index(
+        args.index_dir, bundle.graph, cache_bytes=args.shard_cache_mb << 20
+    )
+    engine = builder.serving(
+        prebuilt,
         # Batch serving gets bounded caches so the report can show hit
         # rates and resident bytes; one-shot queries keep the unbounded
         # default.
         entry_cache_bytes=64 << 20 if args.batch else None,
         summary_cache_bytes=8 << 20 if args.batch else None,
-        metrics=metrics,
     )
-    if args.index_dir is not None:
-        prebuilt = load_sharded_index(
-            args.index_dir, bundle.graph,
-            cache_bytes=args.shard_cache_mb << 20,
-        )
-        engine.use_propagation_index(prebuilt)
+    if prebuilt is not None:
         shards = prebuilt.shards
         print(f"using sharded propagation index {args.index_dir} "
               f"({prebuilt.n_cached} entries, {shards.n_shards} shards, "
@@ -718,28 +719,30 @@ def _run_stats(args) -> int:
 
     bundle = _load_bundle(args)
     registry = MetricsRegistry()
-    engine = PITEngine.from_dataset(
+    builder = PITEngine.from_dataset(
         bundle,
         summarizer=args.summarizer,
         theta=args.theta,
         seed=args.seed,
-        entry_cache_bytes=64 << 20,
-        summary_cache_bytes=8 << 20,
         metrics=registry,
     )
     # The demo exercises all three instrumented layers: an offline index
     # build, summarization on first use of each topic, and batched online
     # serving over a seeded workload.
+    prebuilt = None
     if args.index_dir is not None:
         from .core import load_sharded_index
 
-        engine.use_propagation_index(load_sharded_index(
+        prebuilt = load_sharded_index(
             args.index_dir, bundle.graph,
             cache_bytes=args.shard_cache_mb << 20,
             metrics=registry,
-        ))
+        )
     else:
-        engine.propagation_index.build_all(workers=1)
+        builder.propagation_index.build_all(workers=1)
+    engine = builder.serving(
+        prebuilt, entry_cache_bytes=64 << 20, summary_cache_bytes=8 << 20
+    )
     workload = generate_workload(
         bundle, n_queries=args.queries, n_users=args.users, seed=args.seed
     )

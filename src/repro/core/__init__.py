@@ -5,7 +5,8 @@
 * :mod:`repro.core.propagation` - personalized propagation index (§5.1).
 * :mod:`repro.core.search` - top-k PIT-Search (§5.2), array-native.
 * :mod:`repro.core.serving` - bounded caches for the online serving layer.
-* :mod:`repro.core.engine` - end-to-end facade.
+* :mod:`repro.core.engine` - offline builder (walk index, summaries, Γ).
+* :mod:`repro.core.serve_facade` - the online engine over built artifacts.
 """
 
 from ._scalar_search import ScalarReferenceSearcher
@@ -62,7 +63,7 @@ from .search import (
     SearchStats,
     normalized_query_key,
 )
-from .serve_facade import ServingEngine, publish_engine_gauges
+from .serve_facade import ServingEngine
 from .serving import ByteLRUCache
 from .shards import (
     MmapShardBackend,
@@ -80,7 +81,6 @@ from .summarization import (
 __all__ = [
     "PITEngine",
     "ServingEngine",
-    "publish_engine_gauges",
     "PrecomputeArtifact",
     "build_precompute",
     "save_precompute",

@@ -28,9 +28,10 @@ refresh *incrementally* instead of rebuilding everything:
   :func:`~repro.core.shards.refresh_sharded_index` - targeted partial
   rebuild: only affected entries are recomputed; unaffected entries (and
   for the sharded backend, whole clean shard files) carry over.
-* :func:`apply_graph_delta` - the engine-level orchestration of the
-  above, plus incremental summary repair: only topics whose member set
-  intersects the affected region lose their cached summary.
+* :func:`splice_delta` - the delta core of both engines: the above plus
+  the ``dynamics.*`` metrics. :func:`apply_graph_delta` adds incremental
+  summary repair on the builder (only topics whose member set intersects
+  the affected region lose their cached summary).
 * :func:`apply_topic_update` - users start/stop discussing topics. A new
   :class:`~repro.topics.TopicIndex` is derived, and only the summaries of
   topics whose member sets actually changed are invalidated; unchanged
@@ -50,8 +51,9 @@ top-k answers will outlive the data they were computed from. The
 contract:
 
 * a topic/summary change (:func:`apply_topic_update`) can move *any*
-  answer -> call ``engine.invalidate_answers()`` (full clear) alongside
-  the searcher's ``invalidate_query_caches``;
+  answer, and compiled plans embed the old summaries -> serve from a
+  new engine (:meth:`PITEngine.serving
+  <repro.core.engine.PITEngine.serving>`), whose tiers start empty;
 * a graph delta only moves answers for users whose search could observe
   a changed entry. The search probes a *chain* of entries - the user's
   own, then the transitive marked frontier - and each link of the chain
@@ -75,7 +77,9 @@ into the serving stack; the daemon exposes it as ``POST /admin/delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -84,6 +88,7 @@ from ..graph import SocialGraph, forward_closure, theta_forward_closure
 from ..obs import MetricsRegistry, get_registry
 from ..topics import TopicIndex
 from .engine import PITEngine
+from .propagation import PropagationIndex
 
 __all__ = [
     "GraphDelta",
@@ -474,71 +479,100 @@ def affected_nodes(
     )
 
 
-def apply_graph_delta(
-    engine: PITEngine, delta: GraphDelta
+def splice_delta(
+    graph: SocialGraph,
+    index: PropagationIndex,
+    delta: GraphDelta,
+    adopt: Callable[..., Dict[str, int]],
+    *,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> Dict[str, int]:
-    """Apply a :class:`GraphDelta` to a :class:`PITEngine` in place.
+    """The delta steps both engines share, around the caller's own step.
 
-    Edits the graph, partially rebuilds the propagation index (only the
-    theta-affected entries), and repairs summaries incrementally: topics
-    whose member set misses the plain-reachable region keep their cached
-    summary; the rest rebuild lazily against the new graph on next use.
-    The walk index is dropped (it samples the old graph).
-
-    Returns statistics: counts of the edge edits, the affected-set size,
-    and the summary repair outcome.
+    Splices *delta* into *graph*, takes the theta-affected and the plain
+    reachable closures, and refreshes *index* for the affected nodes
+    (dirty-shard rewrite when mapped, targeted entry rebuild in memory).
+    ``adopt(new_graph, new_index, affected, reachable)`` then installs
+    them in its engine and returns its own report fields, each also
+    counted as ``dynamics.<field>``. Everything runs under the
+    ``dynamics.apply_delta_seconds`` timer. Returns the report: edit
+    counts, closure sizes, the caller's fields, then the refresh stats.
     """
-    registry = engine.propagation_index._registry()
+    registry = _registry(metrics)
     with registry.timer("dynamics.apply_delta_seconds"):
-        old_graph = engine.graph
-        new_graph, application = apply_delta_to_graph(old_graph, delta)
         with registry.timer("dynamics.affected_seconds"):
+            new_graph, application = apply_delta_to_graph(graph, delta)
             affected = affected_nodes(
-                old_graph,
-                new_graph,
-                application,
-                theta=engine.propagation_index.theta,
+                graph, new_graph, application, theta=index.theta
             )
-            reachable = affected_nodes(old_graph, new_graph, application)
+            reachable = affected_nodes(graph, new_graph, application)
         with registry.timer("dynamics.refresh_seconds"):
-            new_index = engine.propagation_index.rebuilt_for(
-                new_graph, affected
-            )
-        refresh = dict(new_index.last_refresh_stats or {})
-        mask = np.zeros(new_graph.n_nodes, dtype=bool)
-        mask[reachable] = True
-        kept: Dict[int, object] = {}
-        repaired = 0
-        for topic_id, summary in engine.summaries.items():
-            members = engine.topic_index.topic_nodes(topic_id)
-            touched = bool(np.any(mask[members])) or any(
-                mask[rep] for rep in summary.weights
-            )
-            if touched:
-                repaired += 1
+            if index.shards is not None:
+                from .shards import refresh_sharded_index
+
+                new_index = refresh_sharded_index(
+                    index.shards, new_graph, affected, metrics=metrics
+                )
             else:
-                kept[topic_id] = summary
-        engine.replace_graph(new_graph, new_index, kept_summaries=kept)
+                new_index = index.rebuilt_for(new_graph, affected)
+        own = adopt(new_graph, new_index, affected, reachable)
+        report = {
+            "inserted": application.n_inserted,
+            "deleted": application.n_deleted,
+            "reweighted": application.n_reweighted,
+            "aged_out": application.n_aged,
+            "affected": int(affected.size),
+            "reachable": int(reachable.size),
+        }
         registry.inc("dynamics.deltas_applied")
         registry.inc("dynamics.edges_inserted", application.n_inserted)
         registry.inc("dynamics.edges_deleted", application.n_deleted)
         registry.inc("dynamics.edges_reweighted", application.n_reweighted)
         registry.inc("dynamics.edges_aged_out", application.n_aged)
-        registry.inc("dynamics.nodes_affected", int(affected.size))
-        registry.inc("dynamics.nodes_reachable", int(reachable.size))
-        registry.inc("dynamics.summaries_repaired", repaired)
-        registry.inc("dynamics.summaries_kept", len(kept))
-    return {
-        "inserted": application.n_inserted,
-        "deleted": application.n_deleted,
-        "reweighted": application.n_reweighted,
-        "aged_out": application.n_aged,
-        "affected": int(affected.size),
-        "reachable": int(reachable.size),
-        "summaries_kept": len(kept),
-        "summaries_repaired": repaired,
-        **refresh,
-    }
+        registry.inc("dynamics.nodes_affected", report["affected"])
+        registry.inc("dynamics.nodes_reachable", report["reachable"])
+        for name, count in own.items():
+            registry.inc(f"dynamics.{name}", count)
+    report.update(own)
+    report.update(new_index.last_refresh_stats or {})
+    return report
+
+
+def apply_graph_delta(
+    engine: PITEngine, delta: GraphDelta
+) -> Dict[str, int]:
+    """Apply a :class:`GraphDelta` to a :class:`PITEngine` in place.
+
+    Runs :func:`splice_delta` (graph edit, closures, Γ refresh of the
+    theta-affected entries on either backend), then repairs summaries
+    incrementally: topics whose member set misses the plain-reachable
+    region keep their cached summary; the rest rebuild lazily against
+    the new graph on next use. The walk index is dropped (it samples the
+    old graph).
+
+    Returns statistics: counts of the edge edits, the affected-set size,
+    the summary repair outcome and the refresh stats.
+    """
+
+    def repair(new_graph, new_index, affected, reachable):
+        mask = np.zeros(new_graph.n_nodes, dtype=bool)
+        mask[reachable] = True
+        kept: Dict[int, object] = {}
+        for topic_id, summary in engine.summaries.items():
+            members = engine.topic_index.topic_nodes(topic_id)
+            touched = bool(np.any(mask[members])) or any(
+                mask[rep] for rep in summary.weights
+            )
+            if not touched:
+                kept[topic_id] = summary
+        repaired = engine.n_summaries - len(kept)
+        engine.replace_graph(new_graph, new_index, kept_summaries=kept)
+        return {"summaries_kept": len(kept), "summaries_repaired": repaired}
+
+    return splice_delta(
+        engine.graph, engine.propagation_index, delta, repair,
+        metrics=engine._metrics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +723,9 @@ def apply_topic_update(engine: PITEngine, update: TopicUpdate) -> Dict[str, int]
 
 
 def refresh_walk_index(engine: PITEngine) -> None:
-    """Force the walk index (and everything derived from it) to rebuild."""
-    engine._walk_index = None
-    engine._summarizer = None
-    engine._summaries = {}
+    """Force the walk index (and everything derived from it) to rebuild.
+
+    Goes through :meth:`PITEngine.reset_walk_index`; serve the rebuilt
+    summaries from a new :meth:`PITEngine.serving` engine.
+    """
+    engine.reset_walk_index()

@@ -1,14 +1,15 @@
-"""End-to-end PIT-Search engine facade (S24).
+"""Offline PIT-Search builder (S24).
 
-Ties the whole stack together the way the paper's Algorithms 5 and 9 do:
-
-* **offline** - build the walk index (Algorithm 6) once per graph, derive a
-  topic summary per topic with the configured summarizer (RCL-A or LRW-A),
-  and materialize propagation entries on demand;
-* **online** - answer ``search(user, query, k)`` via Algorithm 10.
-
-Summaries and propagation entries are cached, so repeated queries pay only
-the online cost - exactly the paper's amortization story.
+:class:`PITEngine` runs the paper's offline stage (Algorithms 5-9): it
+builds the walk index (Algorithm 6) once per graph, derives a topic
+summary per topic with the configured summarizer (RCL-A or LRW-A), and
+owns the propagation index whose entries materialize on demand. The
+online stage (Algorithms 10-11) is
+:class:`~repro.core.serve_facade.ServingEngine`;
+:meth:`PITEngine.serving` hands one out over the builder's artifacts.
+Its summaries stay lazy: a topic is summarized on its first lookup and
+kept, so repeated queries pay only the online cost - exactly the paper's
+amortization story.
 
 :meth:`PITEngine.build_summaries` runs the offline summarization stage
 through the same runner (:mod:`repro._build_runner`) as
@@ -31,18 +32,37 @@ from .._build_runner import BuildRunner
 from .._utils import SeedLike, coerce_rng
 from ..exceptions import BuildFailedError, ConfigurationError
 from ..graph import SocialGraph
-from ..obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
-from ..topics import KeywordQuery, TopicIndex
+from ..obs.registry import MetricsRegistry
+from ..topics import TopicIndex
 from ..walks import WalkIndex
 from .lrw import LRWSummarizer
 from .propagation import PropagationIndex
 from .rcl import RCLSummarizer
-from .search import PersonalizedSearcher, SearchResult, SearchStats
+from .serve_facade import ServingEngine
 from .summarization import Summarizer, TopicSummary
 
 __all__ = ["PITEngine"]
 
 _SUMMARIZER_NAMES = ("lrw", "rcl")
+
+
+class _LazySummaries(dict):
+    """A builder's ``topic_id -> TopicSummary`` that summarizes on lookup.
+
+    ``mapping[topic_id]`` builds an absent summary with the builder's
+    summarizer and keeps it; ``in``, ``get``, ``len`` and iteration see
+    only the summaries built so far.
+    """
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: "PITEngine", built=None):
+        super().__init__(built or {})
+        self._engine = engine
+
+    def __missing__(self, topic_id: int) -> TopicSummary:
+        summary = self[topic_id] = self._engine.summarizer.summarize(topic_id)
+        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +141,7 @@ class _SummaryBuild(BuildRunner):
 
 
 class PITEngine:
-    """One-stop PIT-Search over a graph + topic index.
+    """Offline PIT-Search builder over a graph + topic index.
 
     Parameters
     ----------
@@ -138,19 +158,12 @@ class PITEngine:
         ``μ`` - representatives per topic as a fraction of ``|V_t|``.
     sample_rate:
         RCL-A's ``|V'|/|V|`` sampling rate (ignored for LRW-A).
-    max_expand_rounds:
-        Online Expand recursion bound.
-    entry_cache_bytes / summary_cache_bytes:
-        When set, the online searcher keeps lazily built propagation
-        entries / summary array forms in bounded byte-accounted LRU caches
-        of these sizes instead of unbounded per-index caches (see
-        :mod:`repro.core.serving`). ``None`` (default) keeps the original
-        unbounded behaviour.
     seed:
         Seed or generator for all stochastic stages.
     metrics:
-        Registry receiving offline-build, summarization, and per-search
-        metrics from every engine-owned component. ``None`` (default)
+        Registry receiving offline-build and summarization metrics from
+        every engine-owned component, and the per-search metrics of the
+        engines :meth:`serving` hands out. ``None`` (default)
         uses the process-wide registry;
         :func:`~repro.obs.registry.null_registry` disables recording.
 
@@ -160,7 +173,7 @@ class PITEngine:
     >>> from repro.core.engine import PITEngine
     >>> bundle = data_2k(seed=7, with_corpus=False)
     >>> engine = PITEngine.from_dataset(bundle, summarizer="lrw", seed=7)
-    >>> results = engine.search(user=3, query="phone", k=3)
+    >>> results = engine.serving().search(user=3, query="phone", k=3)
     """
 
     def __init__(
@@ -174,9 +187,6 @@ class PITEngine:
         samples_per_node: int = 25,
         rep_fraction: float = 0.1,
         sample_rate: float = 0.05,
-        max_expand_rounds: int = 8,
-        entry_cache_bytes: Optional[int] = None,
-        summary_cache_bytes: Optional[int] = None,
         seed: SeedLike = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -195,20 +205,11 @@ class PITEngine:
         self._walk_index: Optional[WalkIndex] = None
         self._summarizer_spec = summarizer
         self._summarizer: Optional[Summarizer] = None
-        self._summaries: Dict[int, TopicSummary] = {}
+        self._summaries = _LazySummaries(self)
         #: Stats of the most recent :meth:`build_summaries` call.
         self.last_summary_build_stats = None
         self._metrics = metrics
         self.propagation_index = PropagationIndex(graph, theta, metrics=metrics)
-        self._searcher = PersonalizedSearcher(
-            topic_index,
-            self.summary,
-            self.propagation_index,
-            max_expand_rounds=max_expand_rounds,
-            entry_cache_bytes=entry_cache_bytes,
-            summary_cache_bytes=summary_cache_bytes,
-            metrics=metrics,
-        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -275,34 +276,34 @@ class PITEngine:
     # ------------------------------------------------------------------
     def summary(self, topic_id: int) -> TopicSummary:
         """Cached topic summary (offline stage, lazily per topic)."""
-        topic_id = self._topic_index.resolve(topic_id)
-        cached = self._summaries.get(topic_id)
-        if cached is None:
-            cached = self.summarizer.summarize(topic_id)
-            self._summaries[topic_id] = cached
-        return cached
+        return self._summaries[self._topic_index.resolve(topic_id)]
 
-    def use_propagation_index(self, index: PropagationIndex) -> "PITEngine":
-        """Swap in a pre-built propagation index (e.g. loaded from disk).
+    def serving(
+        self,
+        propagation_index: Optional[PropagationIndex] = None,
+        **budgets,
+    ) -> ServingEngine:
+        """A :class:`~repro.core.serve_facade.ServingEngine` over this build.
 
-        The index must cover this engine's graph; entries it already holds
-        are served as-is and any missing ones still build lazily.
+        It serves this builder's graph, topic index, summaries and
+        propagation index, or *propagation_index* instead (e.g. a
+        :func:`~repro.core.shards.load_sharded_index` directory over the
+        same graph). Summaries stay lazy: a query summarizes each related
+        topic it lacks, into this builder. *budgets* are forwarded to
+        ``ServingEngine`` (``max_expand_rounds`` and the ``*_cache_bytes``
+        tiers); metrics go to this builder's registry. After
+        :meth:`replace_graph`, :meth:`replace_topic_index` or
+        :meth:`reset_walk_index`, ask for a new engine.
         """
-        if (
-            index.graph.n_nodes != self._graph.n_nodes
-            or index.graph.n_edges != self._graph.n_edges
-        ):
-            raise ConfigurationError(
-                f"propagation index covers a graph with "
-                f"{index.graph.n_nodes} nodes/{index.graph.n_edges} edges, "
-                f"but the engine's graph has {self._graph.n_nodes} nodes/"
-                f"{self._graph.n_edges} edges"
-            )
-        self.propagation_index = index
-        self._searcher.set_propagation_index(index)
-        if self._metrics is not None:
-            index.set_metrics(self._metrics)
-        return self
+        return ServingEngine(
+            self._graph,
+            self._topic_index,
+            self._summaries,
+            self.propagation_index if propagation_index is None
+            else propagation_index,
+            metrics=self._metrics,
+            **budgets,
+        )
 
     def replace_topic_index(
         self,
@@ -315,8 +316,8 @@ class PITEngine:
         (:func:`~repro.core.dynamics.apply_topic_update`): installs
         *new_index*, replaces the summary cache with *kept_summaries*
         (already re-keyed to the new index's topic ids; every other
-        summary rebuilds lazily), drops the bound summarizer (it holds
-        the old index), and resets the searcher's topic-derived caches.
+        summary rebuilds lazily) and drops the bound summarizer (it holds
+        the old index).
         """
         if new_index.n_nodes != self._graph.n_nodes:
             raise ConfigurationError(
@@ -331,11 +332,8 @@ class PITEngine:
                     f"topic_id={summary.topic_id}; re-key it first"
                 )
         self._topic_index = new_index
-        self._summaries = kept
         self._summarizer = None  # bound to the old index; rebuild lazily
-        # Also drops compiled query plans and cached summary arrays - both
-        # are keyed by (possibly re-numbered) topic ids of the old index.
-        self._searcher.set_topic_index(new_index)
+        self._summaries = _LazySummaries(self, kept)
         return self
 
     def replace_graph(
@@ -352,7 +350,8 @@ class PITEngine:
         and propagation index, keeps only *kept_summaries* (topics whose
         member and representative sets missed the affected region; the
         rest rebuild lazily against the new graph), and drops the walk
-        index and bound summarizer, which sample the old graph.
+        index and bound summarizer, which sample the old graph
+        (:meth:`reset_walk_index`).
         """
         if new_graph.n_nodes != self._graph.n_nodes:
             raise ConfigurationError(
@@ -364,16 +363,23 @@ class PITEngine:
                 "the propagation index must be built over the new graph"
             )
         self._graph = new_graph
-        self._walk_index = None
-        self._summarizer = None
-        self._summaries = (
-            dict(kept_summaries) if kept_summaries is not None else {}
-        )
         self.propagation_index = new_index
-        self._searcher.set_propagation_index(new_index)
-        self._searcher.invalidate_query_caches()
         if self._metrics is not None:
             new_index.set_metrics(self._metrics)
+        return self.reset_walk_index(kept_summaries)
+
+    def reset_walk_index(
+        self, kept_summaries: Optional[Dict[int, TopicSummary]] = None
+    ) -> "PITEngine":
+        """Drop the walk index, the bound summarizer and the summaries.
+
+        All three rebuild lazily on next use; only *kept_summaries*
+        survive. Engines :meth:`serving` handed out earlier keep serving
+        the old summaries.
+        """
+        self._walk_index = None
+        self._summarizer = None
+        self._summaries = _LazySummaries(self, kept_summaries)
         return self
 
     def build(self, topics: Optional[Iterable[Union[int, str]]] = None) -> "PITEngine":
@@ -493,54 +499,6 @@ class PITEngine:
         """
         return dict(self._summaries)
 
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        user: int,
-        query: Union[str, KeywordQuery],
-        k: int = 10,
-        *,
-        with_stats: bool = False,
-    ):
-        """Top-k personalized influential topics for *user* (Algorithm 10).
-
-        Returns the ranked :class:`~repro.core.search.SearchResult` list,
-        or ``(results, stats)`` when *with_stats* is true.
-        """
-        results, stats = self._searcher.search(user, query, k)
-        if with_stats:
-            return results, stats
-        return results
-
-    def search_batch(
-        self,
-        requests: Iterable[Tuple[int, Union[str, KeywordQuery]]],
-        k: int = 10,
-        *,
-        with_stats: bool = False,
-    ):
-        """Answer many ``(user, query)`` requests in one batched call.
-
-        Delegates to
-        :meth:`~repro.core.search.PersonalizedSearcher.search_many`:
-        requests sharing a keyword query are grouped so topic resolution
-        and summary arrays are paid once per distinct query. Returns a
-        list aligned with the input order - each element the ranked
-        results, or ``(results, stats)`` when *with_stats* is true.
-        """
-        outcomes = self._searcher.search_many(requests, k)
-        if with_stats:
-            return outcomes
-        return [results for results, _ in outcomes]
-
-    def cache_stats(self):
-        """Snapshots of the searcher's bounded serving caches.
-
-        A tuple of :class:`~repro.core.diagnostics.CacheStats`, empty when
-        the engine was built without cache budgets.
-        """
-        return self._searcher.cache_stats()
-
     def set_metrics(self, registry: Optional[MetricsRegistry]) -> "PITEngine":
         """Route every engine-owned component's metrics to *registry*.
 
@@ -550,55 +508,8 @@ class PITEngine:
         """
         self._metrics = registry
         self.propagation_index.set_metrics(registry)
-        self._searcher.set_metrics(registry)
         if self._summarizer is not None and hasattr(
             self._summarizer, "set_metrics"
         ):
             self._summarizer.set_metrics(registry)
         return self
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """A coherent snapshot of the engine's metrics registry.
-
-        Publishes the point-in-time gauges first - cache hit ratios and
-        occupancy, propagation-index size, summary count - then snapshots.
-        Gauges are published here (snapshot time) rather than per search,
-        keeping the serving hot path to counter adds only.
-        """
-        from .serve_facade import publish_engine_gauges
-
-        registry = (
-            self._metrics if self._metrics is not None else get_registry()
-        )
-        publish_engine_gauges(
-            registry,
-            searcher=self._searcher,
-            propagation_index=self.propagation_index,
-            n_summaries=self.n_summaries,
-            memory_bytes=self.memory_bytes(),
-        )
-        return registry.snapshot()
-
-    def memory_bytes(self) -> int:
-        """Approximate resident size of all engine-owned indexes.
-
-        Covers the propagation index, the walk index (when built), every
-        cached topic summary (including its frozen array form, via
-        :meth:`~repro.core.summarization.TopicSummary.memory_bytes`), and
-        the online searcher's bounded serving caches and compiled query
-        plans. A memory-mapped shard backend is charged only at the bytes
-        its paging cache currently holds resident - the full on-disk
-        footprint is reported separately by the
-        ``propagation.index_mapped_bytes`` gauge.
-        """
-        total = self.propagation_index.memory_bytes()
-        if self._walk_index is not None and self._walk_index.is_built:
-            total += self._walk_index.memory_bytes()
-        total += sum(s.memory_bytes() for s in self._summaries.values())
-        total += self._searcher.cache_memory_bytes()
-        summary_stats = self._searcher.summary_cache_stats()
-        if summary_stats is not None:
-            # The summary-array LRU aliases array forms already charged
-            # via TopicSummary.memory_bytes(); back out the double count.
-            total -= summary_stats.current_bytes
-        return total

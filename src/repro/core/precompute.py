@@ -49,6 +49,7 @@ from ..graph import SocialGraph
 from ..topics import KeywordQuery
 from .persistence import _graph_signature
 from .search import SearchResult, _QueryPlan, normalized_query_key
+from .serve_facade import ServingEngine, _work_of
 from .summarization import TopicSummary
 
 __all__ = [
@@ -316,7 +317,7 @@ def answer_entry(record: Dict):
 # ---------------------------------------------------------------------------
 
 def build_precompute(
-    engine,
+    engine: ServingEngine,
     trace,
     *,
     top_queries: int = DEFAULT_TOP_QUERIES,
@@ -325,8 +326,8 @@ def build_precompute(
 ) -> PrecomputeArtifact:
     """Mine *trace* and precompute head plans + heavy-hitter answers.
 
-    *engine* is the :class:`~repro.core.serve_facade.ServingEngine` (or
-    ``PITEngine``) holding the exact artifacts that will serve; plans and
+    *engine* is the :class:`~repro.core.serve_facade.ServingEngine`
+    holding the exact artifacts that will serve; plans and
     answers are computed by the same code paths a live request takes, so
     what the artifact stores is definitionally bit-exact with what an
     uncached search returns. ``top_queries``/``top_answers`` bound the
@@ -348,15 +349,11 @@ def build_precompute(
             user, KeywordQuery.parse(tally.raw, mode=mode), k,
             with_stats=True,
         )
-        work = (
-            work_stats.topics_considered,
-            work_stats.topics_pruned,
-            work_stats.entries_probed,
-            work_stats.expansion_rounds,
-            work_stats.representatives_touched,
-        )
         answers.append(
-            _answer_record(user, keywords, mode, k, tally.count, results, work)
+            _answer_record(
+                user, keywords, mode, k, tally.count, results,
+                _work_of(work_stats),
+            )
         )
     return PrecomputeArtifact(
         signature=_graph_signature(engine.graph),

@@ -419,28 +419,16 @@ class PersonalizedSearcher:
     # Index wiring and cache management
     # ------------------------------------------------------------------
     def set_propagation_index(
-        self,
-        index: PropagationIndex,
-        affected: Optional[np.ndarray] = None,
+        self, index: PropagationIndex, affected: np.ndarray
     ) -> "PersonalizedSearcher":
-        """Swap in a different propagation index (public engine/test hook).
+        """Swap in a different propagation index (the graph-delta hook).
 
-        With *affected* omitted, clears the bounded entry cache and every
-        compiled plan's probe cache so no stale Γ data survives the swap.
-        The delta path passes *affected* - the node ids whose Γ may differ
-        between the two indexes - and only those entries are evicted;
-        everything else keeps serving warm. Compatibility with the topic
-        space is the caller's contract
-        (:meth:`PITEngine.use_propagation_index` validates the graph).
+        *affected* holds the node ids whose Γ may differ between the two
+        indexes: only those leave the bounded entry cache and the compiled
+        plans' probe caches; everything else keeps serving warm.
+        Compatibility with the topic space is the caller's contract.
         """
         self._propagation = index
-        if affected is None:
-            if self._entry_cache is not None:
-                self._entry_cache.clear()
-            if self._plans is not None:
-                for plan in self._plans.values():
-                    plan.probe_cache.clear()
-            return self
         wanted = set(int(n) for n in np.asarray(affected).ravel())
         if self._entry_cache is not None:
             for node in self._entry_cache.keys():
@@ -451,23 +439,6 @@ class PersonalizedSearcher:
                 for node in wanted.intersection(plan.probe_cache):
                     del plan.probe_cache[node]
         return self
-
-    def set_topic_index(self, topic_index: TopicIndex) -> "PersonalizedSearcher":
-        """Swap the topic space, invalidating every query-derived cache."""
-        self._topic_index = topic_index
-        self.invalidate_query_caches()
-        return self
-
-    def invalidate_query_caches(self) -> None:
-        """Drop compiled plans and cached summary arrays.
-
-        Call after topic summaries change (e.g. dynamic maintenance);
-        propagation entries are unaffected.
-        """
-        if self._plans is not None:
-            self._plans.clear()
-        if self._summary_cache is not None:
-            self._summary_cache.clear()
 
     def entry_cache_stats(self) -> Optional[CacheStats]:
         """Snapshot of the bounded entry cache (None when unbounded)."""
@@ -677,8 +648,8 @@ class PersonalizedSearcher:
     ) -> None:
         """Publish cache hit-ratio / occupancy gauges to *registry*.
 
-        Called at snapshot time (``PITEngine.metrics_snapshot``, the
-        ``stats`` CLI) rather than per search, keeping the hot path lean.
+        Called at snapshot time (``ServingEngine.metrics_snapshot``)
+        rather than per search, keeping the hot path lean.
         """
         if registry is None:
             registry = self._registry()

@@ -5,12 +5,12 @@ a summarizer, a walk index, and the fault-tolerant offline build
 machinery. A serving daemon needs none of that - it answers queries
 against artifacts the offline stage already produced. This module is the
 other half of the split: :class:`ServingEngine` wraps a graph, a topic
-index, *prebuilt* summaries, and a (prebuilt or lazily materializing)
-propagation index around one :class:`~repro.core.search.PersonalizedSearcher`,
-and exposes exactly the online surface - ``search`` / ``search_batch`` /
-``cache_stats`` / ``metrics_snapshot`` - with bit-identical results to a
-``PITEngine`` holding the same data, because both drive the same searcher
-over the same arrays.
+index, summaries, and a (prebuilt or lazily materializing) propagation
+index around one :class:`~repro.core.search.PersonalizedSearcher`, and
+exposes exactly the online surface - ``search`` / ``search_batch`` /
+``cache_stats`` / ``metrics_snapshot``. It is the only online engine:
+:meth:`PITEngine.serving <repro.core.engine.PITEngine.serving>` hands
+one out over a builder's in-memory artifacts.
 
 Construction from disk goes through :meth:`ServingEngine.from_artifacts`,
 so every input passes the artifact layer's checksum + graph-signature
@@ -19,11 +19,7 @@ the :class:`~repro.exceptions.ArtifactCorruptedError` /
 :class:`~repro.exceptions.ConfigurationError` taxonomy instead of
 serving wrong answers. Topics whose summary is *not* in the artifact
 surface as a per-request :class:`~repro.exceptions.ConfigurationError` -
-a serving engine never falls back to building summaries online.
-
-:func:`publish_engine_gauges` is the shared snapshot-time gauge publisher
-used by both facades, so ``/metrics`` scraped from the daemon and
-``--metrics-out`` written by the CLI agree on names and meaning.
+an engine over an artifact never falls back to building summaries online.
 
 **Tiered lookup.** With ``answer_cache_bytes`` set, the engine fronts the
 searcher with a third tier: full ``(user, query, k)`` answers. A lookup
@@ -45,7 +41,7 @@ targeted seam for :mod:`repro.core.dynamics` deltas.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError
 from ..graph import SocialGraph
@@ -62,7 +58,7 @@ from .search import (
 from .serving import ByteLRUCache
 from .summarization import TopicSummary
 
-__all__ = ["ServingEngine", "publish_engine_gauges"]
+__all__ = ["ServingEngine"]
 
 #: Answer-key type: (user, normalized query key, k).
 AnswerKey = Tuple[int, Tuple[Tuple[str, ...], str], int]
@@ -79,18 +75,14 @@ def _answer_nbytes(results: Tuple[SearchResult, ...]) -> int:
     )
 
 
-def _stats_from_work(work: Tuple[int, int, int, int, int]) -> SearchStats:
-    """Rebuild the deterministic work stats stored with a cached answer.
-
-    The five work counters are a pure function of (user, query, k) over a
-    fixed engine state, so replaying them keeps cached responses
-    bit-exact with uncached ones; the cache-delta fields describe *this*
-    lookup and are zero on an answer hit (no tier below was touched).
-    """
-    return SearchStats(*work)
-
-
 def _work_of(stats: SearchStats) -> Tuple[int, int, int, int, int]:
+    """The five deterministic work counters a cached answer stores.
+
+    They are a pure function of (user, query, k) over a fixed engine
+    state, so replaying them keeps cached responses bit-exact with
+    uncached ones; the cache-delta fields describe *this* lookup and are
+    zero on an answer hit (no tier below was touched).
+    """
     return (
         stats.topics_considered,
         stats.topics_pruned,
@@ -98,38 +90,6 @@ def _work_of(stats: SearchStats) -> Tuple[int, int, int, int, int]:
         stats.expansion_rounds,
         stats.representatives_touched,
     )
-
-
-def publish_engine_gauges(
-    registry: MetricsRegistry,
-    *,
-    searcher: PersonalizedSearcher,
-    propagation_index: PropagationIndex,
-    n_summaries: int,
-    memory_bytes: int,
-) -> None:
-    """Publish the snapshot-time engine gauges shared by both facades.
-
-    Cache hit ratios / occupancy, propagation-index size (resident and
-    mapped, plus the shard backend's gauges when one is attached), the
-    summary count, and the total engine footprint. Called at snapshot
-    time only - never on the per-search hot path.
-    """
-    searcher.publish_cache_gauges(registry)
-    registry.set_gauge(
-        "propagation.entries_cached", propagation_index.n_cached
-    )
-    registry.set_gauge(
-        "propagation.index_bytes", propagation_index.memory_bytes()
-    )
-    registry.set_gauge(
-        "propagation.index_mapped_bytes", propagation_index.mapped_bytes()
-    )
-    shards = propagation_index.shards
-    if shards is not None:
-        shards.publish_gauges(registry)
-    registry.set_gauge("summaries.cached", n_summaries)
-    registry.set_gauge("engine.memory_bytes", memory_bytes)
 
 
 class ServingEngine:
@@ -140,10 +100,12 @@ class ServingEngine:
     graph / topic_index:
         The social network and its topic space (must agree on node count).
     summaries:
-        Prebuilt ``topic_id -> TopicSummary`` mapping - typically loaded
-        from a ``build-summaries`` artifact. Queries touching a topic
-        absent from the mapping fail that request with
-        :class:`~repro.exceptions.ConfigurationError`.
+        ``topic_id -> TopicSummary`` mapping, kept as given (not copied) -
+        typically loaded from a ``build-summaries`` artifact. Queries
+        touching a topic the mapping lacks fail that request with
+        :class:`~repro.exceptions.ConfigurationError`, unless the mapping
+        builds missing topics itself (a builder's lazy summaries, see
+        :meth:`~repro.core.engine.PITEngine.serving`).
     propagation_index:
         A prebuilt (sharded or in-memory) index, or ``None`` to materialize
         entries lazily at ``theta``.
@@ -151,8 +113,14 @@ class ServingEngine:
         Path-probability threshold for a lazily materializing index
         (ignored when *propagation_index* is given; the artifact's theta
         governs).
+    max_expand_rounds:
+        Online Expand recursion bound.
     entry_cache_bytes / summary_cache_bytes:
-        Bounded serving-cache budgets, exactly as on ``PITEngine``.
+        When set, the searcher keeps lazily built propagation entries /
+        summary array forms in bounded byte-accounted LRU caches of these
+        sizes instead of unbounded per-index caches (see
+        :mod:`repro.core.serving`). ``None`` (default) keeps them
+        unbounded.
     answer_cache_bytes:
         When set, full top-k answers are cached per ``(user, normalized
         query, k)`` in a bounded LRU of this many bytes - the top tier of
@@ -171,7 +139,7 @@ class ServingEngine:
         self,
         graph: SocialGraph,
         topic_index: TopicIndex,
-        summaries: Dict[int, TopicSummary],
+        summaries: Mapping[int, TopicSummary],
         propagation_index: Optional[PropagationIndex] = None,
         *,
         theta: float = 0.002,
@@ -189,7 +157,7 @@ class ServingEngine:
             )
         self._graph = graph
         self._topic_index = topic_index
-        self._summaries = dict(summaries)
+        self._summaries = summaries
         self._metrics = metrics
         if propagation_index is None:
             propagation_index = PropagationIndex(graph, theta, metrics=metrics)
@@ -302,7 +270,7 @@ class ServingEngine:
 
     @property
     def n_summaries(self) -> int:
-        """Number of prebuilt topic summaries loaded."""
+        """Number of topic summaries held (built so far, when lazy)."""
         return len(self._summaries)
 
     @property
@@ -341,7 +309,7 @@ class ServingEngine:
                 "cache.tier.answers.hit_latency_seconds",
                 perf_counter() - started,
             )
-        return list(results), _stats_from_work(work)
+        return list(results), SearchStats(*work)
 
     def _store_answer(
         self, key: AnswerKey, results: List[SearchResult], stats: SearchStats
@@ -465,9 +433,8 @@ class ServingEngine:
         those users' answers are dropped - the right granularity for a
         :mod:`repro.core.dynamics` delta whose Γ-changed node set is
         known. Returns the number of answers removed. Plans survive
-        (they are user-independent); callers whose delta changes
-        summaries must also call the searcher's
-        ``invalidate_query_caches``.
+        (they are user-independent); a summary change needs a new
+        engine.
         """
         answers = self._answers
         if answers is None:
@@ -506,59 +473,21 @@ class ServingEngine:
         the application report (edit counts, affected size, refresh
         stats, answers invalidated).
         """
-        from .dynamics import affected_nodes, apply_delta_to_graph
+        from .dynamics import splice_delta
 
-        registry = self._registry()
-        with registry.timer("dynamics.apply_delta_seconds"):
-            with registry.timer("dynamics.affected_seconds"):
-                new_graph, application = apply_delta_to_graph(
-                    self._graph, delta
-                )
-                affected = affected_nodes(
-                    self._graph,
-                    new_graph,
-                    application,
-                    theta=self.propagation_index.theta,
-                )
-                reachable = affected_nodes(
-                    self._graph, new_graph, application
-                )
-            index = self.propagation_index
-            with registry.timer("dynamics.refresh_seconds"):
-                if index.shards is not None:
-                    from .shards import refresh_sharded_index
-
-                    new_index = refresh_sharded_index(
-                        index.shards, new_graph, affected,
-                        metrics=self._metrics,
-                    )
-                else:
-                    new_index = index.rebuilt_for(new_graph, affected)
+        def adopt(new_graph, new_index, affected, reachable):
             self._graph = new_graph
             self.propagation_index = new_index
             if self._metrics is not None:
                 new_index.set_metrics(self._metrics)
             self._searcher.set_propagation_index(new_index, affected=affected)
             invalidated = self.invalidate_answers(users=reachable.tolist())
-            registry.inc("dynamics.deltas_applied")
-            registry.inc("dynamics.edges_inserted", application.n_inserted)
-            registry.inc("dynamics.edges_deleted", application.n_deleted)
-            registry.inc("dynamics.edges_reweighted", application.n_reweighted)
-            registry.inc("dynamics.edges_aged_out", application.n_aged)
-            registry.inc("dynamics.nodes_affected", int(affected.size))
-            registry.inc("dynamics.nodes_reachable", int(reachable.size))
-            registry.inc("dynamics.answers_invalidated", invalidated)
-        report = {
-            "inserted": application.n_inserted,
-            "deleted": application.n_deleted,
-            "reweighted": application.n_reweighted,
-            "aged_out": application.n_aged,
-            "affected": int(affected.size),
-            "reachable": int(reachable.size),
-            "answers_invalidated": invalidated,
-        }
-        report.update(new_index.last_refresh_stats or {})
-        return report
+            return {"answers_invalidated": invalidated}
+
+        return splice_delta(
+            self._graph, self.propagation_index, delta, adopt,
+            metrics=self._metrics,
+        )
 
     def set_reload_generation(self, generation: int) -> "ServingEngine":
         """Record the daemon reload generation this engine serves.
@@ -670,15 +599,24 @@ class ServingEngine:
         return self
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """A coherent snapshot of the engine's metrics registry."""
+        """A coherent snapshot of the engine's metrics registry.
+
+        Publishes the point-in-time gauges first (caches, Γ size and
+        shards, summary count, footprint, ``cache.tier.*``) - here, not
+        per search, keeping the serving hot path to counter adds only.
+        """
         registry = self._registry()
-        publish_engine_gauges(
-            registry,
-            searcher=self._searcher,
-            propagation_index=self.propagation_index,
-            n_summaries=self.n_summaries,
-            memory_bytes=self.memory_bytes(),
+        self._searcher.publish_cache_gauges(registry)
+        index = self.propagation_index
+        registry.set_gauge("propagation.entries_cached", index.n_cached)
+        registry.set_gauge("propagation.index_bytes", index.memory_bytes())
+        registry.set_gauge(
+            "propagation.index_mapped_bytes", index.mapped_bytes()
         )
+        if index.shards is not None:
+            index.shards.publish_gauges(registry)
+        registry.set_gauge("summaries.cached", self.n_summaries)
+        registry.set_gauge("engine.memory_bytes", self.memory_bytes())
         self.publish_tier_gauges(registry)
         return registry.snapshot()
 
@@ -688,7 +626,9 @@ class ServingEngine:
         The propagation index (resident portion only, when mapped), the
         loaded summaries (including frozen array forms), and the
         searcher's bounded caches and compiled plans - with the summary
-        -array LRU's aliased bytes backed out, as on ``PITEngine``.
+        -array LRU's aliased bytes backed out (they alias arrays already
+        charged via :meth:`TopicSummary.memory_bytes`). A builder's walk
+        index is not counted: serving never reads it.
         """
         total = self.propagation_index.memory_bytes()
         total += sum(s.memory_bytes() for s in self._summaries.values())

@@ -24,7 +24,7 @@ from ..baselines import (
     BaseMatrixRanker,
     BasePropagationRanker,
 )
-from ..core import PITEngine
+from ..core import PITEngine, ServingEngine
 from ..datasets import DATASETS, DatasetBundle, Workload, generate_workload
 from ..exceptions import ConfigurationError
 from .memory import measure_peak_allocation, object_bytes
@@ -83,6 +83,7 @@ class ExperimentSuite:
         self._bundles: Dict[str, DatasetBundle] = {}
         self._workloads: Dict[str, Workload] = {}
         self._engines: Dict[Tuple[str, str, float], PITEngine] = {}
+        self._servers: Dict[PITEngine, ServingEngine] = {}
         self._matrix_rankers: Dict[str, BaseMatrixRanker] = {}
 
     # ------------------------------------------------------------------
@@ -145,6 +146,19 @@ class ExperimentSuite:
             self._engines[key] = cached
         return cached
 
+    def serving(
+        self,
+        dataset: str,
+        summarizer: str,
+        *,
+        rep_fraction: Optional[float] = None,
+    ) -> ServingEngine:
+        """The (cached) serving engine over :meth:`engine`'s builder."""
+        builder = self.engine(dataset, summarizer, rep_fraction=rep_fraction)
+        if builder not in self._servers:
+            self._servers[builder] = builder.serving()
+        return self._servers[builder]
+
     def matrix_ranker(self, dataset: str) -> BaseMatrixRanker:
         """A (cached) BaseMatrix ground-truth ranker for *dataset*."""
         cached = self._matrix_rankers.get(dataset)
@@ -199,11 +213,13 @@ class ExperimentSuite:
                 )
                 callables[method] = ranker.search
             elif method == "RCL-A":
-                engine = self.engine(dataset, "rcl", rep_fraction=rep_fraction)
-                callables[method] = engine.search
+                callables[method] = self.serving(
+                    dataset, "rcl", rep_fraction=rep_fraction
+                ).search
             elif method == "LRW-A":
-                engine = self.engine(dataset, "lrw", rep_fraction=rep_fraction)
-                callables[method] = engine.search
+                callables[method] = self.serving(
+                    dataset, "lrw", rep_fraction=rep_fraction
+                ).search
             else:
                 raise ConfigurationError(f"unknown method {method!r}")
         return callables

@@ -199,7 +199,7 @@ def evaluate_summarized(
         theta=ORACLE_THETA,
         rep_fraction=rep_fraction,
         seed=seed,
-    )
+    ).serving()
     precisions: List[float] = []
     for user in range(instance.graph.n_nodes):
         for query in instance.queries:

@@ -331,7 +331,7 @@ def results_payload(request: SearchRequest, outcome, generation: int) -> Dict:
     *outcome* is the searcher's ``(results, stats)`` pair. Influence
     floats pass through ``json`` unrounded (``repr`` round-trips the
     exact double), which is what makes daemon responses bit-comparable
-    to direct :meth:`~repro.core.engine.PITEngine.search` calls.
+    to direct :meth:`~repro.core.serve_facade.ServingEngine.search` calls.
     """
     results, stats = outcome
     return {

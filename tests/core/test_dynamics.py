@@ -4,11 +4,13 @@ import pytest
 
 from repro.core import (
     PITEngine,
+    ServingEngine,
     TopicUpdate,
     apply_topic_update,
     refresh_walk_index,
     updated_topic_index,
 )
+from repro.datasets import data_2k, generate_workload
 from repro.exceptions import ConfigurationError
 from repro.graph import preferential_attachment_graph
 from repro.topics import TopicIndex
@@ -125,9 +127,9 @@ class TestApplyToEngine:
         assert stats["invalidated"] == 1
 
     def test_search_works_after_update(self, engine):
-        before = engine.search(0, "topic", k=2)
+        before = engine.serving().search(0, "topic", k=2)
         apply_topic_update(engine, TopicUpdate.adding(5, "delta topic"))
-        after = engine.search(0, "topic", k=2)
+        after = engine.serving().search(0, "topic", k=2)
         assert isinstance(after, list)
         assert engine.topic_index.n_topics == 4
 
@@ -181,3 +183,23 @@ class TestRefreshWalkIndex:
         assert engine.n_summaries == 0
         # And it rebuilds on demand.
         assert engine.walk_index.is_built
+
+    def test_serving_answers_follow_rebuilt_summaries(self):
+        # Answers served after a refresh come from the rebuilt walk
+        # index's summaries, never from plans compiled before it.
+        bundle = data_2k(seed=5, n_nodes=300, with_corpus=False)
+        engine = PITEngine.from_dataset(bundle, summarizer="lrw", seed=5)
+        pairs = list(
+            generate_workload(bundle, n_queries=8, n_users=6, seed=5).pairs()
+        )
+        before = engine.serving().search_batch(pairs, k=5)
+        refresh_walk_index(engine)
+        served = engine.serving().search_batch(pairs, k=5)
+        fresh = ServingEngine(
+            bundle.graph,
+            bundle.topic_index,
+            engine.build().summaries,
+            engine.propagation_index,
+        ).search_batch(pairs, k=5)
+        assert served == fresh
+        assert served != before

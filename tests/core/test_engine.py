@@ -70,25 +70,27 @@ class TestLazyBuild:
 
 class TestSearch:
     def test_search_returns_ranked_results(self, engine):
-        results = engine.search(3, "phone", k=4)
+        results = engine.serving().search(3, "phone", k=4)
         assert len(results) <= 4
         influences = [r.influence for r in results]
         assert influences == sorted(influences, reverse=True)
 
     def test_with_stats(self, engine):
-        results, stats = engine.search(3, "phone", k=2, with_stats=True)
+        results, stats = engine.serving().search(
+            3, "phone", k=2, with_stats=True
+        )
         assert stats.topics_considered >= len(results)
 
     def test_unknown_query_empty(self, engine):
-        assert engine.search(3, "zzzqqq xyzzy", k=3) == []
+        assert engine.serving().search(3, "zzzqqq xyzzy", k=3) == []
 
     def test_deterministic_across_instances(self, bundle):
         a = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=99
-        ).search(5, "music", k=3)
+        ).serving().search(5, "music", k=3)
         b = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=99
-        ).search(5, "music", k=3)
+        ).serving().search(5, "music", k=3)
         assert [(r.topic_id, r.influence) for r in a] == [
             (r.topic_id, r.influence) for r in b
         ]
@@ -97,62 +99,69 @@ class TestSearch:
         engine = PITEngine.from_dataset(
             bundle, summarizer="rcl", samples_per_node=5, seed=17
         )
-        results = engine.search(3, "music", k=2)
+        results = engine.serving().search(3, "music", k=2)
         assert len(results) <= 2
 
 
 class TestBatchServing:
     def test_search_batch_matches_single(self, engine):
+        serving = engine.serving()
         requests = [(3, "phone"), (5, "music"), (3, "phone")]
-        batched = engine.search_batch(requests, k=3)
+        batched = serving.search_batch(requests, k=3)
         assert len(batched) == 3
         for (user, query), results in zip(requests, batched):
-            single = engine.search(user, query, k=3)
+            single = serving.search(user, query, k=3)
             assert [(r.topic_id, r.influence) for r in results] == [
                 (r.topic_id, r.influence) for r in single
             ]
 
     def test_search_batch_with_stats(self, engine):
-        outcomes = engine.search_batch([(3, "phone")], k=2, with_stats=True)
+        outcomes = engine.serving().search_batch(
+            [(3, "phone")], k=2, with_stats=True
+        )
         results, stats = outcomes[0]
         assert stats.topics_considered >= len(results)
 
     def test_cache_stats_empty_without_budgets(self, engine):
-        assert engine.cache_stats() == ()
+        assert engine.serving().cache_stats() == ()
 
-    def test_cache_stats_with_budgets(self, bundle):
-        engine = PITEngine.from_dataset(
-            bundle,
-            summarizer="lrw",
-            samples_per_node=5,
-            seed=17,
-            entry_cache_bytes=1 << 20,
-            summary_cache_bytes=1 << 20,
+    def test_cache_stats_with_budgets(self, engine):
+        serving = engine.serving(
+            entry_cache_bytes=1 << 20, summary_cache_bytes=1 << 20
         )
-        engine.search(3, "phone", k=2)
-        names = [s.name for s in engine.cache_stats()]
+        serving.search(3, "phone", k=2)
+        names = [s.name for s in serving.cache_stats()]
         assert names == ["propagation-entries", "summary-arrays"]
 
-    def test_use_propagation_index_rewires_searcher(self, engine, bundle):
+    def test_serving_over_prebuilt_index(self, engine, bundle):
         from repro.core import PropagationIndex
 
-        engine.search(3, "phone", k=2)
+        own = engine.propagation_index
         fresh = PropagationIndex(bundle.graph, 0.001)
-        engine.use_propagation_index(fresh)
-        assert engine.propagation_index is fresh
-        assert engine._searcher._propagation is fresh
-        results = engine.search(3, "phone", k=2)
-        assert isinstance(results, list)
+        serving = engine.serving(fresh)
+        assert serving.propagation_index is fresh
+        assert serving.theta == 0.001
+        assert isinstance(serving.search(3, "phone", k=2), list)
+        assert engine.propagation_index is own
+        assert engine.serving().propagation_index is own
+
+    def test_serving_refuses_foreign_index(self, engine):
+        from repro.core import PropagationIndex
+
+        other = GraphBuilder(engine.graph.n_nodes).build()
+        with pytest.raises(ConfigurationError):
+            engine.serving(PropagationIndex(other, 0.002))
 
 
 class TestMemory:
     def test_memory_grows_with_use(self, engine):
-        before = engine.memory_bytes()
-        engine.search(3, "phone", k=2)
-        assert engine.memory_bytes() > before
+        serving = engine.serving()
+        before = serving.memory_bytes()
+        serving.search(3, "phone", k=2)
+        assert serving.memory_bytes() > before
 
     def test_memory_counts_summary_array_forms(self, engine):
-        engine.search(3, "phone", k=2)
+        engine.serving().search(3, "phone", k=2)
         accounted = sum(
             s.memory_bytes() for s in engine._summaries.values()
         )
@@ -170,15 +179,10 @@ class TestMemory:
     def test_bounded_caches_not_double_counted(self, bundle):
         plain = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=17
-        )
+        ).serving()
         cached = PITEngine.from_dataset(
-            bundle,
-            summarizer="lrw",
-            samples_per_node=5,
-            seed=17,
-            entry_cache_bytes=64 << 20,
-            summary_cache_bytes=64 << 20,
-        )
+            bundle, summarizer="lrw", samples_per_node=5, seed=17
+        ).serving(entry_cache_bytes=64 << 20, summary_cache_bytes=64 << 20)
         plain.search(3, "phone", k=2)
         cached.search(3, "phone", k=2)
         # The summary-array LRU holds aliases of arrays already charged to
@@ -186,3 +190,9 @@ class TestMemory:
         # entry cache, never by re-counting the arrays.
         entry_bytes = cached._searcher.entry_cache_stats().current_bytes
         assert cached.memory_bytes() - entry_bytes <= plain.memory_bytes()
+
+    def test_walk_index_not_counted(self, engine):
+        serving = engine.serving()
+        before = serving.memory_bytes()
+        assert engine.walk_index.memory_bytes() > 0
+        assert serving.memory_bytes() == before

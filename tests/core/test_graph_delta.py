@@ -367,8 +367,57 @@ class TestApplyGraphDelta:
         edges = sorted(edge_dict(engine.graph))
         apply_graph_delta(engine, GraphDelta.deleting(edges[0]))
         assert engine._walk_index is None
-        results = engine.search(0, "topic", k=2)
+        results = engine.serving().search(0, "topic", k=2)
         assert isinstance(results, list)
+
+    def test_delta_core_shared_with_serving_engine(self, engine):
+        # Both engines run one delta core: same splice, same Γ refresh,
+        # same shared report fields.
+        engine.propagation_index.build_all(workers=1)
+        serving = engine.serving()
+        edges = sorted(edge_dict(engine.graph))
+        delta = GraphDelta(
+            inserts=((0, 59, 0.3),) if (0, 59) not in edges else (),
+            deletes=(edges[2],),
+            reweights=((*edges[9], 0.75),),
+        )
+        built = apply_graph_delta(engine, delta)
+        served = serving.apply_delta(delta)
+        assert graphs_identical(engine.graph, serving.graph)
+        for node in range(engine.graph.n_nodes):
+            assert entries_identical(
+                engine.propagation_index.entry(node),
+                serving.propagation_index.entry(node),
+            )
+        shared = (
+            "inserted", "deleted", "reweighted", "aged_out", "affected",
+            "reachable", "entries_rebuilt", "entries_copied",
+        )
+        assert {key: built[key] for key in shared} == {
+            key: served[key] for key in shared
+        }
+
+    def test_mapped_gamma_refreshes_shards(self, engine, tmp_path):
+        # A builder serving Γ from mapped shards takes the dirty-shard
+        # rewrite instead of refusing the delta.
+        engine.propagation_index.build_all(workers=1)
+        save_sharded_index(
+            engine.propagation_index, tmp_path / "shards", shard_nodes=16
+        )
+        engine.propagation_index = load_sharded_index(
+            tmp_path / "shards", engine.graph, cache_bytes=1 << 20
+        )
+        edges = sorted(edge_dict(engine.graph))
+        report = apply_graph_delta(
+            engine, GraphDelta.reweighting((*edges[9], 0.75))
+        )
+        assert report["shards_rewritten"] >= 1
+        assert engine.propagation_index.shards is not None
+        fresh = PropagationIndex(engine.graph, engine.propagation_index.theta)
+        for node in range(engine.graph.n_nodes):
+            assert entries_identical(
+                engine.propagation_index.entry(node), fresh.entry(node)
+            )
 
     def test_summaries_outside_reachable_region_kept(self):
         # Two disjoint chains; a delta on the right chain cannot touch

@@ -58,16 +58,14 @@ def workload(bundle):
 @pytest.fixture(scope="module", params=["lrw", "rcl"])
 def stack(request, bundle):
     """(engine, scalar reference) sharing one index stack per summarizer."""
-    engine = PITEngine.from_dataset(
-        bundle,
-        summarizer=request.param,
-        theta=0.004,
-        seed=23,
-        entry_cache_bytes=16 << 20,
-        summary_cache_bytes=4 << 20,
+    builder = PITEngine.from_dataset(
+        bundle, summarizer=request.param, theta=0.004, seed=23
+    )
+    engine = builder.serving(
+        entry_cache_bytes=16 << 20, summary_cache_bytes=4 << 20
     )
     scalar = ScalarReferenceSearcher(
-        engine.topic_index, engine.summary, engine.propagation_index
+        builder.topic_index, builder.summary, builder.propagation_index
     )
     return engine, scalar
 

@@ -1,4 +1,5 @@
-"""ServingEngine: the online-only facade must match PITEngine bit for bit."""
+"""ServingEngine: a builder's ``serving()`` engine must match one opened
+from the saved artifacts bit for bit."""
 
 import pytest
 
@@ -25,31 +26,69 @@ def built():
 
 QUERIES = [(3, "phone"), (11, "camera"), (40, "phone"), (3, "music")]
 
+#: Serving configurations compared: default tiers, and answer + plan tiers.
+TIERS = ({}, {"answer_cache_bytes": 1 << 20, "plan_cache_bytes": 1 << 16})
+
+
+@pytest.fixture(scope="module")
+def saved(built, tmp_path_factory):
+    """The built engine's summaries and Γ shards on disk."""
+    bundle, engine = built
+    directory = tmp_path_factory.mktemp("artifacts")
+    save_sharded_index(engine.propagation_index, directory / "prop")
+    save_summaries(engine.summaries, bundle.graph, directory / "sums.json")
+    return directory / "prop", directory / "sums.json"
+
+
+def loaded(bundle, saved, **tiers):
+    index_dir, sums_path = saved
+    return ServingEngine.from_artifacts(
+        bundle.graph, bundle.topic_index, sums_path, index_dir=index_dir,
+        **tiers,
+    )
+
+
+def work(stats):
+    """The five deterministic work counters of a search."""
+    return (
+        stats.topics_considered,
+        stats.topics_pruned,
+        stats.entries_probed,
+        stats.expansion_rounds,
+        stats.representatives_touched,
+    )
+
 
 class TestParity:
-    def test_search_matches_pitengine(self, built):
+    def test_search_matches_pitengine(self, built, saved):
         bundle, engine = built
-        serving = ServingEngine(
-            bundle.graph, bundle.topic_index, engine.summaries,
-            engine.propagation_index,
-        )
-        for user, query in QUERIES:
-            expect = engine.search(user, query, k=5, with_stats=True)
-            got = serving.search(user, query, k=5, with_stats=True)
-            assert got[0] == expect[0]
-            assert [r.influence for r in got[0]] == [
-                r.influence for r in expect[0]
-            ]
+        for tiers in TIERS:
+            serving = engine.serving(**tiers)
+            expected = loaded(bundle, saved, **tiers)
+            for _ in range(2):  # the second pass hits any answer tier
+                for user, query in QUERIES:
+                    got = serving.search(user, query, k=5, with_stats=True)
+                    want = expected.search(user, query, k=5, with_stats=True)
+                    assert got[0] == want[0]
+                    assert [r.influence for r in got[0]] == [
+                        r.influence for r in want[0]
+                    ]
+                    assert work(got[1]) == work(want[1])
 
-    def test_search_batch_matches_pitengine(self, built):
+    def test_search_batch_matches_pitengine(self, built, saved):
         bundle, engine = built
-        serving = ServingEngine(
-            bundle.graph, bundle.topic_index, engine.summaries,
-            engine.propagation_index,
-        )
-        expect = engine.search_batch(QUERIES, k=4)
-        got = serving.search_batch(QUERIES, k=4)
-        assert got == expect
+        for tiers in TIERS:
+            serving = engine.serving(**tiers)
+            expected = loaded(bundle, saved, **tiers)
+            for _ in range(2):
+                got = serving.search_batch(QUERIES, k=4, with_stats=True)
+                want = expected.search_batch(QUERIES, k=4, with_stats=True)
+                assert [results for results, _ in got] == [
+                    results for results, _ in want
+                ]
+                assert [work(stats) for _, stats in got] == [
+                    work(stats) for _, stats in want
+                ]
 
     def test_lazy_propagation_matches_prebuilt(self, built):
         # No prebuilt index: the facade materializes entries at theta
@@ -60,9 +99,21 @@ class TestParity:
             theta=engine.propagation_index.theta,
         )
         user, query = QUERIES[0]
-        assert serving.search(user, query, k=5) == engine.search(
+        assert serving.search(user, query, k=5) == engine.serving().search(
             user, query, k=5
         )
+
+    def test_serving_summarizes_query_topics_only(self, built):
+        # A builder's serving engine keeps its summaries lazy: a search
+        # summarizes exactly the query's related topics, nothing else.
+        bundle, _ = built
+        engine = PITEngine.from_dataset(bundle, summarizer="rcl", seed=7)
+        serving = engine.serving()
+        user, query = QUERIES[0]
+        related = set(bundle.topic_index.related_topics(query))
+        serving.search(user, query, k=5)
+        assert set(engine.summaries) == related
+        assert serving.n_summaries == len(related)
 
 
 class TestFromArtifacts:
@@ -79,7 +130,7 @@ class TestFromArtifacts:
         assert serving.n_summaries == engine.n_summaries
         assert serving.theta == engine.propagation_index.theta
         user, query = QUERIES[1]
-        assert serving.search(user, query, k=5) == engine.search(
+        assert serving.search(user, query, k=5) == engine.serving().search(
             user, query, k=5
         )
 

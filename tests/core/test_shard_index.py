@@ -132,7 +132,7 @@ class TestSearchParity:
             bundle, summarizer="lrw", theta=THETA, seed=bundle.seed
         )
         engine.propagation_index.build_all(workers=1)
-        return engine
+        return engine.serving()
 
     @pytest.fixture(scope="class")
     def directory(self, in_memory, tmp_path_factory):
@@ -144,14 +144,13 @@ class TestSearchParity:
 
     @staticmethod
     def _mapped(bundle, directory, cache_bytes, metrics=None):
-        mapped = PITEngine.from_dataset(
+        builder = PITEngine.from_dataset(
             bundle, summarizer="lrw", theta=THETA, seed=bundle.seed,
             metrics=metrics,
         )
-        mapped.use_propagation_index(
+        return builder.serving(
             load_sharded_index(directory, bundle.graph, cache_bytes=cache_bytes)
         )
-        return mapped
 
     @pytest.fixture(scope="class")
     def engines(self, bundle, in_memory, directory):
@@ -575,8 +574,7 @@ class TestPagingAndAccounting:
         registry = MetricsRegistry()
         engine = PITEngine.from_dataset(
             bundle, summarizer="lrw", theta=THETA, seed=7, metrics=registry
-        )
-        engine.use_propagation_index(
+        ).serving(
             load_sharded_index(directory, bundle.graph, cache_bytes=1 << 20)
         )
         engine.search(3, "phone", k=3)

@@ -16,7 +16,7 @@ class TestStreamMaintenance:
         engine = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=71
         )
-        baseline = engine.search(5, "phone", k=3)
+        baseline = engine.serving().search(5, "phone", k=3)
         assert baseline
 
         stream = ActivityStream(
@@ -30,7 +30,7 @@ class TestStreamMaintenance:
         for update in stream.epochs(3):
             stats = apply_topic_update(engine, update)
             assert stats["topics"] == engine.topic_index.n_topics
-            results = engine.search(5, "phone", k=3)
+            results = engine.serving().search(5, "phone", k=3)
             scores = [r.influence for r in results]
             assert scores == sorted(scores, reverse=True)
 

@@ -33,7 +33,7 @@ def workload(bundle):
 def lrw_engine(bundle):
     return PITEngine.from_dataset(
         bundle, summarizer="lrw", samples_per_node=10, seed=33
-    )
+    ).serving()
 
 
 class TestEndToEnd:
@@ -123,7 +123,7 @@ class TestEndToEnd:
         def run():
             engine = PITEngine.from_dataset(
                 bundle, summarizer="lrw", samples_per_node=10, seed=77
-            )
+            ).serving()
             output = []
             for user, query in workload.pairs():
                 output.append(
@@ -153,5 +153,5 @@ class TestCorpusPipeline:
         )
         user = next(iter(result.assignments))
         token = result.assignments[user][0].split()[-1]
-        results = engine.search(user, token, k=3)
+        results = engine.serving().search(user, token, k=3)
         assert isinstance(results, list)

@@ -16,7 +16,7 @@ def bundle():
 def engine(bundle):
     return PITEngine.from_dataset(
         bundle, summarizer="lrw", samples_per_node=8, seed=55
-    )
+    ).serving()
 
 
 class TestPersonalizationGap:

@@ -18,14 +18,8 @@ def bundle():
 
 def _engine(bundle, metrics):
     return PITEngine.from_dataset(
-        bundle,
-        summarizer="lrw",
-        samples_per_node=5,
-        seed=17,
-        entry_cache_bytes=16 << 20,
-        summary_cache_bytes=4 << 20,
-        metrics=metrics,
-    )
+        bundle, summarizer="lrw", samples_per_node=5, seed=17, metrics=metrics
+    ).serving(entry_cache_bytes=16 << 20, summary_cache_bytes=4 << 20)
 
 
 REQUESTS = [(3, "phone"), (11, "camera phone"), (3, "phone"), (40, "laptop")]

@@ -43,6 +43,7 @@ def build_stack(seed: int, n_nodes: int, directory):
         seed=seed,
         bundle=bundle,
         engine=engine,
+        serving=engine.serving(),
         index_dir=index_dir,
         sums_path=sums_path,
     )

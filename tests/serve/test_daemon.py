@@ -19,7 +19,7 @@ from repro.datasets import generate_workload
 
 
 def expected_results(stack, user, query, k):
-    results, _ = stack.engine.search(user, query, k=k, with_stats=True)
+    results, _ = stack.serving.search(user, query, k=k, with_stats=True)
     return [
         {"topic_id": r.topic_id, "label": r.label, "influence": r.influence}
         for r in results
