@@ -9,7 +9,6 @@
 * :mod:`repro.core.serve_facade` - the online engine over built artifacts.
 """
 
-from ._scalar_search import ScalarReferenceSearcher
 from .diagnostics import (
     CacheStats,
     PropagationBuildStats,
@@ -46,7 +45,6 @@ from .influence import (
 from .lrw import LRWSummarizer
 from .propagation import (
     GammaView,
-    InMemoryBackend,
     PropagationEntry,
     PropagationIndex,
 )
@@ -95,14 +93,12 @@ __all__ = [
     "PropagationIndex",
     "PropagationEntry",
     "GammaView",
-    "InMemoryBackend",
     "MmapShardBackend",
     "PropagationBuildStats",
     "SummaryBuildStats",
     "CacheStats",
     "ByteLRUCache",
     "PersonalizedSearcher",
-    "ScalarReferenceSearcher",
     "SearchResult",
     "SearchStats",
     "propagate_influence",

@@ -74,7 +74,6 @@ from ..obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "GammaView",
-    "InMemoryBackend",
     "PropagationEntry",
     "PropagationIndex",
 ]
@@ -421,39 +420,6 @@ class _EntryBuild(BuildRunner):
         error.partial_index = self.index
 
 
-class InMemoryBackend:
-    """Dict-backed entry storage - the default, fully resident backend.
-
-    The unmapped counterpart of :class:`~repro.core.shards.MmapShardBackend`
-    on the index's backend seam: entries built in this process (lazily,
-    by :meth:`PropagationIndex.build_all`, or by a delta's
-    :meth:`PropagationIndex.rebuilt_for`) are held as ordinary heap
-    arrays keyed by node. It is never read from disk; the on-disk Γ is
-    always the shard directory. The index aliases :attr:`entries`
-    directly, so the backend adds no indirection to the hot lookup path.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(
-        self, entries: Optional[Dict[int, PropagationEntry]] = None
-    ):
-        self.entries: Dict[int, PropagationEntry] = (
-            {} if entries is None else dict(entries)
-        )
-
-    def get(self, node: int) -> Optional[PropagationEntry]:
-        """The stored entry of *node*, or ``None``."""
-        return self.entries.get(node)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def memory_bytes(self) -> int:
-        """Exact resident size of all stored entries' arrays."""
-        return sum(e.memory_bytes() for e in self.entries.values())
-
-
 class PropagationIndex:
     """Lazy, cached per-node propagation entries over a graph.
 
@@ -495,10 +461,7 @@ class PropagationIndex:
         self._theta = float(theta)
         self._max_branches = int(max_branches)
         self._strict = bool(strict)
-        self._backend = InMemoryBackend()
-        # Alias of the backend's dict: every internal code path keeps its
-        # plain-dict access while the seam stays swappable.
-        self._entries: Dict[int, PropagationEntry] = self._backend.entries
+        self._entries: Dict[int, PropagationEntry] = {}
         self._shards = None  # Optional[repro.core.shards.MmapShardBackend]
         self._csr: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._mask: Optional[bytearray] = None
@@ -545,11 +508,6 @@ class PropagationIndex:
         if self._shards is not None:
             return self._graph.n_nodes
         return len(self._entries)
-
-    @property
-    def backend(self) -> InMemoryBackend:
-        """The in-memory entry store (always present; may be empty)."""
-        return self._backend
 
     @property
     def shards(self):
@@ -857,7 +815,7 @@ class PropagationIndex:
         currently holds, not their full on-disk size - see
         :meth:`mapped_bytes` for the virtual footprint.
         """
-        total = self._backend.memory_bytes()
+        total = sum(e.memory_bytes() for e in self._entries.values())
         if self._shards is not None:
             total += self._shards.resident_bytes()
         return total

@@ -395,17 +395,31 @@ class MmapShardBackend:
                 f"{graph.n_edges} edges"
             )
         records = sorted(manifest["shards"], key=lambda r: int(r["lo"]))
+        shard_nodes = int(meta["shard_nodes"])
         expected_lo = 0
-        for record in records:
-            if int(record["lo"]) != expected_lo:
+        for i, record in enumerate(records):
+            lo, hi = int(record["lo"]), int(record["hi"])
+            if lo != expected_lo:
                 raise ArtifactCorruptedError(
                     self._dir / MANIFEST_NAME,
                     reason=(
                         f"shard coverage gap: expected a shard starting at "
-                        f"node {expected_lo}, found {int(record['lo'])}"
+                        f"node {expected_lo}, found {lo}"
                     ),
                 )
-            expected_lo = int(record["hi"])
+            # get() finds a node's shard as node // shard_nodes, so every
+            # shard but the last must span exactly shard_nodes nodes.
+            last = i == len(records) - 1
+            if not (hi - lo == shard_nodes
+                    or (last and 0 < hi - lo < shard_nodes)):
+                raise ArtifactCorruptedError(
+                    self._dir / MANIFEST_NAME,
+                    reason=(
+                        f"shard [{lo}, {hi}) does not match the manifest's "
+                        f"shard_nodes={shard_nodes}"
+                    ),
+                )
+            expected_lo = hi
         if expected_lo != graph.n_nodes:
             raise ArtifactCorruptedError(
                 self._dir / MANIFEST_NAME,
@@ -416,7 +430,7 @@ class MmapShardBackend:
             )
         self._graph = graph
         self._records = records
-        self._shard_nodes = int(meta["shard_nodes"])
+        self._shard_nodes = shard_nodes
         self._theta = float(meta["theta"])
         self._max_branches = int(meta["max_branches"])
         self._strict = bool(meta["strict"])

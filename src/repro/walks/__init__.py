@@ -1,14 +1,12 @@
-"""Random-walk substrate: walk engine, Algorithm 6 index, absorbing helpers.
+"""Random-walk substrate: Algorithm 6 walk index, absorbing helpers.
 
 See DESIGN.md systems S6-S8.
 """
 
 from .absorbing import absorption_distances, closeness_from_distance, first_absorption
-from .engine import WalkEngine, WalkRecord
-from .index import WalkIndex, hoeffding_sample_size
+from .index import WalkIndex, WalkRecord, hoeffding_sample_size
 
 __all__ = [
-    "WalkEngine",
     "WalkRecord",
     "WalkIndex",
     "hoeffding_sample_size",

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .engine import WalkRecord
+from .index import WalkRecord
 
 __all__ = ["first_absorption", "absorption_distances", "closeness_from_distance"]
 

@@ -32,9 +32,40 @@ import numpy as np
 from .._utils import SeedLike, coerce_rng, require_in_range
 from ..exceptions import ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
-from .engine import WalkRecord
 
-__all__ = ["WalkIndex", "hoeffding_sample_size"]
+__all__ = ["WalkIndex", "WalkRecord", "hoeffding_sample_size"]
+
+
+class WalkRecord:
+    """Result of one sampled walk.
+
+    Attributes
+    ----------
+    path:
+        ``int64`` array of nodes in first-visit order; ``path[0]`` is the
+        start node (this mirrors Algorithm 6's ``I[i][w]``, with the start
+        prepended so positions double as hop distances along the walk).
+    visit_counts:
+        Mapping-free representation of Algorithm 6's ``visited[]``: the
+        number of times each node in *path* was visited during the walk,
+        aligned with *path*.
+    steps_taken:
+        Number of transitions actually performed (``<= L`` when the walk hit
+        a dead end).
+    """
+
+    __slots__ = ("path", "visit_counts", "steps_taken")
+
+    def __init__(self, path: np.ndarray, visit_counts: np.ndarray, steps_taken: int):
+        self.path = path
+        self.visit_counts = visit_counts
+        self.steps_taken = steps_taken
+
+    def __len__(self) -> int:
+        return int(self.path.size)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"WalkRecord(path={self.path.tolist()}, steps={self.steps_taken})"
 
 
 def hoeffding_sample_size(epsilon: float, delta: float) -> int:

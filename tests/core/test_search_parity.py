@@ -15,9 +15,9 @@ from repro.core import (
     PersonalizedSearcher,
     PITEngine,
     PropagationIndex,
-    ScalarReferenceSearcher,
     TopicSummary,
 )
+from repro.core._scalar_search import ScalarReferenceSearcher
 from repro.datasets import data_2k, generate_workload
 from repro.graph import GraphBuilder
 from repro.topics import TopicIndex

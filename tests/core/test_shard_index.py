@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import _faults
-from repro._artifacts import MANIFEST_NAME
+from repro._artifacts import MANIFEST_NAME, save_json_payload
 from repro.core import (
     PITEngine,
     PropagationIndex,
@@ -468,6 +468,21 @@ class TestCorruption:
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactCorruptedError, match="coverage gap"):
             load_sharded_index(directory, graph)
+
+    @pytest.mark.parametrize("shard_nodes", [SHARD_NODES // 2, 2 * SHARD_NODES])
+    def test_shard_width_disagrees_with_meta(
+        self, graph, shard_copy, shard_nodes
+    ):
+        # A validly sealed manifest whose meta.shard_nodes disagrees with
+        # its shard ranges would send get() to the wrong shard.
+        import json
+        manifest_path = shard_copy / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text())
+        del payload["format_version"], payload["checksum"]
+        payload["meta"]["shard_nodes"] = shard_nodes
+        save_json_payload(manifest_path, payload)
+        with pytest.raises(ArtifactCorruptedError, match="shard_nodes"):
+            load_sharded_index(shard_copy, graph)
 
 
 class TestPagingAndAccounting:

@@ -97,6 +97,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "using sharded propagation index" in out
         assert "Top-3" in out
+        # Mapped shards answer exactly as lazily built in-memory entries.
+        code = main([
+            "search", "--dataset", "data_2k", "--size", "200",
+            "--user", "3", "--query", "phone", "--k", "3", "--seed", "3",
+        ])
+        assert code == 0
+        lazy = capsys.readouterr().out
+        assert [
+            line for line in out.splitlines()
+            if "propagation index" not in line
+        ] == lazy.splitlines()
 
     def test_search_batch_workload(self, capsys, tmp_path):
         workload = tmp_path / "workload.jsonl"
@@ -266,6 +277,78 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "resumed 50 entries" in out
         assert "built 70 entries" in out
+        # The resumed directory is byte-identical to an uninterrupted build.
+        reference = tmp_path / "reference"
+        argv[argv.index(str(artifact))] = str(reference)
+        assert main(argv) == 0
+        names = sorted(p.name for p in reference.iterdir())
+        assert sorted(p.name for p in artifact.iterdir()) == names
+        for name in names:
+            assert (artifact / name).read_bytes() == (
+                reference / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("summarizer", ["rcl", "lrw"])
+    def test_build_summaries_resume_from_checkpoint(
+        self, capsys, tmp_path, summarizer
+    ):
+        from repro import _faults
+
+        def build(output, *extra):
+            return main([
+                "build-summaries", "--dataset", "data_2k", "--size", "150",
+                "--seed", "3", "--summarizer", summarizer,
+                "--output", str(output), *extra,
+            ])
+
+        reference = tmp_path / "reference.json"
+        assert build(reference) == 0
+        output = tmp_path / "sums.json"
+        checkpoint = tmp_path / "sums.ckpt.json"
+        with _faults.fault(
+            "summarize.build_topic", _faults.InterruptOnTopic(25)
+        ):
+            assert build(output, "--checkpoint-every", "10") == 130
+        assert checkpoint.exists() and not output.exists()
+        capsys.readouterr()
+        assert build(output, "--resume") == 0
+        assert "resumed" in capsys.readouterr().out
+        assert not checkpoint.exists()
+        assert output.read_bytes() == reference.read_bytes()
+
+    def test_precompute_metrics_out(self, capsys, tmp_path):
+        import json
+
+        from repro.datasets import data_2k, generate_workload, replay_requests
+        from repro.obs import validate_metrics_json
+
+        common = ["--dataset", "data_2k", "--size", "120", "--seed", "3"]
+        index_dir = tmp_path / "prop"
+        sums = tmp_path / "sums.json"
+        assert main(["build-index", *common, "--output", str(index_dir)]) == 0
+        assert main(["build-summaries", *common, "--output", str(sums)]) == 0
+        bundle = data_2k(n_nodes=120, seed=3, with_corpus=False)
+        workload = generate_workload(bundle, n_queries=4, n_users=3, seed=3)
+        records = replay_requests(workload, n_requests=40, k=5, skew=1.1,
+                                  seed=3)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        metrics_path = tmp_path / "precompute-metrics.json"
+        capsys.readouterr()
+        code = main([
+            "precompute", *common, "--summaries", str(sums),
+            "--index-dir", str(index_dir), "--trace", str(trace),
+            "--top-queries", "8", "--top-answers", "32",
+            "--output", str(tmp_path / "precompute.json"),
+            "--metrics-out", str(metrics_path),
+        ])
+        assert code == 0
+        assert "precomputed" in capsys.readouterr().out
+        payload = json.loads(metrics_path.read_text(encoding="utf-8"))
+        validate_metrics_json(payload)
+        assert payload["counters"]["precompute.trace_records"] == len(records)
+        for gauge in ("plans", "answers", "warm_bytes"):
+            assert payload["gauges"][f"precompute.{gauge}"] > 0, gauge
 
 
 class TestErrorHandling:

@@ -1,6 +1,7 @@
 """Integration tests for the serving daemon: differential correctness,
 failure modes, admission, coalescing, hot reload, and graceful drain."""
 
+import http.client
 import json
 import os
 import signal
@@ -388,6 +389,26 @@ class TestLifecycle:
 @pytest.mark.slow
 class TestRealSignals:
     def test_cli_serve_sigterm_drains_and_exits_zero(self, stack, tmp_path):
+        from repro.core import (
+            ServingEngine,
+            build_precompute,
+            save_precompute,
+        )
+
+        # Precompute exactly one answer, so the first request for it is an
+        # answer-tier hit only if the daemon booted warm.
+        record = {"user": 3, "query": "phone", "k": 5}
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        offline = ServingEngine.from_artifacts(
+            stack.bundle.graph, stack.bundle.topic_index, stack.sums_path,
+            index_dir=stack.index_dir,
+        )
+        precompute = tmp_path / "precompute.json"
+        save_precompute(
+            build_precompute(offline, trace, top_queries=1, top_answers=1),
+            precompute,
+        )
         src_dir = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src_dir)
@@ -397,6 +418,7 @@ class TestRealSignals:
                 "--dataset", "data_2k", "--size", "140", "--seed", "7",
                 "--summaries", str(stack.sums_path),
                 "--index-dir", str(stack.index_dir),
+                "--precompute", str(precompute), "--answer-cache-mb", "8",
                 "--port", "0", "--drain-seconds", "5",
             ],
             stdout=subprocess.PIPE,
@@ -406,15 +428,31 @@ class TestRealSignals:
         )
         try:
             deadline = time.monotonic() + 120
+            port = None
             ready = False
             while time.monotonic() < deadline:
                 line = proc.stdout.readline()
                 if not line:
                     break
+                if line.startswith("listening on "):
+                    port = int(line.rsplit(":", 1)[1])
                 if line.startswith("ready:"):
                     ready = True
                     break
-            assert ready, "daemon subprocess never reported ready"
+            assert ready and port, "daemon subprocess never reported ready"
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("POST", "/search", body=json.dumps(record))
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == 200, body
+                conn.request("GET", "/metrics")
+                exposition = conn.getresponse().read().decode("utf-8")
+            finally:
+                conn.close()
+            assert "repro_cache_tier_answers_hits 1" in (
+                exposition.splitlines()
+            )
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=30)
             assert code == 0

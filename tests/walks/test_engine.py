@@ -5,7 +5,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError, NodeNotFoundError
 from repro.graph import SocialGraph
-from repro.walks import WalkEngine
+
+from .walk_engine import WalkEngine
 
 
 class TestStep:

@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import SocialGraph
-from repro.walks import WalkEngine, WalkIndex
+from repro.walks import WalkIndex
 
 from .scalar_walk_index import padded, scalar_walk_index
+from .walk_engine import WalkEngine
 
 SETTINGS = settings(
     max_examples=60,
