@@ -1,43 +1,45 @@
 #!/usr/bin/env python
-"""Serving-daemon load benchmark: sheds under overload, never collapses.
+"""Serving-daemon storm benchmark: sheds under overload, answer tier pays off.
 
-Stands up the real ``pit-search serve`` daemon (in-process, real sockets)
-over prebuilt artifacts, replays a Zipf-skewed workload against it, and
-writes ``BENCH_serve.json``. Two phases:
+Stands up the real daemon (:class:`repro.serve.LocalDaemon`: in-process,
+real sockets) over prebuilt artifacts, replays a Zipf-skewed workload
+against it, and writes ``BENCH_serve.json``. Phases:
 
-* **capacity** - a gentle closed loop (2 client threads) measuring the
-  daemon's unloaded service time and p50/p99 latency;
-* **overload** - 2x as many client threads as the admission queue has
-  slots, all firing back-to-back. A correctly admission-controlled
-  server answers what it can and *sheds the rest with 429* - so the
-  gates are: sheds happened, success p99 stays bounded by roughly
-  (queue depth x service time), nothing 5xx'd, and ``/healthz`` +
-  ``/readyz`` still answer 200 afterwards with an empty queue. An
-  uncontrolled server would instead queue unboundedly: latency grows
-  with client count and every caller eventually times out.
+* **capacity** - 2 gentle closed-loop clients against a plain daemon:
+  the unloaded service time that bounds the storms' p99;
+* **storms** - uncached/cached pairs of a 2x-overload storm (2x as many
+  client threads as the admission queue has slots). The uncached daemon
+  recomputes every request; the cached one warm-loads its answer tier
+  from a precompute mined from a Zipf trace (past traffic; the storms
+  replay new traffic from the same mix). Each storm fires ``POST
+  /admin/reload {}`` (what SIGHUP sends) when the replay cursor crosses
+  its midpoint, and workers past it wait for the swap before their
+  latency clock starts, so the second half runs on generation 2. The
+  full profile runs ``FULL_STORM_PAIRS`` pairs, alternating which side
+  goes first; smoke runs one;
+* **parity** - warm cached engines vs fresh uncached engines over the
+  differential seeds 7 and 1234, across a generation bump.
 
-Mid-overload the bench also fires one hot ``POST /admin/reload`` and
-requires it to succeed with zero dropped or 5xx'd requests (responses
-flip from generation 1 to 2 under full load).
+Gates (exit 1 unless all hold): every uncached storm sheds and keeps its
+success p99 under ``SAFETY`` x (queue + 1) x the unloaded service time;
+after every storm ``/healthz``, ``/readyz`` and ``/metrics`` answer 200
+and the queue is empty, its reload returned 200 and generation 2
+answered; every cached storm hits the answer tier >= 50%, exposes the
+tier family on ``/metrics`` and answers a post-reload spot check
+bit-exactly, and their median p99 is below the uncached median (storms
+of the same run, never a committed number); parity is bit-exact
+(results and the five work-stat fields); zero 5xx; every drain exits 0.
 
-The workload reuses :func:`repro.datasets.replay_requests` (Zipf over
-``generate_workload`` pairs, p proportional to rank^-skew) and round-trips
-through the same JSONL format ``pit-search search --batch`` consumes, so
-one replay file drives both the offline batch path and the daemon.
-
-Run from the repo root::
+Run from the repo root (``--smoke`` is the CI profile: it proves the
+daemon serves, sheds, reloads, warms and drains, not absolute QPS)::
 
     PYTHONPATH=src python benchmarks/bench_serve.py
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke
-
-``--smoke`` shrinks the dataset and request counts for CI: it proves the
-daemon starts, serves, sheds, reloads, and drains - not absolute QPS.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import http.client
 import json
 import os
@@ -45,12 +47,15 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from statistics import median
 from time import monotonic, perf_counter
 from typing import Dict, List
 
 from repro.core import (
     PITEngine,
     ServingEngine,
+    build_precompute,
+    save_precompute,
     save_summaries,
 )
 from repro.datasets import (
@@ -59,58 +64,68 @@ from repro.datasets import (
     replay_requests,
     write_replay_jsonl,
 )
-from repro.obs import MetricsRegistry
-from repro.serve import PITServer, ServeConfig
+from repro.serve import LocalDaemon, ServeConfig
 
-#: Success p99 under overload must stay below SAFETY x (queue+1) x mean
-#: unloaded service time - i.e. bounded by the queue the server chose,
-#: not by how many clients pile on.
+#: Success p99 of an uncached storm must stay below SAFETY x (queue+1) x
+#: mean unloaded service time.
 SAFETY = 6.0
 P99_FLOOR_S = 0.25  # timer-resolution floor for tiny smoke runs
 
+#: Uncached/cached storm pairs of a full run; a smoke run keeps one.
+FULL_STORM_PAIRS = 3
 
-class BenchDaemon:
-    """The in-process daemon harness (same shape as the test suite's)."""
+#: ``--smoke`` caps each of these options at the given value.
+SMOKE_CAPS = {
+    "nodes": 250, "queries": 5, "users": 3, "capacity_requests": 40,
+    "trace_requests": 300, "overload_requests": 150, "max_queue": 4,
+    "top_queries": 4, "top_answers": 12, "parity_requests": 60,
+}
 
-    def __init__(self, loader, config: ServeConfig):
-        self.registry = MetricsRegistry()
-        self.server = PITServer(loader, config, metrics=self.registry)
-        self._ready = threading.Event()
-        self.exit_code = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
+#: Answer-tier budget of the cached daemons and engines.
+ANSWER_CACHE_BYTES = 32 << 20
 
-    def _main(self):
-        self.exit_code = asyncio.run(
-            self.server.run(ready_callback=self._ready.set)
-        )
+WORK_FIELDS = (
+    "topics_considered",
+    "topics_pruned",
+    "entries_probed",
+    "expansion_rounds",
+    "representatives_touched",
+)
 
-    def start(self):
-        self._thread.start()
-        if not self._ready.wait(300):
-            raise RuntimeError("daemon did not become ready")
-        return self
 
-    def stop(self) -> int:
-        self.server.request_shutdown(0)
-        self._thread.join(60)
-        if self._thread.is_alive():
-            raise RuntimeError("daemon did not drain")
-        return self.exit_code
+def build_stack(seed: int, n_nodes: int, directory: Path, summarizer: str):
+    """One dataset and its serving artifacts: (bundle, index_dir, sums)."""
+    bundle = data_2k(seed=seed, n_nodes=n_nodes, with_corpus=False)
+    engine = PITEngine.from_dataset(bundle, summarizer=summarizer, seed=seed)
+    workers = max(1, min(4, os.cpu_count() or 1))
+    index_dir = directory / f"prop_{seed}"
+    sums_path = directory / f"sums_{seed}.json"
+    engine.propagation_index.build_sharded(index_dir, workers=workers)
+    engine.build_summaries(workers=workers)
+    save_summaries(engine.summaries, bundle.graph, sums_path)
+    return bundle, index_dir, sums_path
+
+
+def mine_precompute(bundle, index_dir, sums_path, records, path: Path,
+                    args, k: int):
+    """Mine *records* (written as a replay JSONL) into a precompute."""
+    trace_path = write_replay_jsonl(records, path.with_suffix(".jsonl"))
+    offline = ServingEngine.from_artifacts(
+        bundle.graph, bundle.topic_index, sums_path, index_dir=index_dir
+    )
+    artifact = build_precompute(
+        offline, trace_path,
+        top_queries=args.top_queries, top_answers=args.top_answers,
+        default_k=k,
+    )
+    save_precompute(artifact, path)
+    return artifact
 
 
 class ReplayClient:
-    """Keep-alive replay client: one persistent connection per worker.
-
-    The previous replay client opened a fresh TCP connection per request,
-    so every latency sample paid connect/teardown cost the daemon's
-    keep-alive framing was built to avoid - and under overload the
-    accept backlog, not admission control, became the first bottleneck.
-    One ``HTTPConnection`` per worker thread reuses the socket across
-    requests (including 4xx responses, which the daemon answers without
-    closing). A request that trips over a stale connection - the daemon
-    closed it between requests - reconnects and retries once; a request
-    that was answered with ``Connection: close`` just reconnects lazily
-    on the next call.
+    """Keep-alive replay client: one persistent connection per worker, so
+    latency samples carry no connect cost. A stale connection reconnects
+    and retries once; ``Connection: close`` reconnects on the next call.
     """
 
     def __init__(self, port: int, timeout: float = 30.0):
@@ -155,16 +170,6 @@ class ReplayClient:
         raise RuntimeError("unreachable")  # pragma: no cover
 
 
-def simple_get(port: int, path: str):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        conn.request("GET", path)
-        response = conn.getresponse()
-        return response.status, response.read()
-    finally:
-        conn.close()
-
-
 def percentile(sorted_values: List[float], q: float) -> float:
     if not sorted_values:
         return 0.0
@@ -172,16 +177,35 @@ def percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[index]
 
 
-def run_phase(port: int, records: List[Dict], n_clients: int) -> Dict:
-    """Closed-loop replay: *n_clients* threads drain *records* together."""
+def replay(daemon: LocalDaemon, records: List[Dict], n_clients: int,
+           *, reload_midway: bool = False) -> Dict:
+    """Closed-loop replay: *n_clients* threads drain *records* together.
+
+    With *reload_midway*, ``POST /admin/reload {}`` fires once half the
+    records are claimed, and workers past the midpoint wait for it to
+    land before sending (and before their latency clock starts).
+    """
     lock = threading.Lock()
     cursor = {"i": 0}
     latencies: List[float] = []
     statuses: Dict[int, int] = {}
     generations = set()
+    midpoint = threading.Event()
+    reload_done = threading.Event()
+    reload_result: Dict = {}
+
+    def reloader():
+        midpoint.wait()
+        try:
+            status, body, _ = daemon.request("POST", "/admin/reload", {})
+            reload_result.update(status=status, body=body)
+        except Exception as exc:  # surfaced through the reload gate
+            reload_result["error"] = repr(exc)
+        finally:
+            reload_done.set()
 
     def worker():
-        client = ReplayClient(port)
+        client = ReplayClient(daemon.port)
         try:
             while True:
                 with lock:
@@ -189,6 +213,9 @@ def run_phase(port: int, records: List[Dict], n_clients: int) -> Dict:
                     if i >= len(records):
                         return
                     cursor["i"] = i + 1
+                if reload_midway and i >= len(records) // 2:
+                    midpoint.set()
+                    reload_done.wait()
                 status, latency, generation = client.post_search(records[i])
                 with lock:
                     statuses[status] = statuses.get(status, 0) + 1
@@ -198,16 +225,20 @@ def run_phase(port: int, records: List[Dict], n_clients: int) -> Dict:
         finally:
             client.close()
 
+    helpers = [threading.Thread(target=reloader)] if reload_midway else []
     threads = [threading.Thread(target=worker) for _ in range(n_clients)]
     start = monotonic()
-    for t in threads:
+    for t in helpers + threads:
         t.start()
     for t in threads:
+        t.join()
+    midpoint.set()  # degenerate record counts: never leave the reloader hung
+    for t in helpers:
         t.join()
     elapsed = monotonic() - start
     latencies.sort()
     successes = statuses.get(200, 0)
-    return {
+    phase = {
         "clients": n_clients,
         "requests": len(records),
         "seconds": elapsed,
@@ -225,6 +256,104 @@ def run_phase(port: int, records: List[Dict], n_clients: int) -> Dict:
         "p99_ms": 1000.0 * percentile(latencies, 0.99),
         "generations_seen": sorted(g for g in generations if g is not None),
     }
+    if reload_midway:
+        phase["reload"] = reload_result
+    return phase
+
+
+def work_tuple(stats) -> tuple:
+    return tuple(getattr(stats, f) for f in WORK_FIELDS)
+
+
+def engine_parity(
+    bundle, index_dir, sums_path, precompute_path, records, seed
+) -> Dict:
+    """Warm cached engine vs. fresh uncached engine, across a generation bump.
+
+    Generation 2 repeats the check on a brand-new warm engine stamped
+    with the next generation - what the daemon's hot swap builds.
+    """
+
+    def fresh(cached: bool, generation: int) -> ServingEngine:
+        engine = ServingEngine.from_artifacts(
+            bundle.graph, bundle.topic_index, sums_path,
+            index_dir=index_dir,
+            answer_cache_bytes=ANSWER_CACHE_BYTES if cached else None,
+            precompute_path=precompute_path if cached else None,
+        )
+        return engine.set_reload_generation(generation)
+
+    plain = fresh(cached=False, generation=1)
+    mismatches = 0
+    warm_hits = 0
+    for generation in (1, 2):
+        warm = fresh(cached=True, generation=generation)
+        for record in records:
+            got = warm.search(
+                record["user"], record["query"], record["k"], with_stats=True
+            )
+            want = plain.search(
+                record["user"], record["query"], record["k"], with_stats=True
+            )
+            if got[0] != want[0] or work_tuple(got[1]) != work_tuple(want[1]):
+                mismatches += 1
+        warm_hits += warm.answer_cache_stats().hits
+    return {
+        "seed": seed,
+        "n_requests_checked": 2 * len(records),
+        "generations_checked": [1, 2],
+        "mismatches": mismatches,
+        "warm_engine_answer_hits": warm_hits,
+        "ok": mismatches == 0,
+    }
+
+
+def daemon_spot_check(daemon: LocalDaemon, plain: ServingEngine,
+                      records) -> Dict:
+    """Post-reload daemon responses vs. a fresh uncached engine."""
+    mismatches = 0
+    checked = 0
+    for record in records:
+        status, body, _ = daemon.request("POST", "/search", record)
+        if status != 200:
+            continue  # sheds are not answers; nothing to compare
+        checked += 1
+        results, stats = plain.search(
+            record["user"], record["query"], record["k"], with_stats=True
+        )
+        want = [
+            {"topic_id": r.topic_id, "label": r.label,
+             "influence": r.influence}
+            for r in results
+        ]
+        want_stats = {f: getattr(stats, f) for f in WORK_FIELDS}
+        if body["results"] != want or body["stats"] != want_stats:
+            mismatches += 1
+    return {"checked": checked, "mismatches": mismatches,
+            "ok": checked > 0 and mismatches == 0}
+
+
+def after_storm(daemon: LocalDaemon) -> Dict:
+    """Health, readiness, scrape and queue state once the storm is over."""
+    healthz, _, _ = daemon.request("GET", "/healthz")
+    readyz, _, _ = daemon.request("GET", "/readyz")
+    metrics_status, metrics_text, _ = daemon.request("GET", "/metrics")
+    snapshot = daemon.registry.snapshot()
+    return {
+        "healthz_ok": healthz == 200,
+        "readyz_ok": readyz == 200,
+        "metrics_ok": (
+            metrics_status == 200 and b"serve_requests" in metrics_text
+        ),
+        "metrics_has_tier_family": (
+            metrics_status == 200 and b"cache_tier_answers" in metrics_text
+        ),
+        "final_queue_depth": snapshot.gauges.get("serve.queue_depth", 0.0),
+        "counters": {
+            name: value for name, value in sorted(snapshot.counters.items())
+            if name.startswith(("serve.", "cache.tier."))
+        },
+    }
 
 
 def main(argv=None) -> int:
@@ -236,10 +365,20 @@ def main(argv=None) -> int:
     parser.add_argument("--skew", type=float, default=1.1,
                         help="Zipf exponent of the replay mix")
     parser.add_argument("--capacity-requests", type=int, default=300)
-    parser.add_argument("--overload-requests", type=int, default=900)
+    parser.add_argument("--trace-requests", type=int, default=1200,
+                        help="mined trace length (yesterday's traffic)")
+    parser.add_argument("--overload-requests", type=int, default=900,
+                        help="requests per storm")
     parser.add_argument("--max-queue", type=int, default=16,
-                        help="daemon admission capacity; overload drives "
+                        help="daemon admission capacity; the storms drive "
                              "2x this many client threads")
+    parser.add_argument("--top-queries", type=int, default=8,
+                        help="head plans precomputed (of --queries distinct)")
+    parser.add_argument("--top-answers", type=int, default=64,
+                        help="heavy-hitter answers precomputed (partial "
+                             "coverage, so write-through is exercised too)")
+    parser.add_argument("--parity-requests", type=int, default=200,
+                        help="records replayed per seed in the parity check")
     parser.add_argument("--summarizer", default="rcl", choices=["lrw", "rcl"])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--smoke", action="store_true",
@@ -250,161 +389,199 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        args.nodes = min(args.nodes, 250)
-        args.queries = min(args.queries, 5)
-        args.users = min(args.users, 3)
-        args.capacity_requests = min(args.capacity_requests, 40)
-        args.overload_requests = min(args.overload_requests, 150)
-        args.max_queue = min(args.max_queue, 4)
+        for name, cap in SMOKE_CAPS.items():
+            setattr(args, name, min(getattr(args, name), cap))
 
     overload_clients = 2 * args.max_queue
+    tmp = tempfile.TemporaryDirectory(prefix="bench_serve_")
+    directory = Path(tmp.name)
 
     print(f"dataset: data_2k({args.nodes} nodes), workload "
           f"{args.queries} queries x {args.users} users, "
           f"skew={args.skew}, k={args.k}", flush=True)
-    bundle = data_2k(seed=args.seed, n_nodes=args.nodes, with_corpus=False)
-    engine = PITEngine.from_dataset(
-        bundle, summarizer=args.summarizer, seed=args.seed
+    bundle, index_dir, sums_path = build_stack(
+        args.seed, args.nodes, directory, args.summarizer
     )
-    workers = max(1, min(4, os.cpu_count() or 1))
-    tmp = tempfile.TemporaryDirectory(prefix="bench_serve_")
-    artifact_dir = Path(tmp.name)
-    index_dir = artifact_dir / "prop_shards"
-    sums_path = artifact_dir / "sums.json"
-    engine.propagation_index.build_sharded(index_dir, workers=workers)
-    engine.build_summaries(workers=workers)
-    save_summaries(engine.summaries, bundle.graph, sums_path)
-    print(f"artifacts built -> {artifact_dir}", flush=True)
-
-    # Zipf replay stream, round-tripped through the --batch JSONL format.
     workload = generate_workload(
         bundle, n_queries=args.queries, n_users=args.users, seed=args.seed
     )
-    replay_path = artifact_dir / "replay.jsonl"
-    total = args.capacity_requests + args.overload_requests
-    records = replay_requests(
-        workload, n_requests=total, k=args.k, skew=args.skew, seed=args.seed
+    # Trace = past traffic (mined offline); capacity and storm records =
+    # new traffic drawn from the same Zipf mix with another seed.
+    trace_records = replay_requests(
+        workload, n_requests=args.trace_requests, k=args.k,
+        skew=args.skew, seed=args.seed,
     )
-    write_replay_jsonl(records, replay_path)
-    records = [
-        json.loads(line) for line in replay_path.read_text().splitlines()
-    ]
+    records = replay_requests(
+        workload, n_requests=args.capacity_requests + args.overload_requests,
+        k=args.k, skew=args.skew, seed=args.seed + 1,
+    )
     capacity_records = records[: args.capacity_requests]
-    overload_records = records[args.capacity_requests:]
-
-    registry_holder = {}
-
-    def loader(overrides):
-        paths = {"summaries": str(sums_path), "index_dir": str(index_dir)}
-        paths.update(overrides)
-        return ServingEngine.from_artifacts(
-            bundle.graph, bundle.topic_index, paths["summaries"],
-            index_dir=paths["index_dir"],
-            metrics=registry_holder["registry"],
-        )
-
-    config = ServeConfig(port=0, max_queue=args.max_queue)
-    daemon = BenchDaemon(loader, config)
-    registry_holder["registry"] = daemon.registry
-    daemon.start()
-    port = daemon.server.port
-    print(f"daemon ready on 127.0.0.1:{port}", flush=True)
-
-    # Phase 1: capacity - 2 gentle closed-loop clients.
-    capacity = run_phase(port, capacity_records, n_clients=2)
-    mean_service_s = capacity["mean_latency_ms"] / 1000.0
-    print(f"capacity: {capacity['success_qps']:.1f} QPS, "
-          f"p50 {capacity['p50_ms']:.2f}ms p99 {capacity['p99_ms']:.2f}ms",
+    storm_records = records[args.capacity_requests:]
+    precompute_path = directory / "precompute.json"
+    artifact = mine_precompute(
+        bundle, index_dir, sums_path, trace_records, precompute_path,
+        args, args.k,
+    )
+    print(f"precompute: {len(artifact.plans)} plans, "
+          f"{len(artifact.answers)} answers from "
+          f"{artifact.trace['n_records']} trace records "
+          f"({artifact.trace['n_distinct_triples']} distinct triples)",
           flush=True)
 
-    # Phase 2: overload - 2x max_queue clients, plus one hot reload
-    # fired mid-storm.
-    reload_result = {}
+    def start_daemon(cached: bool) -> LocalDaemon:
+        paths = {"summaries": sums_path, "index_dir": index_dir}
+        if cached:
+            paths["precompute"] = precompute_path
+        return LocalDaemon(
+            bundle.graph, bundle.topic_index, paths,
+            ServeConfig(max_queue=args.max_queue),
+            answer_cache_bytes=ANSWER_CACHE_BYTES if cached else None,
+        ).start()
 
-    def hot_reload():
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-        try:
-            conn.request("POST", "/admin/reload", body="{}")
-            response = conn.getresponse()
-            reload_result["status"] = response.status
-            reload_result["body"] = json.loads(response.read())
-        finally:
-            conn.close()
-
-    reload_timer = threading.Timer(
-        max(0.2, 0.2 * capacity["seconds"]), hot_reload
-    )
-    reload_timer.start()
-    overload = run_phase(port, overload_records, n_clients=overload_clients)
-    reload_timer.join()
-    print(f"overload ({overload_clients} clients vs queue "
-          f"{args.max_queue}): {overload['success_count']} ok, "
-          f"{overload['shed_count']} shed (429), "
-          f"p99 {overload['p99_ms']:.2f}ms", flush=True)
-
+    # Capacity: 2 gentle closed-loop clients against a plain daemon.
+    daemon = start_daemon(cached=False)
+    capacity = replay(daemon, capacity_records, n_clients=2)
+    capacity["exit_code"] = daemon.stop()
+    mean_service_s = capacity["mean_latency_ms"] / 1000.0
     p99_bound_s = max(
         P99_FLOOR_S, SAFETY * (args.max_queue + 1) * mean_service_s
     )
-    healthz_status, _ = simple_get(port, "/healthz")
-    readyz_status, _ = simple_get(port, "/readyz")
-    metrics_status, metrics_text = simple_get(port, "/metrics")
-    snapshot = daemon.registry.snapshot()
-    serve_counters = {
-        name: value for name, value in sorted(snapshot.counters.items())
-        if name.startswith("serve.")
-    }
-    final_queue_depth = snapshot.gauges.get("serve.queue_depth", 0.0)
-    exit_code = daemon.stop()
+    print(f"capacity: {capacity['success_qps']:.1f} QPS, "
+          f"p50 {capacity['p50_ms']:.2f}ms p99 {capacity['p99_ms']:.2f}ms "
+          f"-> storm p99 bound {1000.0 * p99_bound_s:.1f}ms", flush=True)
+
+    plain = ServingEngine.from_artifacts(
+        bundle.graph, bundle.topic_index, sums_path, index_dir=index_dir
+    )
+
+    def run_storm(cached: bool) -> Dict:
+        daemon = start_daemon(cached)
+        storm = {"phase": replay(
+            daemon, storm_records, overload_clients, reload_midway=True
+        )}
+        if cached:
+            storm["spot_check"] = daemon_spot_check(
+                daemon, plain, storm_records[:40]
+            )
+        storm.update(after_storm(daemon), exit_code=daemon.stop())
+        hits = storm["counters"].get("cache.tier.answers.hits", 0)
+        misses = storm["counters"].get("cache.tier.answers.misses", 0)
+        storm["answer_hit_ratio"] = hits / (hits + misses) if hits else 0.0
+        return storm
+
+    n_pairs = 1 if args.smoke else FULL_STORM_PAIRS
+    print(f"storms: {n_pairs} uncached/cached pairs of "
+          f"{len(storm_records)} requests, {overload_clients} clients vs "
+          f"queue {args.max_queue}, reload at replay midpoint", flush=True)
+    storms = {"uncached": [], "cached": []}
+    for pair in range(n_pairs):
+        # Alternate which side goes first so host drift hits both sides.
+        for cached in (False, True) if pair % 2 == 0 else (True, False):
+            side = "cached" if cached else "uncached"
+            storm = run_storm(cached=cached)
+            storms[side].append(storm)
+            print(f"pair {pair} {side:8s}: "
+                  f"{storm['phase']['success_count']} ok, "
+                  f"{storm['phase']['shed_count']} shed, "
+                  f"p99 {storm['phase']['p99_ms']:.2f}ms, "
+                  f"answer hit ratio {storm['answer_hit_ratio']:.3f}",
+                  flush=True)
+    every = storms["uncached"] + storms["cached"]
+
+    # Differential parity over the two property-harness seeds.
+    parity = {}
+    for seed, n_nodes in ((7, 140), (1234, 120)):
+        p_bundle, p_index, p_sums = build_stack(
+            seed, n_nodes, directory, args.summarizer
+        )
+        p_workload = generate_workload(
+            p_bundle, n_queries=max(4, args.queries // 2),
+            n_users=max(3, args.users // 2), seed=seed,
+        )
+        p_trace = replay_requests(
+            p_workload, n_requests=args.parity_requests, k=5,
+            skew=args.skew, seed=seed,
+        )
+        p_pre_path = directory / f"precompute_{seed}.json"
+        mine_precompute(
+            p_bundle, p_index, p_sums, p_trace, p_pre_path, args, 5
+        )
+        parity[str(seed)] = engine_parity(
+            p_bundle, p_index, p_sums, p_pre_path, p_trace, seed
+        )
+        print(f"parity seed {seed}: "
+              f"{parity[str(seed)]['n_requests_checked']} checks across "
+              f"generations {parity[str(seed)]['generations_checked']}, "
+              f"{parity[str(seed)]['mismatches']} mismatches", flush=True)
     tmp.cleanup()
 
+    cached_p99 = median(c["phase"]["p99_ms"] for c in storms["cached"])
+    uncached_p99 = median(u["phase"]["p99_ms"] for u in storms["uncached"])
     gates = {
-        "sheds_under_overload": overload["shed_count"] > 0,
-        "success_p99_bounded": (
-            overload["p99_ms"] / 1000.0 <= p99_bound_s
+        "sheds_under_overload": all(
+            u["phase"]["shed_count"] > 0 for u in storms["uncached"]
         ),
-        "no_server_errors": (
-            capacity["server_error_count"] == 0
-            and overload["server_error_count"] == 0
+        "success_p99_bounded": all(
+            u["phase"]["p99_ms"] / 1000.0 <= p99_bound_s
+            for u in storms["uncached"]
         ),
-        "hot_reload_ok": reload_result.get("status") == 200,
-        "reload_generation_advanced": (
-            reload_result.get("body", {}).get("generation") == 2
+        "no_server_errors": capacity["server_error_count"] == 0 and all(
+            storm["phase"]["server_error_count"] == 0 for storm in every
         ),
-        "healthz_ok_after_storm": healthz_status == 200,
-        "readyz_ok_after_storm": readyz_status == 200,
-        "metrics_ok_after_storm": (
-            metrics_status == 200 and b"serve_requests" in metrics_text
+        "hot_reload_ok": all(
+            storm["phase"]["reload"].get("status") == 200 for storm in every
         ),
-        "queue_drained": final_queue_depth == 0.0,
-        "clean_exit": exit_code == 0,
+        "generation_bump_observed": all(
+            storm["phase"]["reload"].get("body", {}).get("generation") == 2
+            and 2 in storm["phase"]["generations_seen"]
+            for storm in every
+        ),
+        "healthz_ok_after_storm": all(s["healthz_ok"] for s in every),
+        "readyz_ok_after_storm": all(s["readyz_ok"] for s in every),
+        "metrics_ok_after_storm": all(s["metrics_ok"] for s in every),
+        "queue_drained": all(s["final_queue_depth"] == 0.0 for s in every),
+        "answer_hit_ratio_ge_50pct": all(
+            c["answer_hit_ratio"] >= 0.5 for c in storms["cached"]
+        ),
+        "cached_p99_below_uncached": cached_p99 < uncached_p99,
+        "metrics_expose_tier_family": all(
+            c["metrics_has_tier_family"] for c in storms["cached"]
+        ),
+        "parity_seed_7": parity["7"]["ok"],
+        "parity_seed_1234": parity["1234"]["ok"],
+        "daemon_spot_check_bit_exact": all(
+            c["spot_check"]["ok"] for c in storms["cached"]
+        ),
+        "clean_exits": capacity["exit_code"] == 0 and all(
+            storm["exit_code"] == 0 for storm in every
+        ),
     }
 
     payload = {
         "benchmark": "serve",
         "config": {
-            "n_nodes": bundle.graph.n_nodes,
+            **{k: v for k, v in vars(args).items() if k != "output"},
             "n_edges": bundle.graph.n_edges,
             "n_topics": bundle.topic_index.n_topics,
-            "n_queries": args.queries,
-            "n_users": args.users,
-            "k": args.k,
-            "skew": args.skew,
-            "summarizer": args.summarizer,
-            "max_queue": args.max_queue,
             "overload_clients": overload_clients,
-            "capacity_requests": args.capacity_requests,
-            "overload_requests": args.overload_requests,
-            "seed": args.seed,
+            "storm_pairs": n_pairs,
             "cpu_count": os.cpu_count(),
-            "smoke": args.smoke,
+        },
+        "precompute": {
+            "plans": len(artifact.plans),
+            "answers": len(artifact.answers),
+            "trace": artifact.trace,
+            "warm_bytes": artifact.memory_hint_bytes(),
         },
         "capacity": capacity,
-        "overload": overload,
         "p99_bound_ms": 1000.0 * p99_bound_s,
-        "reload": reload_result,
-        "serve_counters": serve_counters,
-        "final_queue_depth": final_queue_depth,
-        "exit_code": exit_code,
+        "uncached": storms["uncached"],
+        "cached": storms["cached"],
+        "median_p99_ms": {"uncached": uncached_p99, "cached": cached_p99},
+        "p99_speedup": (
+            uncached_p99 / cached_p99 if cached_p99 > 0 else None
+        ),
+        "parity": parity,
         "gates": gates,
         "ok": all(gates.values()),
     }
@@ -420,8 +597,10 @@ def main(argv=None) -> int:
         failed = [name for name, ok in gates.items() if not ok]
         print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print("all gates passed: daemon sheds under 2x overload and stays "
-          "responsive", flush=True)
+    print(f"all gates passed: uncached storms shed and stay bounded; "
+          f"median p99 {uncached_p99:.2f}ms -> {cached_p99:.2f}ms cached "
+          f"({payload['p99_speedup']:.2f}x) over {n_pairs} storm pair(s)",
+          flush=True)
     return 0
 
 

@@ -764,44 +764,17 @@ def _run_stats(args) -> int:
 def _run_serve(args) -> int:
     import asyncio
 
-    from .core import ServingEngine
     from .obs import MetricsRegistry
     from .serve import PITServer, ServeConfig
 
     bundle = _load_bundle(args)
     print(bundle.describe(), flush=True)
     registry = MetricsRegistry()
-    base = {"summaries": args.summaries}
+    paths = {"summaries": args.summaries}
     if args.index_dir is not None:
-        base["index_dir"] = args.index_dir
+        paths["index_dir"] = args.index_dir
     if args.precompute is not None:
-        base["precompute"] = args.precompute
-
-    def loader(overrides):
-        paths = dict(base)
-        paths.update(overrides)
-        return ServingEngine.from_artifacts(
-            bundle.graph,
-            bundle.topic_index,
-            paths["summaries"],
-            index_dir=paths.get("index_dir"),
-            shard_cache_bytes=args.shard_cache_mb << 20,
-            theta=args.theta,
-            entry_cache_bytes=args.entry_cache_mb << 20,
-            summary_cache_bytes=args.summary_cache_mb << 20,
-            answer_cache_bytes=(
-                None if args.answer_cache_mb == 0
-                else args.answer_cache_mb << 20
-            ),
-            plan_cache_bytes=args.plan_cache_mb << 20,
-            # A precompute built over different summaries/graph is refused
-            # (ConfigurationError -> failed reload, old engine keeps
-            # serving), so a reload that swaps summaries must swap the
-            # precompute path too - or drop it from the configured paths.
-            precompute_path=paths.get("precompute"),
-            metrics=registry,
-        )
-
+        paths["precompute"] = args.precompute
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -812,7 +785,21 @@ def _run_serve(args) -> int:
         max_body_bytes=args.max_body_kb * 1024,
         default_k=args.k,
     )
-    server = PITServer(loader, config, metrics=registry)
+    server = PITServer(
+        bundle.graph,
+        bundle.topic_index,
+        paths,
+        config,
+        metrics=registry,
+        theta=args.theta,
+        shard_cache_bytes=args.shard_cache_mb << 20,
+        entry_cache_bytes=args.entry_cache_mb << 20,
+        summary_cache_bytes=args.summary_cache_mb << 20,
+        answer_cache_bytes=(
+            None if args.answer_cache_mb == 0 else args.answer_cache_mb << 20
+        ),
+        plan_cache_bytes=args.plan_cache_mb << 20,
+    )
 
     def _ready() -> None:
         engine = server.engines.current

@@ -327,12 +327,10 @@ def apply_delta_to_graph(
                 f"{int(ins_tgt[i])}: edge already exists"
             )
 
-    if ins_prob.size and (
-        np.any(ins_prob <= 0.0) or np.any(ins_prob > 1.0)
-    ):
-        raise EdgeError("transition probabilities must lie in (0, 1]")
-    if rw_prob.size and (np.any(rw_prob <= 0.0) or np.any(rw_prob > 1.0)):
-        raise EdgeError("transition probabilities must lie in (0, 1]")
+    # Written so that NaN fails the range check too.
+    for prob in (ins_prob, rw_prob):
+        if not np.all((prob > 0.0) & (prob <= 1.0)):
+            raise EdgeError("transition probabilities must lie in (0, 1]")
     if np.any(ins_src == ins_tgt):
         i = int(np.argmax(ins_src == ins_tgt))
         raise EdgeError(

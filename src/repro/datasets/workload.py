@@ -184,8 +184,9 @@ def write_replay_jsonl(
 ) -> Path:
     """Write records to *path* in the canonical JSONL form.
 
-    The single emitter shared by the scenario suite and
-    ``benchmarks/bench_serve.py`` - one serialization, one digest.
+    The single emitter shared by the scenario suite and the trace
+    ``benchmarks/bench_serve.py`` mines into its precompute - one
+    serialization, one digest.
     """
     path = Path(path)
     path.write_text(replay_jsonl(records), encoding="utf-8")

@@ -159,7 +159,7 @@ class SocialGraph:
         if np.any(sources == targets):
             idx = int(np.argmax(sources == targets))
             raise EdgeError(f"self-loop on node {int(sources[idx])} is not allowed")
-        if np.any(probs <= 0.0) or np.any(probs > 1.0):
+        if not np.all((probs > 0.0) & (probs <= 1.0)):  # NaN fails too
             raise EdgeError("transition probabilities must lie in (0, 1]")
         # Duplicate detection on the (source, target) pair.
         keys = sources * n + targets

@@ -124,9 +124,10 @@ class Scenario:
 
         ``after`` counts trace records replayed before the event fires
         (the runner aligns it to the enclosing burst boundary). Kinds:
-        ``"reload"`` (rebuild summaries with ``seed + reseed`` and swap
-        engines, optionally first attempting a refused stale-precompute
-        reload) and ``"invalidate_users"`` (drop those users' answer-tier
+        ``"reload"`` (rebuild summaries with ``seed + reseed`` - and,
+        for a warm scenario, the precompute - and swap engines,
+        optionally first attempting a refused stale-precompute reload)
+        and ``"invalidate_users"`` (drop those users' answer-tier
         entries; engine mode only).
         """
         return []

@@ -542,10 +542,11 @@ class TopicChurnScenario(Scenario):
     description = (
         "A Zipf stream served warm from a mined precompute artifact, "
         "then three rounds of topic churn: each rebuilds the summaries "
-        "(new fingerprint), first proving the stale precompute is "
-        "*refused* (the PR 8 mismatch contract), then swapping engines "
-        "structurally. The answer tier must go cold and re-warm after "
-        "every churn without a wrong answer or a dropped request."
+        "(new fingerprint), first proving a reload that keeps the stale "
+        "precompute is *refused* (the mismatch contract), then swapping "
+        "engines structurally onto the new summaries and a precompute "
+        "mined over them. Every churn must land without a wrong answer "
+        "or a dropped request."
     )
     adversarial = True
     default_seed = 4242

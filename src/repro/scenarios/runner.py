@@ -9,11 +9,11 @@ artifacts:
   (results digest, answer-cache hit trajectory, event outcomes) is part
   of the determinism acceptance gate.
 * ``daemon``: a real :class:`~repro.serve.server.PITServer` on a
-  loopback socket; bursts are fired concurrently, reload events go
-  through ``POST /admin/reload``. Timing-dependent counters (sheds,
-  deadline misses) land in the report's ``daemon`` section, which the
-  determinism comparison excludes; the zero-5xx and stale-precompute
-  refusal gates still apply.
+  loopback socket; bursts are fired concurrently, reload events post
+  the whole new artifact set to ``POST /admin/reload``, as an operator
+  would. Timing-dependent counters (sheds, deadline misses) land in the
+  report's ``daemon`` section, which the determinism comparison
+  excludes; the zero-5xx and stale-precompute refusal gates still apply.
 
 Quality is graded against the scenario's brute-force oracle miniature
 (:mod:`repro.scenarios.quality`) regardless of mode, so a scenario run
@@ -37,8 +37,9 @@ from ..core.engine import PITEngine
 from ..core.persistence import save_summaries
 from ..core.precompute import build_precompute, save_precompute
 from ..core.serve_facade import ServingEngine
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError
 from ..obs import MetricsRegistry
+from ..serve import LocalDaemon, ServeConfig, open_engine
 from .base import Scenario, ScenarioData, get_scenario
 from .quality import evaluate_exact, evaluate_summarized
 from .trace import trace_bursts
@@ -71,13 +72,17 @@ def _build_artifacts(
     *,
     reseed: int = 0,
     index_dir: Optional[Path] = None,
-) -> Tuple[Path, Path]:
-    """Build generation *reseed*'s artifacts; returns (index, summaries).
+) -> Tuple[Path, Dict[str, str]]:
+    """Build generation *reseed*'s artifacts; returns (index, paths).
 
     Generation 0 builds the sharded propagation index; later generations
     (churn reloads) rebuild only the summaries - with a shifted seed
     *and* a nudged representative budget, so the summaries fingerprint
     is guaranteed to change and a stale precompute is provably refused.
+    *paths* is the generation's artifact set keyed like a reload body: a
+    fresh served copy of the shards, the summaries, and - when the
+    scenario serves warm - a precompute mined over those summaries, per
+    the rollout rule in docs/operations.md.
     """
     rep_fraction = min(1.0, scenario.rep_fraction + 0.05 * reseed)
     engine = PITEngine.from_dataset(
@@ -93,58 +98,59 @@ def _build_artifacts(
     engine.build_summaries()
     sums_path = directory / f"sums_{reseed}.json"
     save_summaries(engine.summaries, data.bundle.graph, sums_path)
-    return index_dir, sums_path
+    paths = {
+        "summaries": str(sums_path),
+        "index_dir": str(_served_copy(index_dir)),
+    }
+    if scenario.wants_precompute:
+        artifact = build_precompute(
+            _open_engine(data, scenario, paths), data.records,
+            top_queries=16, top_answers=64,
+        )
+        precompute_path = directory / f"precompute_{reseed}.json"
+        save_precompute(artifact, precompute_path)
+        paths["precompute"] = str(precompute_path)
+    return index_dir, paths
 
 
 def _served_copy(index_dir: Path) -> Path:
-    """A private copy of the shard directory for one engine to serve.
+    """A private copy of the shard directory for one generation to serve.
 
     A delta rewrites the served shards in place; a copy keeps the built
     artifact for a later reload over the pre-delta graph, unlike
-    ``pit-search serve`` (see ``docs/dynamics.md``).
+    ``pit-search serve`` (see ``docs/dynamics.md``). Each reload body
+    names a fresh copy.
     """
     copy = Path(tempfile.mkdtemp(prefix="served-", dir=index_dir.parent))
     shutil.copytree(index_dir, copy, dirs_exist_ok=True)
     return copy
 
 
+def _engine_options(scenario: Scenario) -> Dict[str, object]:
+    """The ``from_artifacts`` keywords every scenario engine loads with."""
+    return {
+        "theta": scenario.theta,
+        "answer_cache_bytes": _ANSWER_CACHE_BYTES,
+        "plan_cache_bytes": _PLAN_CACHE_BYTES,
+    }
+
+
 def _open_engine(
     data: ScenarioData,
     scenario: Scenario,
-    index_dir: Path,
-    sums_path: Path,
-    *,
-    precompute_path: Optional[Path] = None,
-    registry: Optional[MetricsRegistry] = None,
+    paths: Dict[str, str],
 ) -> ServingEngine:
-    return ServingEngine.from_artifacts(
-        data.bundle.graph,
-        data.bundle.topic_index,
-        sums_path,
-        index_dir=_served_copy(index_dir),
-        theta=scenario.theta,
-        answer_cache_bytes=_ANSWER_CACHE_BYTES,
-        plan_cache_bytes=_PLAN_CACHE_BYTES,
-        precompute_path=precompute_path,
-        metrics=registry,
+    return open_engine(
+        data.bundle.graph, data.bundle.topic_index, paths,
+        **_engine_options(scenario),
     )
 
 
-def _mine_precompute(
-    data: ScenarioData,
-    scenario: Scenario,
-    index_dir: Path,
-    sums_path: Path,
-    directory: Path,
-) -> Path:
-    """Mine the scenario's own trace into a warm-load artifact."""
-    engine = _open_engine(data, scenario, index_dir, sums_path)
-    artifact = build_precompute(
-        engine, data.records, top_queries=16, top_answers=64
-    )
-    path = directory / "precompute.json"
-    save_precompute(artifact, path)
-    return path
+def _stale_body(new_paths: Dict[str, str]) -> Dict[str, str]:
+    """The reload an operator sends who forgot to rebuild the precompute:
+    the new artifact set minus its precompute, so the one in force (mined
+    over the old summaries) is refused."""
+    return {k: v for k, v in new_paths.items() if k != "precompute"}
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +279,10 @@ def _replay_engine(
     scenario: Scenario,
     data: ScenarioData,
     index_dir: Path,
-    sums_path: Path,
     directory: Path,
-    precompute_path: Optional[Path],
+    paths: Dict[str, str],
 ) -> Dict[str, object]:
-    engine = _open_engine(
-        data, scenario, index_dir, sums_path,
-        precompute_path=precompute_path,
-    )
+    engine = _open_engine(data, scenario, paths)
     warm = engine.tier_stats().get("answers")
     warm_answers = warm.n_items if warm else 0
 
@@ -324,23 +326,21 @@ def _replay_engine(
                     report["answers_invalidated"]
                 )
             elif event["kind"] == "reload":
-                reseed = int(event.get("reseed", 1))
-                _, new_sums = _build_artifacts(
+                _, new_paths = _build_artifacts(
                     data, scenario, directory,
-                    reseed=reseed, index_dir=index_dir,
+                    reseed=int(event.get("reseed", 1)), index_dir=index_dir,
                 )
-                if event.get("stale_precompute") and precompute_path:
+                if event.get("stale_precompute") and "precompute" in paths:
                     try:
                         _open_engine(
-                            data, scenario, index_dir, new_sums,
-                            precompute_path=precompute_path,
+                            data, scenario,
+                            {**paths, **_stale_body(new_paths)},
                         )
                         outcome["stale_precompute_refused"] = False
                     except ConfigurationError:
                         outcome["stale_precompute_refused"] = True
-                engine = _open_engine(
-                    data, scenario, index_dir, new_sums
-                )
+                paths = new_paths
+                engine = _open_engine(data, scenario, paths)
                 generation += 1
                 engine.set_reload_generation(generation)
                 tracker.rebase(engine)
@@ -379,104 +379,22 @@ def _replay_engine(
 # ---------------------------------------------------------------------------
 
 
-class _Daemon:
-    """A PITServer on a loopback socket, driven from a thread."""
-
-    def __init__(self, loader, config, registry):
-        import asyncio
-        import threading
-
-        from ..serve import PITServer
-
-        self.server = PITServer(loader, config, metrics=registry)
-        self._asyncio = asyncio
-        self._ready = threading.Event()
-        self.exit_code = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
-
-    def _main(self):
-        self.exit_code = self._asyncio.run(
-            self.server.run(ready_callback=self._ready.set)
-        )
-
-    def start(self, timeout: float = 300.0) -> "_Daemon":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ReproError("scenario daemon did not become ready")
-        return self
-
-    def stop(self, timeout: float = 60.0):
-        if self._thread.is_alive():
-            self.server.request_shutdown(0)
-            self._thread.join(timeout)
-        return self.exit_code
-
-    def request(self, method, path, body=None, timeout=60):
-        import http.client
-
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.server.port, timeout=timeout
-        )
-        try:
-            payload = json.dumps(body) if body is not None else None
-            conn.request(
-                method, path, body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        finally:
-            conn.close()
-        try:
-            parsed = json.loads(data)
-        except (ValueError, UnicodeDecodeError):
-            parsed = None
-        return status, parsed
-
-
 def _replay_daemon(
     scenario: Scenario,
     data: ScenarioData,
     index_dir: Path,
-    sums_path: Path,
     directory: Path,
-    precompute_path: Optional[Path],
+    paths: Dict[str, str],
     registry: MetricsRegistry,
 ) -> Dict[str, object]:
-    from ..serve import ServeConfig
-
-    base = {"summaries": str(sums_path), "index_dir": str(index_dir)}
-    if precompute_path is not None:
-        base["precompute"] = str(precompute_path)
-
-    def loader(overrides):
-        paths = dict(base)
-        # A reload that replaces the summaries implicitly retires the
-        # warm-load artifact (it is fingerprint-stamped to the old ones)
-        # unless the caller explicitly overrides a precompute path -
-        # which is how the stale-precompute refusal is provoked.
-        if "summaries" in overrides and "precompute" not in overrides:
-            paths.pop("precompute", None)
-        paths.update(overrides)
-        return ServingEngine.from_artifacts(
-            data.bundle.graph,
-            data.bundle.topic_index,
-            paths["summaries"],
-            index_dir=_served_copy(Path(paths["index_dir"])),
-            theta=scenario.theta,
-            answer_cache_bytes=_ANSWER_CACHE_BYTES,
-            plan_cache_bytes=_PLAN_CACHE_BYTES,
-            precompute_path=paths.get("precompute"),
-            metrics=registry,
-        )
-
     config = ServeConfig(
-        port=0,
         max_queue=int(getattr(scenario, "daemon_queue", 64)),
         default_k=5,
     )
-    daemon = _Daemon(loader, config, registry).start()
+    daemon = LocalDaemon(
+        data.bundle.graph, data.bundle.topic_index, paths, config,
+        metrics=registry, **_engine_options(scenario),
+    ).start()
     statuses: Dict[int, int] = {}
     digest = hashlib.sha256()
     digest_covers = 0
@@ -485,10 +403,8 @@ def _replay_daemon(
     served = 0
 
     def one(record):
-        status, body = daemon.request(
-            "POST", "/search",
-            {"user": record["user"], "query": record["query"],
-             "k": record["k"]},
+        status, body, _ = daemon.search(
+            record["user"], record["query"], record["k"]
         )
         return status, body
 
@@ -498,31 +414,28 @@ def _replay_daemon(
                 _, event = pending.pop(0)
                 outcome = {"after": served, "kind": event["kind"]}
                 if event["kind"] == "reload":
-                    reseed = int(event.get("reseed", 1))
-                    _, new_sums = _build_artifacts(
+                    _, new_paths = _build_artifacts(
                         data, scenario, directory,
-                        reseed=reseed, index_dir=index_dir,
+                        reseed=int(event.get("reseed", 1)),
+                        index_dir=index_dir,
                     )
-                    if event.get("stale_precompute") and precompute_path:
-                        status, _ = daemon.request(
-                            "POST", "/admin/reload",
-                            {"summaries": str(new_sums),
-                             "precompute": str(precompute_path)},
+                    if event.get("stale_precompute") and "precompute" in paths:
+                        status, _, _ = daemon.request(
+                            "POST", "/admin/reload", _stale_body(new_paths)
                         )
                         outcome["stale_precompute_refused"] = (
                             status == 400
                         )
                         outcome["stale_status"] = status
-                    status, body = daemon.request(
-                        "POST", "/admin/reload",
-                        {"summaries": str(new_sums)},
+                    status, body, _ = daemon.request(
+                        "POST", "/admin/reload", new_paths
                     )
                     outcome["applied"] = status == 200
                     outcome["status"] = status
                     if isinstance(body, dict):
                         outcome["generation"] = body.get("generation")
                 elif event["kind"] == "delta":
-                    status, body = daemon.request(
+                    status, body, _ = daemon.request(
                         "POST", "/admin/delta",
                         {
                             key: event[key]
@@ -661,22 +574,15 @@ def run_scenario(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        index_dir, sums_path = _build_artifacts(data, scenario, workdir)
-        precompute_path = None
-        if scenario.wants_precompute:
-            precompute_path = _mine_precompute(
-                data, scenario, index_dir, sums_path, workdir
-            )
+        index_dir, paths = _build_artifacts(data, scenario, workdir)
         replay = daemon = None
         if mode == "engine":
             replay = _replay_engine(
-                scenario, data, index_dir, sums_path, workdir,
-                precompute_path,
+                scenario, data, index_dir, workdir, paths
             )
         else:
             daemon = _replay_daemon(
-                scenario, data, index_dir, sums_path, workdir,
-                precompute_path, registry,
+                scenario, data, index_dir, workdir, paths, registry
             )
     finally:
         if cleanup is not None:

@@ -23,6 +23,7 @@ Two invariants this module enforces for the whole daemon:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -144,7 +145,7 @@ def parse_search_request(
 
     Required: ``user`` (int >= 0), ``query`` (non-empty string).
     Optional: ``k`` (int in [1, MAX_K], default *default_k*),
-    ``deadline_ms`` (number > 0). Unknown fields are ignored (forward
+    ``deadline_ms`` (finite number > 0). Unknown fields are ignored (forward
     compatibility). The query is tokenized here, so an unusable query
     fails with a typed 400 before any engine work.
     """
@@ -167,12 +168,16 @@ def parse_search_request(
                 400, "ValidationError",
                 f"field 'deadline_ms' must be a number, got {deadline_ms!r}",
             )
-        if deadline_ms <= 0:
+        try:
+            deadline_s = float(deadline_ms) / 1000.0
+        except OverflowError:  # an int beyond the float range
+            deadline_s = math.inf
+        if not 0 < deadline_s < math.inf:  # NaN fails too
             raise HttpError(
                 400, "ValidationError",
-                f"field 'deadline_ms' must be > 0, got {deadline_ms}",
+                f"field 'deadline_ms' must be finite and > 0, "
+                f"got {deadline_ms}",
             )
-        deadline_s = float(deadline_ms) / 1000.0
     try:
         query = KeywordQuery.parse(raw_query)
     except QueryError as exc:
@@ -180,26 +185,28 @@ def parse_search_request(
     return SearchRequest(user=user, query=query, k=k, deadline_s=deadline_s)
 
 
-_RELOAD_KEYS = frozenset({"index_dir", "summaries", "precompute"})
+#: The artifact paths a reload may override (and a daemon is started with).
+RELOAD_KEYS = frozenset({"index_dir", "summaries", "precompute"})
 
 
 def parse_reload_request(body: bytes) -> Dict[str, str]:
     """Validate a ``POST /admin/reload`` body into path overrides.
 
-    An empty body (or ``{}``) reloads the daemon's configured artifact
-    paths - the "a new file replaced the old one on disk" flow. Keys
-    ``index_dir`` / ``summaries`` / ``precompute`` override individual
-    paths; anything else is a typed 400 that lists the allowed keys.
+    An empty body (or ``{}``) reopens the artifact paths in force - the
+    "a new file replaced the old one on disk" flow. Keys ``index_dir`` /
+    ``summaries`` / ``precompute`` override individual paths, which stay
+    in force once the reload succeeds; anything else is a typed 400 that
+    lists the allowed keys.
     """
     if not body:
         return {}
     payload = _load_json_object(body)
-    unknown = set(payload) - _RELOAD_KEYS
+    unknown = set(payload) - RELOAD_KEYS
     if unknown:
         raise HttpError(
             400, "ValidationError",
             f"unknown reload field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(_RELOAD_KEYS)}",
+            f"allowed: {sorted(RELOAD_KEYS)}",
         )
     overrides: Dict[str, str] = {}
     for key, value in payload.items():

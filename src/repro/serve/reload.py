@@ -2,11 +2,14 @@
 
 The operator's flow is: build new artifacts offline, drop them on disk
 (or point at new paths), ``POST /admin/reload`` (or ``SIGHUP``). The
-manager loads and fully validates the *new* engine off the event loop
-while the old engine keeps answering every request, then swaps one
-attribute - so there is never a moment without a serving engine and no
-request is dropped or split across engines (batches resolve the engine
-once, at drain time; see :mod:`repro.serve.coalescer`).
+manager owns the artifact paths in force: a reload merges its overrides
+onto them, loads and fully validates the *new* engine off the event loop
+while the old engine keeps answering every request, then swaps the
+engine and the merged paths together. So an override stays in force for
+later ``{}`` reloads, a refused reload changes nothing, there is never
+a moment without a serving engine, and no request is dropped or split
+across engines (batches resolve the engine once, at drain time; see
+:mod:`repro.serve.coalescer`).
 
 Validation is the artifact layer's own: checksums and graph signatures
 are verified during load, so a truncated, bit-flipped, or
@@ -30,33 +33,75 @@ the ``cache.tier.generation`` gauge tracks the swap.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Tuple
+import functools
+from typing import Dict, Mapping, Optional, Tuple
 
 from .. import _faults
+from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry, NullRegistry
+from .protocol import RELOAD_KEYS
 
-__all__ = ["EngineManager"]
+__all__ = ["EngineManager", "open_engine"]
+
+
+def open_engine(
+    graph,
+    topic_index,
+    paths: Mapping[str, str],
+    *,
+    metrics: Optional[MetricsRegistry] = None,
+    **engine_options,
+):
+    """Open a validated serving engine over one artifact set.
+
+    The one mapping from the reload keys (``summaries``, ``index_dir``,
+    ``precompute``) onto
+    :meth:`~repro.core.serve_facade.ServingEngine.from_artifacts`;
+    *engine_options* are its remaining keywords (``theta`` and the
+    shard, entry, summary, answer and plan budgets).
+    """
+    from ..core.serve_facade import ServingEngine
+
+    return ServingEngine.from_artifacts(
+        graph,
+        topic_index,
+        paths["summaries"],
+        index_dir=paths.get("index_dir"),
+        precompute_path=paths.get("precompute"),
+        metrics=metrics,
+        **engine_options,
+    )
 
 
 class EngineManager:
-    """Own the current engine and the reload lifecycle.
+    """Own the current engine, the artifact paths in force, and reloads.
 
-    Parameters
-    ----------
-    loader:
-        ``loader(overrides)`` builds and validates a fresh engine;
-        *overrides* is the (possibly empty) path-override mapping from
-        ``POST /admin/reload``. The loader runs in an executor thread,
-        never on the event loop.
+    Every load is :func:`open_engine` over *graph*, *topic_index*, the
+    merged paths (``summaries`` required; ``index_dir``, ``precompute``)
+    and *engine_options*; *metrics* takes the ``serve.*`` reload series
+    and the engines' own.
     """
 
     def __init__(
         self,
-        loader: Callable[[Dict[str, str]], object],
+        graph,
+        topic_index,
+        paths: Mapping[str, object],
         *,
         metrics: Optional[MetricsRegistry] = None,
+        **engine_options,
     ):
-        self._loader = loader
+        unknown = set(paths) - RELOAD_KEYS
+        if unknown or "summaries" not in paths:
+            raise ConfigurationError(
+                f"artifact paths need 'summaries' and take only "
+                f"{sorted(RELOAD_KEYS)}; got {sorted(paths)}"
+            )
+        self._paths = {key: str(value) for key, value in paths.items()}
+        self._open = functools.partial(
+            open_engine, graph, topic_index,
+            metrics=metrics, **engine_options,
+        )
         self._metrics = metrics if metrics is not None else NullRegistry()
         self._engine: Optional[object] = None
         self._generation = 0
@@ -72,6 +117,11 @@ class EngineManager:
     def generation(self) -> int:
         """Monotone artifact generation; 0 until the first load."""
         return self._generation
+
+    @property
+    def paths(self) -> Dict[str, str]:
+        """The artifact paths the current engine was loaded from."""
+        return dict(self._paths)
 
     @property
     def reloading(self) -> bool:
@@ -92,12 +142,14 @@ class EngineManager:
         """Load the first engine (daemon warm-up); returns the generation."""
         return await self._load_and_swap({})
 
-    async def reload(self, overrides: Dict[str, str]) -> int:
+    async def reload(self, overrides: Mapping[str, str]) -> int:
         """Load a new engine and swap it in; returns the new generation.
 
-        Serialized: concurrent reloads queue on the lock. On any load
-        failure the exception propagates (the server maps artifact
-        errors to 409) and the current engine/generation are untouched.
+        *overrides* replace individual paths in force (``{}`` reopens
+        them as they are). Serialized: concurrent reloads queue on the
+        lock. On any load failure the exception propagates (the server
+        maps artifact errors to 409) and the current engine, generation
+        and paths are untouched.
         """
         self._metrics.inc("serve.reloads")
         try:
@@ -106,18 +158,18 @@ class EngineManager:
             self._metrics.inc("serve.reload_failures")
             raise
 
-    async def _load_and_swap(self, overrides: Dict[str, str]) -> int:
+    async def _load_and_swap(self, overrides: Mapping[str, str]) -> int:
         loop = asyncio.get_running_loop()
         async with self._lock:
             self._reloading = True
             try:
-                engine = await loop.run_in_executor(
-                    None, self._loader, dict(overrides)
-                )
+                paths = {**self._paths, **overrides}
+                engine = await loop.run_in_executor(None, self._open, paths)
                 _faults.inject(
                     "serve.reload.swap", generation=self._generation + 1
                 )
                 self._engine = engine
+                self._paths = paths
                 self._generation += 1
                 stamp = getattr(engine, "set_reload_generation", None)
                 if stamp is not None:

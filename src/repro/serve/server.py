@@ -41,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from .. import _faults
 from ..obs.export import render_prometheus
@@ -87,32 +87,38 @@ class ServeConfig:
 
 
 class PITServer:
-    """The daemon. Construct with an engine loader, then :meth:`run`.
+    """The daemon over *graph* and its artifact *paths*; then :meth:`run`.
 
     Parameters
     ----------
-    loader:
-        ``loader(overrides) -> engine`` building a fully validated
-        serving engine (normally a closure over
-        :meth:`~repro.core.serve_facade.ServingEngine.from_artifacts`).
-        Called once at warm-up and once per reload, always off-loop.
+    graph, topic_index, paths, engine_options:
+        What every engine load opens (see
+        :class:`~repro.serve.reload.EngineManager`): *paths* is keyed
+        like a reload body (``summaries`` required; ``index_dir``,
+        ``precompute``), and *engine_options* are ``theta`` and the
+        shard, entry, summary, answer and plan budgets.
     config:
         :class:`ServeConfig` tunables.
     metrics:
-        Registry for ``serve.*`` metrics; pass the same registry the
-        engine publishes to so ``/metrics`` is one coherent exposition.
+        Registry for ``serve.*`` metrics, which the engines publish to as
+        well, so ``/metrics`` is one coherent exposition.
     """
 
     def __init__(
         self,
-        loader: Callable[[Dict[str, str]], object],
+        graph,
+        topic_index,
+        paths: Mapping[str, object],
         config: Optional[ServeConfig] = None,
         *,
         metrics: Optional[MetricsRegistry] = None,
+        **engine_options,
     ):
         self.config = config or ServeConfig()
         self._metrics = metrics if metrics is not None else NullRegistry()
-        self.engines = EngineManager(loader, metrics=self._metrics)
+        self.engines = EngineManager(
+            graph, topic_index, paths, metrics=metrics, **engine_options
+        )
         self.admission = AdmissionController(
             self.config.max_queue, metrics=self._metrics
         )

@@ -227,7 +227,7 @@ class TestApplyDeltaToGraph:
         with pytest.raises(ConfigurationError, match="more than once"):
             apply_delta_to_graph(chain_graph, delta)
 
-    @pytest.mark.parametrize("prob", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("prob", [0.0, -0.5, 1.5, float("nan")])
     def test_bad_insert_probability_rejected(self, chain_graph, prob):
         with pytest.raises(EdgeError, match="probabilities"):
             apply_delta_to_graph(
@@ -238,6 +238,12 @@ class TestApplyDeltaToGraph:
         with pytest.raises(EdgeError, match="probabilities"):
             apply_delta_to_graph(
                 chain_graph, GraphDelta.reweighting((0, 1, 2.0))
+            )
+
+    def test_nan_reweight_probability_rejected(self, chain_graph):
+        with pytest.raises(EdgeError, match="probabilities"):
+            apply_delta_to_graph(
+                chain_graph, GraphDelta.reweighting((0, 1, float("nan")))
             )
 
     def test_self_loop_insert_rejected(self, chain_graph):

@@ -40,10 +40,19 @@ class TestConstruction:
         with pytest.raises(EdgeError):
             SocialGraph(2, [(-1, 0, 0.5)])
 
-    @pytest.mark.parametrize("probability", [0.0, -0.5, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "probability", [0.0, -0.5, 1.5, 2.0, float("nan")]
+    )
     def test_rejects_bad_probability(self, probability):
         with pytest.raises(EdgeError, match="probabilit"):
             SocialGraph(2, [(0, 1, probability)])
+
+    def test_from_arrays_rejects_nan_probability(self):
+        with pytest.raises(EdgeError, match="probabilit"):
+            SocialGraph.from_arrays(
+                3, np.array([0, 1]), np.array([1, 2]),
+                np.array([0.5, np.nan]),
+            )
 
     def test_probability_one_allowed(self):
         graph = SocialGraph(2, [(0, 1, 1.0)])

@@ -1,18 +1,14 @@
-"""Fixtures for daemon tests: prebuilt artifacts + an in-process harness.
+"""Fixtures for daemon tests: prebuilt artifacts + in-process daemons.
 
-The harness runs the real :class:`~repro.serve.server.PITServer` event
-loop in a background thread and talks to it over real sockets with
-``http.client`` - the same bytes a load balancer or the replay generator
-would send - so these tests exercise HTTP framing, keep-alive, admission,
-coalescing, and drain exactly as production traffic does.
+Each daemon is a :class:`~repro.serve.LocalDaemon`: the real
+:class:`~repro.serve.server.PITServer` on a loopback socket, so these
+tests exercise HTTP framing, keep-alive, admission, coalescing, and drain
+exactly as production traffic does.
 """
 
 from __future__ import annotations
 
-import asyncio
-import http.client
 import json
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -20,13 +16,14 @@ import pytest
 from repro.core import (
     PITEngine,
     ServingEngine,
+    build_precompute,
+    save_precompute,
     save_sharded_index,
     save_summaries,
 )
 from repro.datasets import data_2k
-from repro.obs import MetricsRegistry
 from repro.scenarios.runner import _served_copy
-from repro.serve import PITServer, ServeConfig
+from repro.serve import LocalDaemon
 
 
 def build_stack(seed: int, n_nodes: int, directory):
@@ -65,116 +62,61 @@ def stack(stacks):
     return stacks[7]
 
 
-def make_loader(stack, registry, *, answer_cache_bytes=None,
-                precompute_path=None):
-    """The same loader shape the CLI builds: paths + overrides -> engine."""
-    # POST /admin/delta rewrites the served shards in place; each loader
-    # serves a private copy so the package-scoped stacks stay as built.
-    base = {
-        "summaries": str(stack.sums_path),
-        "index_dir": str(_served_copy(stack.index_dir)),
-    }
-    if precompute_path is not None:
-        base["precompute"] = str(precompute_path)
+@pytest.fixture(scope="package")
+def alt_sums_path(stack, tmp_path_factory):
+    """Another summarization of the default stack's graph (seed 99).
 
-    def loader(overrides):
-        paths = dict(base)
-        paths.update(overrides)
-        return ServingEngine.from_artifacts(
-            stack.bundle.graph,
-            stack.bundle.topic_index,
-            paths["summaries"],
-            index_dir=paths["index_dir"],
-            answer_cache_bytes=answer_cache_bytes,
-            precompute_path=paths.get("precompute"),
-            metrics=registry,
-        )
-
-    return loader
+    Re-clustering moves representatives, so answers over these summaries
+    differ from the stack's own.
+    """
+    engine = PITEngine.from_dataset(stack.bundle, summarizer="rcl", seed=99)
+    engine.build_summaries()
+    path = tmp_path_factory.mktemp("alt_sums") / "sums2.json"
+    save_summaries(engine.summaries, stack.bundle.graph, path)
+    return path
 
 
-class DaemonHarness:
-    """A PITServer on a real socket, driven from a background thread."""
-
-    def __init__(self, stack, config=None, registry=None,
-                 answer_cache_bytes=None, precompute_path=None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.server = PITServer(
-            make_loader(
-                stack, self.registry,
-                answer_cache_bytes=answer_cache_bytes,
-                precompute_path=precompute_path,
-            ),
-            config or ServeConfig(port=0),
-            metrics=self.registry,
-        )
-        self._ready = threading.Event()
-        self.exit_code = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
-
-    def _main(self):
-        self.exit_code = asyncio.run(
-            self.server.run(ready_callback=self._ready.set)
-        )
-
-    def start(self, timeout: float = 120.0) -> "DaemonHarness":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("daemon did not become ready in time")
-        return self
-
-    def stop(self, exit_code: int = 0, timeout: float = 30.0):
-        if self._thread.is_alive():
-            self.server.request_shutdown(exit_code)
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("daemon did not drain in time")
-        return self.exit_code
-
-    # ------------------------------------------------------------------
-    def request(self, method, path, body=None, *, raw_body=None, timeout=30):
-        """One HTTP exchange; returns ``(status, parsed_body, headers)``."""
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.server.port, timeout=timeout
-        )
-        try:
-            payload = raw_body
-            if payload is None and body is not None:
-                payload = json.dumps(body)
-            conn.request(
-                method, path, body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-            headers = dict(response.getheaders())
-        finally:
-            conn.close()
-        try:
-            parsed = json.loads(data)
-        except (ValueError, UnicodeDecodeError):
-            parsed = data
-        return status, parsed, headers
-
-    def search(self, user, query, k=5, **fields):
-        body = {"user": user, "query": query, "k": k, **fields}
-        return self.request("POST", "/search", body)
+@pytest.fixture(scope="package")
+def precompute_path(stack, tmp_path_factory):
+    """A precompute over the default stack holding exactly one answer,
+    ``(user 3, "phone", k=5)``, so a hit on it proves a warm boot."""
+    directory = tmp_path_factory.mktemp("precompute")
+    trace = directory / "trace.jsonl"
+    trace.write_text(
+        json.dumps({"user": 3, "query": "phone", "k": 5}) + "\n",
+        encoding="utf-8",
+    )
+    offline = ServingEngine.from_artifacts(
+        stack.bundle.graph, stack.bundle.topic_index, stack.sums_path,
+        index_dir=stack.index_dir,
+    )
+    path = directory / "precompute.json"
+    save_precompute(
+        build_precompute(offline, trace, top_queries=1, top_answers=1), path
+    )
+    return path
 
 
 @pytest.fixture
 def make_daemon(stack):
-    """Factory for daemons over the default stack; all stopped at teardown."""
+    """Factory for ready daemons over a stack's artifacts (the default
+    stack unless *use_stack*); all stopped at teardown."""
     daemons = []
 
     def factory(config=None, registry=None, use_stack=None,
                 answer_cache_bytes=None, precompute_path=None):
-        daemon = DaemonHarness(
-            use_stack if use_stack is not None else stack,
-            config=config,
-            registry=registry,
-            answer_cache_bytes=answer_cache_bytes,
-            precompute_path=precompute_path,
+        served = use_stack if use_stack is not None else stack
+        # POST /admin/delta rewrites the served shards in place; each
+        # daemon serves a private copy so the stacks stay as built.
+        paths = {
+            "summaries": served.sums_path,
+            "index_dir": _served_copy(served.index_dir),
+        }
+        if precompute_path is not None:
+            paths["precompute"] = precompute_path
+        daemon = LocalDaemon(
+            served.bundle.graph, served.bundle.topic_index, paths, config,
+            metrics=registry, answer_cache_bytes=answer_cache_bytes,
         )
         daemons.append(daemon)
         return daemon.start()

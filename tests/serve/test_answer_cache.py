@@ -17,17 +17,8 @@ import json
 
 import pytest
 
-from repro.core import (
-    PITEngine,
-    ServingEngine,
-    build_precompute,
-    save_precompute,
-    save_summaries,
-)
+from repro.core import ServingEngine, build_precompute, save_precompute
 from repro.datasets import generate_workload, replay_requests
-from repro.serve import ServeConfig
-
-from .conftest import DaemonHarness
 
 WORK_FIELDS = (
     "topics_considered",
@@ -93,7 +84,7 @@ def replay(stacks, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def alt_summaries(replay):
+def alt_summaries(replay, alt_sums_path):
     """A *different* summarization of the same graph + matching precompute.
 
     Re-clustering with another seed moves representatives, so answers
@@ -102,10 +93,7 @@ def alt_summaries(replay):
     """
     stack = replay["stack"]
     directory = replay["directory"]
-    engine2 = PITEngine.from_dataset(stack.bundle, summarizer="rcl", seed=99)
-    engine2.build_summaries()
-    sums2_path = directory / "sums2.json"
-    save_summaries(engine2.summaries, stack.bundle.graph, sums2_path)
+    sums2_path = alt_sums_path
     oracle2 = fresh_engine(stack, sums2_path)
     artifact2 = build_precompute(
         oracle2, replay["trace_path"], top_queries=4, top_answers=10,
@@ -117,38 +105,35 @@ def alt_summaries(replay):
 
 
 class TestWarmServing:
-    def test_warm_daemon_hits_and_stays_bit_exact(self, replay):
+    def test_warm_daemon_hits_and_stays_bit_exact(self, replay, make_daemon):
         stack = replay["stack"]
-        daemon = DaemonHarness(
-            stack,
-            config=ServeConfig(port=0),
+        daemon = make_daemon(
             answer_cache_bytes=8 << 20,
             precompute_path=replay["precompute_path"],
-        ).start()
-        try:
-            oracle = fresh_engine(stack)
-            for record in replay["records"][:60]:
-                status, body, _ = daemon.search(
-                    record["user"], record["query"], k=record["k"]
-                )
-                assert status == 200
-                want_results, want_stats = expected_payload(oracle, record)
-                assert body["results"] == want_results
-                assert body["stats"] == want_stats
-            # Tier gauges are published at snapshot time; scraping
-            # /metrics (as an operator would) materializes them.
-            status, text, _ = daemon.request("GET", "/metrics")
+        )
+        oracle = fresh_engine(stack)
+        for record in replay["records"][:60]:
+            status, body, _ = daemon.search(
+                record["user"], record["query"], k=record["k"]
+            )
             assert status == 200
-            snapshot = daemon.registry.snapshot()
-            assert snapshot.counters.get("cache.tier.answers.hits", 0) > 0
-            assert snapshot.gauges.get("cache.tier.answers.items", 0) > 0
-            assert "repro_cache_tier_answers_hits" in str(text)
-        finally:
-            daemon.stop()
+            want_results, want_stats = expected_payload(oracle, record)
+            assert body["results"] == want_results
+            assert body["stats"] == want_stats
+        # Tier gauges are published at snapshot time; scraping
+        # /metrics (as an operator would) materializes them.
+        status, text, _ = daemon.request("GET", "/metrics")
+        assert status == 200
+        snapshot = daemon.registry.snapshot()
+        assert snapshot.counters.get("cache.tier.answers.hits", 0) > 0
+        assert snapshot.gauges.get("cache.tier.answers.items", 0) > 0
+        assert "repro_cache_tier_answers_hits" in str(text)
 
 
 class TestNoStaleAcrossSwap:
-    def test_generation_bump_never_serves_stale(self, replay, alt_summaries):
+    def test_generation_bump_never_serves_stale(
+        self, replay, alt_summaries, make_daemon
+    ):
         """Swap to *different* summaries mid-session: answers must track.
 
         The second artifact is a re-summarization with another seed, so
@@ -160,85 +145,76 @@ class TestNoStaleAcrossSwap:
         precompute2_path = alt_summaries["precompute_path"]
         oracle2 = fresh_engine(stack, sums2_path)
 
-        daemon = DaemonHarness(
-            stack,
-            config=ServeConfig(port=0),
+        daemon = make_daemon(
             answer_cache_bytes=8 << 20,
             precompute_path=replay["precompute_path"],
-        ).start()
-        try:
-            oracle1 = fresh_engine(stack)
-            probes = replay["records"][:30]
-            for record in probes:
-                status, body, _ = daemon.search(
-                    record["user"], record["query"], k=record["k"]
-                )
-                assert status == 200
-                assert body["generation"] == 1
-                want_results, want_stats = expected_payload(oracle1, record)
-                assert body["results"] == want_results
+        )
+        oracle1 = fresh_engine(stack)
+        probes = replay["records"][:30]
+        for record in probes:
+            status, body, _ = daemon.search(
+                record["user"], record["query"], k=record["k"]
+            )
+            assert status == 200
+            assert body["generation"] == 1
+            want_results, want_stats = expected_payload(oracle1, record)
+            assert body["results"] == want_results
 
-            status, body, _ = daemon.request(
-                "POST", "/admin/reload",
-                {"summaries": str(sums2_path),
-                 "precompute": str(precompute2_path)},
+        status, body, _ = daemon.request(
+            "POST", "/admin/reload",
+            {"summaries": str(sums2_path),
+             "precompute": str(precompute2_path)},
+        )
+        assert status == 200
+        assert body["generation"] == 2
+
+        changed = 0
+        for record in probes:
+            status, body, _ = daemon.search(
+                record["user"], record["query"], k=record["k"]
             )
             assert status == 200
             assert body["generation"] == 2
+            want_results, want_stats = expected_payload(oracle2, record)
+            assert body["results"] == want_results
+            assert body["stats"] == want_stats
+            old_results, _ = expected_payload(oracle1, record)
+            if old_results != want_results:
+                changed += 1
+        # The swap must have been observable - otherwise this test
+        # proved nothing about staleness.
+        assert changed > 0
+        status, _, _ = daemon.request("GET", "/metrics")
+        assert status == 200
+        snapshot = daemon.registry.snapshot()
+        assert snapshot.gauges.get("cache.tier.generation") == 2
 
-            changed = 0
-            for record in probes:
-                status, body, _ = daemon.search(
-                    record["user"], record["query"], k=record["k"]
-                )
-                assert status == 200
-                assert body["generation"] == 2
-                want_results, want_stats = expected_payload(oracle2, record)
-                assert body["results"] == want_results
-                assert body["stats"] == want_stats
-                old_results, _ = expected_payload(oracle1, record)
-                if old_results != want_results:
-                    changed += 1
-            # The swap must have been observable - otherwise this test
-            # proved nothing about staleness.
-            assert changed > 0
-            status, _, _ = daemon.request("GET", "/metrics")
-            assert status == 200
-            snapshot = daemon.registry.snapshot()
-            assert snapshot.gauges.get("cache.tier.generation") == 2
-        finally:
-            daemon.stop()
-
-    def test_mismatched_precompute_reload_refused(self, replay, alt_summaries):
+    def test_mismatched_precompute_reload_refused(
+        self, replay, alt_summaries, make_daemon
+    ):
         """Swapping summaries without the precompute fails; old gen serves."""
-        stack = replay["stack"]
         sums2_path = alt_summaries["sums_path"]
 
-        daemon = DaemonHarness(
-            stack,
-            config=ServeConfig(port=0),
+        daemon = make_daemon(
             answer_cache_bytes=8 << 20,
             precompute_path=replay["precompute_path"],
-        ).start()
-        try:
-            record = replay["records"][0]
-            status, before, _ = daemon.search(
-                record["user"], record["query"], k=record["k"]
-            )
-            assert status == 200 and before["generation"] == 1
+        )
+        record = replay["records"][0]
+        status, before, _ = daemon.search(
+            record["user"], record["query"], k=record["k"]
+        )
+        assert status == 200 and before["generation"] == 1
 
-            # New summaries + generation-1 precompute: fingerprints differ.
-            status, body, _ = daemon.request(
-                "POST", "/admin/reload", {"summaries": str(sums2_path)}
-            )
-            assert status == 400
-            assert "precompute" in body["error"]["message"]
+        # New summaries + generation-1 precompute: fingerprints differ.
+        status, body, _ = daemon.request(
+            "POST", "/admin/reload", {"summaries": str(sums2_path)}
+        )
+        assert status == 400
+        assert "precompute" in body["error"]["message"]
 
-            status, after, _ = daemon.search(
-                record["user"], record["query"], k=record["k"]
-            )
-            assert status == 200
-            assert after["generation"] == 1
-            assert after["results"] == before["results"]
-        finally:
-            daemon.stop()
+        status, after, _ = daemon.search(
+            record["user"], record["query"], k=record["k"]
+        )
+        assert status == 200
+        assert after["generation"] == 1
+        assert after["results"] == before["results"]

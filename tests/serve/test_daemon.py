@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import _faults
+from repro.core import ServingEngine
 from repro.datasets import generate_workload
 
 
@@ -306,6 +307,64 @@ class TestReload:
         status, body, _ = daemon.search(3, "phone", k=5)
         assert status == 200 and body["generation"] == 1
 
+    def test_override_stays_in_force_across_empty_reload(
+        self, stack, alt_sums_path, daemon
+    ):
+        # An override reload, then the {} reload that SIGHUP sends: the
+        # daemon keeps serving the override, not its startup summaries.
+        status, body, _ = daemon.request(
+            "POST", "/admin/reload", {"summaries": str(alt_sums_path)}
+        )
+        assert status == 200 and body["generation"] == 2
+        status, body, _ = daemon.request("POST", "/admin/reload", {})
+        assert status == 200 and body["generation"] == 3
+        assert daemon.server.engines.paths["summaries"] == str(alt_sums_path)
+        fresh = ServingEngine.from_artifacts(
+            stack.bundle.graph, stack.bundle.topic_index, alt_sums_path,
+            index_dir=stack.index_dir,
+        )
+        workload = generate_workload(
+            stack.bundle, n_queries=4, n_users=3, seed=7
+        )
+        changed = 0
+        for user, query in workload.pairs():
+            status, body, _ = daemon.search(user, query.raw, k=5)
+            assert status == 200 and body["generation"] == 3
+            want = fresh.search(user, query.raw, 5, with_stats=True)
+            assert body["results"] == [
+                {"topic_id": r.topic_id, "label": r.label,
+                 "influence": r.influence}
+                for r in want[0]
+            ]
+            assert body["stats"] == {
+                field: getattr(want[1], field) for field in body["stats"]
+            }
+            changed += body["results"] != expected_results(
+                stack, user, query.raw, 5
+            )
+        assert changed > 0  # the two summaries really answer differently
+
+    def test_refused_override_leaves_paths_in_force(
+        self, stack, alt_sums_path, precompute_path, make_daemon
+    ):
+        daemon = make_daemon(
+            answer_cache_bytes=1 << 20, precompute_path=precompute_path
+        )
+        before = daemon.server.engines.paths
+        # New summaries under the configured precompute: stale, refused.
+        status, body, _ = daemon.request(
+            "POST", "/admin/reload", {"summaries": str(alt_sums_path)}
+        )
+        assert status == 400
+        assert "precompute" in body["error"]["message"]
+        assert daemon.server.engines.paths == before
+        assert daemon.server.engines.generation == 1
+        status, body, _ = daemon.request("POST", "/admin/reload", {})
+        assert status == 200 and body["generation"] == 2
+        status, body, _ = daemon.search(3, "phone", k=5)
+        assert status == 200 and body["generation"] == 2
+        assert body["results"] == expected_results(stack, 3, "phone", 5)
+
     def test_reload_under_traffic_drops_nothing(self, stack, daemon):
         class SlowLoad:
             def __call__(self, *, data, **_):
@@ -388,27 +447,12 @@ class TestLifecycle:
 
 @pytest.mark.slow
 class TestRealSignals:
-    def test_cli_serve_sigterm_drains_and_exits_zero(self, stack, tmp_path):
-        from repro.core import (
-            ServingEngine,
-            build_precompute,
-            save_precompute,
-        )
-
-        # Precompute exactly one answer, so the first request for it is an
-        # answer-tier hit only if the daemon booted warm.
+    def test_cli_serve_sigterm_drains_and_exits_zero(
+        self, stack, precompute_path
+    ):
+        # The precompute holds exactly this answer, so the first request
+        # for it is an answer-tier hit only if the daemon booted warm.
         record = {"user": 3, "query": "phone", "k": 5}
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        offline = ServingEngine.from_artifacts(
-            stack.bundle.graph, stack.bundle.topic_index, stack.sums_path,
-            index_dir=stack.index_dir,
-        )
-        precompute = tmp_path / "precompute.json"
-        save_precompute(
-            build_precompute(offline, trace, top_queries=1, top_answers=1),
-            precompute,
-        )
         src_dir = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src_dir)
@@ -418,7 +462,8 @@ class TestRealSignals:
                 "--dataset", "data_2k", "--size", "140", "--seed", "7",
                 "--summaries", str(stack.sums_path),
                 "--index-dir", str(stack.index_dir),
-                "--precompute", str(precompute), "--answer-cache-mb", "8",
+                "--precompute", str(precompute_path),
+                "--answer-cache-mb", "8",
                 "--port", "0", "--drain-seconds", "5",
             ],
             stdout=subprocess.PIPE,

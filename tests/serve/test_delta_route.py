@@ -79,6 +79,19 @@ class TestDeltaRoute:
         status, _, _ = daemon.search(0, "phone")
         assert status == 200
 
+    def test_nan_probability_is_400_and_graph_unchanged(self, daemon):
+        # JSON NaN parses to a float; it must not reach the served graph.
+        s, t, p = existing_edges(daemon.server.engines.current.graph)[0]
+        status, body, _ = daemon.request(
+            "POST", "/admin/delta",
+            raw_body='{"reweights": [[%d, %d, NaN]]}' % (s, t),
+        )
+        assert status == 400
+        assert body["error"]["type"] == "EdgeError"
+        graph = daemon.server.engines.current.graph
+        assert not np.isnan(graph.edge_arrays()[2]).any()
+        assert graph.edge_probability(s, t) == p
+
     def test_reload_after_delta_is_refused(self, make_daemon):
         # The delta rewrote the served shards for the edited graph, but a
         # reload reopens them over the graph the daemon started with: the

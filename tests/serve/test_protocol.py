@@ -82,6 +82,20 @@ class TestParseSearchRequest:
             parse_search_request(_encode(payload), default_k=10)
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e309", "1" + "0" * 400,
+    ])
+    def test_non_finite_deadline_is_400(self, literal):
+        # json.loads parses these into NaN / +-inf (or an int past the
+        # float range); none is a usable deadline.
+        body = (
+            '{"user": 1, "query": "phone", "deadline_ms": %s}' % literal
+        ).encode()
+        with pytest.raises(HttpError) as exc:
+            parse_search_request(body, default_k=10)
+        assert exc.value.status == 400
+        assert exc.value.error_type == "ValidationError"
+
     def test_unusable_query_is_typed_400(self):
         with pytest.raises(HttpError) as exc:
             parse_search_request(

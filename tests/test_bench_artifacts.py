@@ -14,18 +14,6 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 #: Committed artifact -> the gates it must record as passed.
 GATES = {
-    "BENCH_answer_cache.json": (
-        "answer_hit_ratio_ge_50pct",
-        "cached_p99_below_uncached",
-        "parity_seed_7",
-        "parity_seed_1234",
-        "daemon_spot_check_bit_exact",
-        "no_server_errors",
-        "hot_reload_ok_both_phases",
-        "generation_bump_observed",
-        "metrics_expose_tier_family",
-        "clean_exits",
-    ),
     "BENCH_dynamics.json": (
         "entry_parity_at_scale",
         "parity_memory_seed_7",
@@ -39,6 +27,24 @@ GATES = {
         "all_scenarios_ok",
         "deterministic_replay",
         "daemon_zero_5xx",
+    ),
+    "BENCH_serve.json": (
+        "sheds_under_overload",
+        "success_p99_bounded",
+        "no_server_errors",
+        "hot_reload_ok",
+        "generation_bump_observed",
+        "healthz_ok_after_storm",
+        "readyz_ok_after_storm",
+        "metrics_ok_after_storm",
+        "queue_drained",
+        "answer_hit_ratio_ge_50pct",
+        "cached_p99_below_uncached",
+        "metrics_expose_tier_family",
+        "parity_seed_7",
+        "parity_seed_1234",
+        "daemon_spot_check_bit_exact",
+        "clean_exits",
     ),
 }
 
