@@ -184,9 +184,7 @@ def main(argv=None) -> int:
     builder = PITEngine.from_dataset(
         bundle, summarizer=args.summarizer, theta=args.theta, seed=args.seed
     )
-    engine = builder.serving(
-        entry_cache_bytes=64 << 20, summary_cache_bytes=8 << 20
-    )
+    engine = builder.serving(entry_cache_bytes=64 << 20)
     scalar = ScalarReferenceSearcher(
         builder.topic_index, builder.summary, builder.propagation_index
     )
@@ -264,7 +262,9 @@ def main(argv=None) -> int:
             "batched_qps_vs_scalar_qps":
                 batched_t["qps"] / scalar_t["qps"] if scalar_t["qps"] else 0.0,
         },
-        "cache_stats": [c.as_dict() for c in engine.cache_stats()],
+        "tier_stats": {
+            name: c.as_dict() for name, c in engine.tier_stats().items()
+        },
         "parity": parity,
         "instrumentation_overhead": overhead,
     }

@@ -14,9 +14,8 @@ against it, and writes ``BENCH_serve.json``. Phases:
   replay new traffic from the same mix). Each storm fires ``POST
   /admin/reload {}`` (what SIGHUP sends) when the replay cursor crosses
   its midpoint, and workers past it wait for the swap before their
-  latency clock starts, so the second half runs on generation 2. The
-  full profile runs ``FULL_STORM_PAIRS`` pairs, alternating which side
-  goes first; smoke runs one;
+  latency clock starts, so the second half runs on generation 2. Both
+  profiles run ``STORM_PAIRS`` pairs, alternating which side goes first;
 * **parity** - warm cached engines vs fresh uncached engines over the
   differential seeds 7 and 1234, across a generation bump.
 
@@ -71,8 +70,9 @@ from repro.serve import LocalDaemon, ServeConfig
 SAFETY = 6.0
 P99_FLOOR_S = 0.25  # timer-resolution floor for tiny smoke runs
 
-#: Uncached/cached storm pairs of a full run; a smoke run keeps one.
-FULL_STORM_PAIRS = 3
+#: Uncached/cached storm pairs of every run, smoke included: the p99 gate
+#: compares medians over pairs, which one pair's ~100 samples cannot decide.
+STORM_PAIRS = 3
 
 #: ``--smoke`` caps each of these options at the given value.
 SMOKE_CAPS = {
@@ -297,7 +297,7 @@ def engine_parity(
             )
             if got[0] != want[0] or work_tuple(got[1]) != work_tuple(want[1]):
                 mismatches += 1
-        warm_hits += warm.answer_cache_stats().hits
+        warm_hits += warm.tier_stats()["answers"].hits
     return {
         "seed": seed,
         "n_requests_checked": 2 * len(records),
@@ -469,7 +469,7 @@ def main(argv=None) -> int:
         storm["answer_hit_ratio"] = hits / (hits + misses) if hits else 0.0
         return storm
 
-    n_pairs = 1 if args.smoke else FULL_STORM_PAIRS
+    n_pairs = STORM_PAIRS
     print(f"storms: {n_pairs} uncached/cached pairs of "
           f"{len(storm_records)} requests, {overload_clients} clients vs "
           f"queue {args.max_queue}, reload at replay midpoint", flush=True)

@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request bodies above this are refused with 413")
     serve.add_argument("--entry-cache-mb", type=int, default=64, metavar="MB",
                        help="bounded propagation-entry cache (default 64)")
-    serve.add_argument("--summary-cache-mb", type=int, default=8, metavar="MB",
-                       help="bounded summary-array cache (default 8)")
     serve.add_argument("--answer-cache-mb", type=int, default=32, metavar="MB",
                        help="answer-tier byte budget; 0 disables the tier "
                             "(default 32)")
@@ -509,8 +507,8 @@ def _run_batch(args, engine) -> int:
     qps = len(requests) / elapsed if elapsed > 0 else float("inf")
     print(f"\nserved {len(requests)} requests in {elapsed:.3f}s "
           f"({qps:.1f} QPS, {n_empty} empty)")
-    for cache in engine.cache_stats():
-        print(f"cache {cache.name}: {cache.hits} hits / {cache.misses} misses "
+    for name, cache in engine.tier_stats().items():
+        print(f"cache {name}: {cache.hits} hits / {cache.misses} misses "
               f"(hit rate {cache.hit_rate:.1%}), {cache.n_items} items, "
               f"{cache.current_bytes / 1024:.1f} KiB")
     return 0
@@ -553,11 +551,10 @@ def _run_search(args) -> int:
     )
     engine = builder.serving(
         prebuilt,
-        # Batch serving gets bounded caches so the report can show hit
-        # rates and resident bytes; one-shot queries keep the unbounded
-        # default.
+        # Batch serving gets a bounded entry tier so the report can show
+        # its hit rate and resident bytes; one-shot queries keep the
+        # unbounded default.
         entry_cache_bytes=64 << 20 if args.batch else None,
-        summary_cache_bytes=8 << 20 if args.batch else None,
     )
     if prebuilt is not None:
         shards = prebuilt.shards
@@ -740,9 +737,7 @@ def _run_stats(args) -> int:
         )
     else:
         builder.propagation_index.build_all(workers=1)
-    engine = builder.serving(
-        prebuilt, entry_cache_bytes=64 << 20, summary_cache_bytes=8 << 20
-    )
+    engine = builder.serving(prebuilt, entry_cache_bytes=64 << 20)
     workload = generate_workload(
         bundle, n_queries=args.queries, n_users=args.users, seed=args.seed
     )
@@ -794,7 +789,6 @@ def _run_serve(args) -> int:
         theta=args.theta,
         shard_cache_bytes=args.shard_cache_mb << 20,
         entry_cache_bytes=args.entry_cache_mb << 20,
-        summary_cache_bytes=args.summary_cache_mb << 20,
         answer_cache_bytes=(
             None if args.answer_cache_mb == 0 else args.answer_cache_mb << 20
         ),

@@ -48,7 +48,7 @@ class CacheStats:
     Attributes
     ----------
     name:
-        Which cache ("propagation-entries", "summary-arrays", ...).
+        Which cache tier ("answers", "plans", "entries", ...).
     hits / misses:
         Lookup outcomes since the cache was created (or last cleared).
     evictions:

@@ -31,10 +31,11 @@ incrementally maintained bounded heap (:class:`_KthBound`, O(log k) per
 prune instead of a fresh ``heapq.nlargest``), and the upper-bound prune
 itself runs vectorized over the active-topic arrays.
 
-:meth:`PersonalizedSearcher.search_many` is the batched serving layer:
-requests are grouped by keyword query so topic resolution, label ranking
-and summary arrays compile once per distinct query, and propagation
-entries / summary arrays can sit in bounded byte-accounted LRU caches
+:meth:`PersonalizedSearcher.search_many` is the batched serving layer
+(:meth:`~PersonalizedSearcher.search` is a one-request batch): requests
+are grouped by keyword query so topic resolution, label ranking and
+summary arrays compile once per distinct query into the byte-bounded plan
+tier, and propagation entries can sit in a bounded byte-accounted LRU
 (see :mod:`repro.core.serving`).
 """
 
@@ -81,6 +82,8 @@ _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 #: Default byte budget for the compiled-plan cache tier.
 DEFAULT_PLAN_CACHE_BYTES = 128 << 20
+#: Most compiled plans the plan tier retains, whatever their bytes.
+MAX_PLANS = 256
 
 
 def normalized_query_key(
@@ -140,12 +143,6 @@ class SearchStats:
     representatives_touched:
         Representative-weight slots examined (one per representative per
         summary-set probe; identical accounting to the scalar reference).
-    entry_cache_hits / entry_cache_misses:
-        Bounded propagation-entry cache outcomes during this search
-        (0 when the searcher runs without an entry cache).
-    summary_cache_hits / summary_cache_misses:
-        Bounded summary-array cache outcomes during this search
-        (0 when the searcher runs without a summary cache).
     """
 
     topics_considered: int = 0
@@ -153,10 +150,6 @@ class SearchStats:
     entries_probed: int = 0
     expansion_rounds: int = 0
     representatives_touched: int = 0
-    entry_cache_hits: int = 0
-    entry_cache_misses: int = 0
-    summary_cache_hits: int = 0
-    summary_cache_misses: int = 0
 
 
 def _gamma_intersect(
@@ -349,17 +342,12 @@ class PersonalizedSearcher:
         of this many bytes instead of the index's unbounded cache (entries
         the index already holds - e.g. a prebuilt artifact - are served
         from it directly and charged nothing).
-    summary_cache_bytes:
-        When set, summary array forms live in a bounded LRU of this many
-        bytes, and cache hits skip the summary provider entirely.
-    plan_cache_size:
-        Number of compiled :class:`_QueryPlan` objects retained across
-        calls (keyed by normalized keyword query); 0 disables plan reuse.
     plan_cache_bytes:
-        Byte budget of the compiled-plan tier (default
-        :data:`DEFAULT_PLAN_CACHE_BYTES`). Plans are charged their array
-        block at insert time; LRU plans are evicted past the budget even
-        when fewer than ``plan_cache_size`` are resident.
+        Byte budget of the compiled-plan tier, which keeps at most
+        :data:`MAX_PLANS` plans keyed by normalized keyword query. A plan
+        is charged its arrays plus its probe cache, re-measured after
+        every query group it serves; LRU plans are evicted past the
+        budget, and a plan that outgrows the whole budget leaves the tier.
     metrics:
         Registry receiving per-search accounting (latency histogram plus
         the :class:`SearchStats` counters). ``None`` uses the
@@ -377,34 +365,19 @@ class PersonalizedSearcher:
         *,
         max_expand_rounds: int = 8,
         entry_cache_bytes: Optional[int] = None,
-        summary_cache_bytes: Optional[int] = None,
-        plan_cache_size: int = 256,
-        plan_cache_bytes: Optional[int] = None,
+        plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         metrics: Optional[MetricsRegistry] = None,
     ):
         require_in_range("max_expand_rounds", max_expand_rounds, 0)
-        require_in_range("plan_cache_size", plan_cache_size, 0)
         self._topic_index = topic_index
         self._summaries = summaries
         self._propagation = propagation_index
         self._max_expand_rounds = int(max_expand_rounds)
         self._entry_cache: Optional[ByteLRUCache] = (
             None if entry_cache_bytes is None
-            else ByteLRUCache(entry_cache_bytes, name="propagation-entries")
+            else ByteLRUCache(entry_cache_bytes, name="entries")
         )
-        self._summary_cache: Optional[ByteLRUCache] = (
-            None if summary_cache_bytes is None
-            else ByteLRUCache(summary_cache_bytes, name="summary-arrays")
-        )
-        self._plan_cache_size = int(plan_cache_size)
-        self._plans: Optional[ByteLRUCache] = (
-            None if plan_cache_size == 0
-            else ByteLRUCache(
-                plan_cache_bytes if plan_cache_bytes is not None
-                else DEFAULT_PLAN_CACHE_BYTES,
-                name="query-plans",
-            )
-        )
+        self._plans = ByteLRUCache(plan_cache_bytes, name="plans")
         self._metrics = metrics
 
     def set_metrics(self, registry: Optional[MetricsRegistry]) -> None:
@@ -434,55 +407,27 @@ class PersonalizedSearcher:
             for node in self._entry_cache.keys():
                 if node in wanted:
                     self._entry_cache.pop(node)
-        if self._plans is not None:
-            for plan in self._plans.values():
-                for node in wanted.intersection(plan.probe_cache):
-                    del plan.probe_cache[node]
+        for plan in self._plans.values():
+            for node in wanted.intersection(plan.probe_cache):
+                del plan.probe_cache[node]
         return self
 
-    def entry_cache_stats(self) -> Optional[CacheStats]:
-        """Snapshot of the bounded entry cache (None when unbounded)."""
-        if self._entry_cache is None:
-            return None
-        return self._entry_cache.stats()
-
-    def summary_cache_stats(self) -> Optional[CacheStats]:
-        """Snapshot of the bounded summary cache (None when disabled)."""
-        if self._summary_cache is None:
-            return None
-        return self._summary_cache.stats()
-
-    def plan_cache_stats(self) -> Optional[CacheStats]:
-        """Snapshot of the compiled-plan tier (None when disabled).
-
-        Kept out of :meth:`cache_stats` - that tuple enumerates the
-        *opt-in* byte-bounded caches and is empty in the default
-        configuration, a contract callers rely on.
-        """
-        if self._plans is None:
-            return None
-        return self._plans.stats()
-
-    def cache_stats(self) -> Tuple[CacheStats, ...]:
-        """Snapshots of every configured bounded cache."""
-        return tuple(
-            s for s in (self.entry_cache_stats(), self.summary_cache_stats())
-            if s is not None
-        )
+    def tier_stats(self) -> Dict[str, CacheStats]:
+        """Snapshots of the plan tier and, when bounded, the entry tier."""
+        tiers = {"plans": self._plans.stats()}
+        if self._entry_cache is not None:
+            tiers["entries"] = self._entry_cache.stats()
+        return tiers
 
     def cache_memory_bytes(self) -> int:
-        """Bytes held by the bounded serving caches and compiled plans.
+        """Bytes held by the compiled plans and the bounded entry cache.
 
-        Plans are measured live (their probe caches grow after insert),
-        not at the insert-time charge the LRU budget works from.
+        Plans are measured live: a delta can shrink a probe cache below
+        the charge its plan was last admitted at.
         """
-        total = 0
-        if self._plans is not None:
-            total += sum(plan.memory_bytes() for plan in self._plans.values())
+        total = sum(plan.memory_bytes() for plan in self._plans.values())
         if self._entry_cache is not None:
             total += self._entry_cache.memory_bytes()
-        if self._summary_cache is not None:
-            total += self._summary_cache.memory_bytes()
         return int(total)
 
     # ------------------------------------------------------------------
@@ -499,14 +444,6 @@ class PersonalizedSearcher:
             ) from None
 
     def _summary_arrays(self, topic_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        cache = self._summary_cache
-        if cache is not None:
-            arrays = cache.get_or_put(
-                topic_id,
-                lambda: self._summary(topic_id).arrays(),
-                lambda a: a.memory_bytes(),
-            )
-            return arrays.representatives, arrays.weights
         arrays = self._summary(topic_id).arrays()
         return arrays.representatives, arrays.weights
 
@@ -527,30 +464,25 @@ class PersonalizedSearcher:
         if isinstance(query, str):
             query = KeywordQuery.parse(query)
         key = normalized_query_key(query)
-        plans = self._plans
-        if plans is not None:
-            plan = plans.get(key)
-            if plan is not None:
-                registry = self._registry()
-                if registry.enabled:
-                    registry.inc("cache.tier.plans.hits")
-                return plan
+        plan = self._plans.get(key)
+        registry = self._registry()
+        if plan is not None:
+            if registry.enabled:
+                registry.inc("cache.tier.plans.hits")
+            return plan
         topic_ids = self._topic_index.related_topics(query)
         labels = [self._topic_index.label(t) for t in topic_ids]
         rep_arrays = [self._summary_arrays(t) for t in topic_ids]
         plan = _QueryPlan(key, topic_ids, labels, rep_arrays)
-        if plans is not None:
-            registry = self._registry()
-            if registry.enabled:
-                registry.inc("cache.tier.plans.misses")
-            self._admit_plan(plan)
+        if registry.enabled:
+            registry.inc("cache.tier.plans.misses")
+        self._admit_plan(plan)
         return plan
 
     def _admit_plan(self, plan: _QueryPlan) -> None:
         plans = self._plans
-        assert plans is not None
         plans.put(plan.key, plan, plan.memory_bytes())
-        while len(plans) > self._plan_cache_size:
+        while len(plans) > MAX_PLANS:
             plans.pop(plans.keys()[0])
 
     def plan_for(self, query: Union[str, KeywordQuery]) -> _QueryPlan:
@@ -563,17 +495,17 @@ class PersonalizedSearcher:
         return self._plan(query)
 
     def touch_plan(self, key: Tuple) -> bool:
-        """Bump a resident plan to most-recent (the tier-demotion hook).
+        """Bump a resident plan to most-recent and re-charge it.
 
-        Called when a cached *answer* built from this plan is evicted:
-        keeping the plan warm means the head query costs one kernel pass
-        to re-answer, not a recompile. The plan is re-charged at its
-        current size (probe caches grow after insert), so the byte budget
-        tracks reality. No hit/miss accounting - this is maintenance.
+        The plan is re-charged at its current size (probe caches grow
+        after insert), so the byte budget tracks reality; a plan that
+        outgrew the whole budget leaves the tier. :meth:`search_many`
+        calls this after every query group, and the answer tier calls it
+        when it evicts an answer built from this plan (tier demotion:
+        the head query stays one kernel pass, not a recompile, from
+        answered). No hit/miss accounting - this is maintenance.
         """
         plans = self._plans
-        if plans is None:
-            return False
         plan = plans.pop(key)
         if plan is None:
             return False
@@ -585,32 +517,13 @@ class PersonalizedSearcher:
 
         The plan must carry a :func:`normalized_query_key` in ``plan.key``
         (plans deserialized by :mod:`repro.core.precompute` do). Returns
-        ``False`` when the plan tier is disabled or the key is already
-        resident - a warm load never displaces a live, probe-warmed plan.
+        ``False`` when the key is already resident - a warm load never
+        displaces a live, probe-warmed plan.
         """
-        plans = self._plans
-        if plans is None or plan.key in plans:
+        if plan.key in self._plans:
             return False
         self._admit_plan(plan)
         return True
-
-    def _cache_marks(self) -> Tuple[int, int, int, int]:
-        entry, summary = self._entry_cache, self._summary_cache
-        return (
-            entry.hits if entry else 0,
-            entry.misses if entry else 0,
-            summary.hits if summary else 0,
-            summary.misses if summary else 0,
-        )
-
-    def _note_cache_deltas(
-        self, stats: SearchStats, marks: Tuple[int, int, int, int]
-    ) -> None:
-        now = self._cache_marks()
-        stats.entry_cache_hits += now[0] - marks[0]
-        stats.entry_cache_misses += now[1] - marks[1]
-        stats.summary_cache_hits += now[2] - marks[2]
-        stats.summary_cache_misses += now[3] - marks[3]
 
     # ------------------------------------------------------------------
     # Metrics
@@ -623,8 +536,9 @@ class PersonalizedSearcher:
         With a disabled registry the timed branch is skipped outright, so
         the uninstrumented path pays nothing - not even the clock reads.
         The per-search cost of the instrumented path is one timer and a
-        handful of counter adds; cache hit-ratio gauges are published only
-        at snapshot time (:meth:`publish_cache_gauges`), never per search.
+        handful of counter adds; tier gauges are published only at
+        snapshot time (``ServingEngine.metrics_snapshot``), never per
+        search.
         """
         registry = self._registry()
         if not registry.enabled:
@@ -643,23 +557,6 @@ class PersonalizedSearcher:
         )
         return results, stats
 
-    def publish_cache_gauges(
-        self, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        """Publish cache hit-ratio / occupancy gauges to *registry*.
-
-        Called at snapshot time (``ServingEngine.metrics_snapshot``)
-        rather than per search, keeping the hot path lean.
-        """
-        if registry is None:
-            registry = self._registry()
-        for stats in self.cache_stats():
-            prefix = f"cache.{stats.name}"
-            registry.set_gauge(f"{prefix}.hit_ratio", stats.hit_rate)
-            registry.set_gauge(f"{prefix}.current_bytes", stats.current_bytes)
-            registry.set_gauge(f"{prefix}.items", stats.n_items)
-            registry.set_gauge(f"{prefix}.evictions", stats.evictions)
-
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -674,12 +571,7 @@ class PersonalizedSearcher:
         Returns the ranked results (length <= k; shorter when fewer topics
         match the query) and the work statistics.
         """
-        require_in_range("k", k, 1)
-        marks = self._cache_marks()
-        plan = self._plan(query)
-        results, stats = self._timed_execute(plan, user, k)
-        self._note_cache_deltas(stats, marks)
-        return results, stats
+        return self.search_many([(user, query)], k)[0]
 
     def search_many(
         self,
@@ -692,8 +584,9 @@ class PersonalizedSearcher:
         mode) are grouped so topic resolution, label ranking and summary
         arrays compile exactly once per distinct query; every user in the
         group then runs the array kernels against the shared plan.
-        Results are returned aligned with the input order, each the same
-        ``(results, stats)`` pair :meth:`search` produces.
+        Results are returned aligned with the input order, each a
+        ``(results, stats)`` pair. After each group its plan is
+        re-charged to the plan tier at its grown size (:meth:`touch_plan`).
         """
         require_in_range("k", k, 1)
         request_list = [
@@ -714,14 +607,11 @@ class PersonalizedSearcher:
             else:
                 bucket[1].append(position)
         for parsed, positions in groups.values():
-            group_marks = self._cache_marks()
             plan = self._plan(parsed)
-            for i, position in enumerate(positions):
-                marks = group_marks if i == 0 else self._cache_marks()
+            for position in positions:
                 user = request_list[position][0]
-                results, stats = self._timed_execute(plan, user, k)
-                self._note_cache_deltas(stats, marks)
-                outcomes[position] = (results, stats)
+                outcomes[position] = self._timed_execute(plan, user, k)
+            self.touch_plan(plan.key)
         return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ other half of the split: :class:`ServingEngine` wraps a graph, a topic
 index, summaries, and a (prebuilt or lazily materializing) propagation
 index around one :class:`~repro.core.search.PersonalizedSearcher`, and
 exposes exactly the online surface - ``search`` / ``search_batch`` /
-``cache_stats`` / ``metrics_snapshot``. It is the only online engine:
+``tier_stats`` / ``metrics_snapshot``. It is the only online engine:
 :meth:`PITEngine.serving <repro.core.engine.PITEngine.serving>` hands
 one out over a builder's in-memory artifacts.
 
@@ -23,9 +23,9 @@ an engine over an artifact never falls back to building summaries online.
 
 **Tiered lookup.** With ``answer_cache_bytes`` set, the engine fronts the
 searcher with a third tier: full ``(user, query, k)`` answers. A lookup
-then falls through **answers → compiled plans → entries/summaries**, each
-tier a :class:`~repro.core.serving.ByteLRUCache` with its own byte
-budget. An answer evicted by its budget is *demoted*, not discarded: the
+then falls through **answers → compiled plans → entries**, each tier a
+:class:`~repro.core.serving.ByteLRUCache` with its own byte budget. An
+answer evicted by its budget is *demoted*, not discarded: the
 ``on_evict`` hook bumps the query's compiled plan to most-recent in the
 plan tier, so the recompute costs one kernel pass instead of a full
 compile. Warm state for both upper tiers comes from a
@@ -50,6 +50,7 @@ from ..topics import KeywordQuery, TopicIndex
 from .diagnostics import CacheStats
 from .propagation import PropagationIndex
 from .search import (
+    DEFAULT_PLAN_CACHE_BYTES,
     PersonalizedSearcher,
     SearchResult,
     SearchStats,
@@ -80,8 +81,7 @@ def _work_of(stats: SearchStats) -> Tuple[int, int, int, int, int]:
 
     They are a pure function of (user, query, k) over a fixed engine
     state, so replaying them keeps cached responses bit-exact with
-    uncached ones; the cache-delta fields describe *this* lookup and are
-    zero on an answer hit (no tier below was touched).
+    uncached ones.
     """
     return (
         stats.topics_considered,
@@ -115,16 +115,15 @@ class ServingEngine:
         governs).
     max_expand_rounds:
         Online Expand recursion bound.
-    entry_cache_bytes / summary_cache_bytes:
-        When set, the searcher keeps lazily built propagation entries /
-        summary array forms in bounded byte-accounted LRU caches of these
-        sizes instead of unbounded per-index caches (see
-        :mod:`repro.core.serving`). ``None`` (default) keeps them
-        unbounded.
+    entry_cache_bytes:
+        When set, the searcher keeps lazily built propagation entries in
+        a bounded byte-accounted LRU of this size instead of the index's
+        unbounded cache (see :mod:`repro.core.serving`). ``None``
+        (default) keeps them unbounded.
     answer_cache_bytes:
         When set, full top-k answers are cached per ``(user, normalized
         query, k)`` in a bounded LRU of this many bytes - the top tier of
-        the answers → plans → entries/summaries fallthrough. ``None``
+        the answers → plans → entries fallthrough. ``None``
         (default) disables the tier; results are then always computed by
         the searcher.
     plan_cache_bytes:
@@ -145,9 +144,8 @@ class ServingEngine:
         theta: float = 0.002,
         max_expand_rounds: int = 8,
         entry_cache_bytes: Optional[int] = None,
-        summary_cache_bytes: Optional[int] = None,
         answer_cache_bytes: Optional[int] = None,
-        plan_cache_bytes: Optional[int] = None,
+        plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if graph.n_nodes != topic_index.n_nodes:
@@ -180,7 +178,6 @@ class ServingEngine:
             propagation_index,
             max_expand_rounds=max_expand_rounds,
             entry_cache_bytes=entry_cache_bytes,
-            summary_cache_bytes=summary_cache_bytes,
             plan_cache_bytes=plan_cache_bytes,
             metrics=metrics,
         )
@@ -206,9 +203,8 @@ class ServingEngine:
         theta: float = 0.002,
         max_expand_rounds: int = 8,
         entry_cache_bytes: Optional[int] = None,
-        summary_cache_bytes: Optional[int] = None,
         answer_cache_bytes: Optional[int] = None,
-        plan_cache_bytes: Optional[int] = None,
+        plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         precompute_path=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "ServingEngine":
@@ -248,7 +244,6 @@ class ServingEngine:
             theta=theta,
             max_expand_rounds=max_expand_rounds,
             entry_cache_bytes=entry_cache_bytes,
-            summary_cache_bytes=summary_cache_bytes,
             answer_cache_bytes=answer_cache_bytes,
             plan_cache_bytes=plan_cache_bytes,
             metrics=metrics,
@@ -325,27 +320,11 @@ class ServingEngine:
         *,
         with_stats: bool = False,
     ):
-        """Top-k personalized influential topics (Algorithm 10).
-
-        With the answer tier enabled, a resident ``(user, query, k)``
-        answer is returned without touching the searcher; a miss falls
-        through to the plan tier and writes the fresh answer back.
-        """
-        answers = self._answers
-        if answers is None:
-            results, stats = self._searcher.search(user, query, k)
-        else:
-            registry = self._registry()
-            started = perf_counter() if registry.enabled else None
-            key = self._answer_key(user, query, k)
-            cached = answers.get(key)
-            if cached is not None:
-                results, stats = self._answer_hit(cached, started)
-            else:
-                if started is not None:
-                    registry.inc("cache.tier.answers.misses")
-                results, stats = self._searcher.search(user, query, k)
-                self._store_answer(key, results, stats)
+        """Top-k personalized influential topics (Algorithm 10): a
+        one-request :meth:`search_batch`."""
+        results, stats = self.search_batch(
+            [(user, query)], k, with_stats=True
+        )[0]
         if with_stats:
             return results, stats
         return results
@@ -549,29 +528,13 @@ class ServingEngine:
         return {"plans": adopted, "answers": seeded}
 
     # ------------------------------------------------------------------
-    def answer_cache_stats(self) -> Optional[CacheStats]:
-        """Snapshot of the answer tier (None when disabled)."""
-        if self._answers is None:
-            return None
-        return self._answers.stats()
-
-    def cache_stats(self):
-        """Snapshots of the searcher's bounded serving caches."""
-        return self._searcher.cache_stats()
-
     def tier_stats(self) -> Dict[str, CacheStats]:
-        """Per-tier snapshots of the answers → plans → entries/summaries
+        """Per-tier snapshots of the answers → plans → entries
         fallthrough (only the tiers that are configured)."""
         tiers: Dict[str, CacheStats] = {}
-        pairs = (
-            ("answers", self.answer_cache_stats()),
-            ("plans", self._searcher.plan_cache_stats()),
-            ("entries", self._searcher.entry_cache_stats()),
-            ("summaries", self._searcher.summary_cache_stats()),
-        )
-        for name, stats in pairs:
-            if stats is not None:
-                tiers[name] = stats
+        if self._answers is not None:
+            tiers["answers"] = self._answers.stats()
+        tiers.update(self._searcher.tier_stats())
         return tiers
 
     def publish_tier_gauges(
@@ -601,12 +564,11 @@ class ServingEngine:
     def metrics_snapshot(self) -> MetricsSnapshot:
         """A coherent snapshot of the engine's metrics registry.
 
-        Publishes the point-in-time gauges first (caches, Γ size and
-        shards, summary count, footprint, ``cache.tier.*``) - here, not
+        Publishes the point-in-time gauges first (Γ size and shards,
+        summary count, footprint, ``cache.tier.*``) - here, not
         per search, keeping the serving hot path to counter adds only.
         """
         registry = self._registry()
-        self._searcher.publish_cache_gauges(registry)
         index = self.propagation_index
         registry.set_gauge("propagation.entries_cached", index.n_cached)
         registry.set_gauge("propagation.index_bytes", index.memory_bytes())
@@ -624,18 +586,13 @@ class ServingEngine:
         """Approximate resident size of the serving stack.
 
         The propagation index (resident portion only, when mapped), the
-        loaded summaries (including frozen array forms), and the
-        searcher's bounded caches and compiled plans - with the summary
-        -array LRU's aliased bytes backed out (they alias arrays already
-        charged via :meth:`TopicSummary.memory_bytes`). A builder's walk
-        index is not counted: serving never reads it.
+        loaded summaries (including frozen array forms), the searcher's
+        compiled plans and bounded entry cache, and the answer tier. A
+        builder's walk index is not counted: serving never reads it.
         """
         total = self.propagation_index.memory_bytes()
         total += sum(s.memory_bytes() for s in self._summaries.values())
         total += self._searcher.cache_memory_bytes()
         if self._answers is not None:
             total += self._answers.memory_bytes()
-        summary_stats = self._searcher.summary_cache_stats()
-        if summary_stats is not None:
-            total -= summary_stats.current_bytes
         return total

@@ -3,25 +3,24 @@
 The paper's whole pitch is that summarization turns PIT-Search into an
 *online* operation; serving it to many users needs the memory story that
 the paper leaves implicit. This module supplies the bounded, byte-accounted
-LRU cache used by :class:`~repro.core.search.PersonalizedSearcher` for
+LRU cache behind every serving tier, which a lookup falls through in order:
 
-* **propagation entries** - ``Γ(v)`` arrays built lazily per query user;
+* **answers** - full top-k results per ``(user, normalized query, k)``,
+  held by :class:`~repro.core.serve_facade.ServingEngine` (optional);
+* **plans** - compiled per-query candidate arrays (topic summaries'
+  representatives and weights, plus their cached Γ probes), held by
+  :class:`~repro.core.search.PersonalizedSearcher` (always on);
+* **entries** - ``Γ(v)`` arrays built lazily per query user (optional);
   unbounded retention is exactly the §5.1 index's full footprint, which a
-  serving node cannot afford for millions of users;
-* **summary arrays** - the frozen
-  :class:`~repro.core.summarization.SummaryArrays` form of each topic,
-  shared across every user asking a query that touches the topic.
+  serving node cannot afford for millions of users.
 
-Eviction is least-recently-used under a byte budget (items are charged
-their exact array payload). Hit/miss/eviction counters snapshot into
-:class:`~repro.core.diagnostics.CacheStats` for the benchmarks and the
-engine's memory accounting.
-
-The cache also backs the tiered answer/plan caches of
-:class:`~repro.core.serve_facade.ServingEngine`; the optional
+Eviction is least-recently-used under a byte budget. Hit/miss/eviction
+counters snapshot into :class:`~repro.core.diagnostics.CacheStats`, which
+``tier_stats()`` returns per tier and ``ServingEngine.metrics_snapshot``
+publishes as the ``cache.tier.<tier>.*`` gauges. The optional
 ``on_evict`` callback is the demotion seam between tiers (an answer
-displaced by the byte budget can be downgraded to its compiled plan
-rather than recomputed from scratch).
+displaced by the byte budget is downgraded to its compiled plan rather
+than recomputed from scratch).
 """
 
 from __future__ import annotations
@@ -109,22 +108,13 @@ class ByteLRUCache(Generic[K, V]):
         self._items[key] = (value, nbytes)
         self._bytes += nbytes
 
-    def get_or_build(self, key: K, build: Callable[[], V],
-                     size_of: Callable[[V], int]) -> V:
-        """``get`` falling back to ``build()`` + ``put`` on a miss."""
-        value = self.get(key)
-        if value is None:
-            value = build()
-            self.put(key, value, size_of(value))
-        return value
-
     def get_or_put(self, key: K, build: Callable[[], V],
                    size_of: Callable[[V], int]) -> V:
-        """Atomic miss-then-insert helper for coalesced serving paths.
+        """``get`` falling back to ``build()`` + ``put`` on a miss.
 
-        Like :meth:`get_or_build`, but safe when ``build()`` re-enters
-        the cache - e.g. a coalesced batch whose builder populates other
-        entries (possibly evicting its way past this key's slot) or, via
+        Safe when ``build()`` re-enters the cache - e.g. a coalesced
+        batch whose builder populates other entries (possibly evicting
+        its way past this key's slot) or, via
         a recursive provider, inserts *key* itself. After ``build()``
         returns, the cache is re-checked: a value that appeared for *key*
         in the meantime wins (it is bumped to most-recent and returned,

@@ -201,7 +201,7 @@ class _HitTracker:
         self._misses = 0
 
     def delta(self) -> Tuple[int, int]:
-        stats = self._engine.answer_cache_stats()
+        stats = self._engine.tier_stats().get("answers")
         hits = stats.hits if stats else 0
         misses = stats.misses if stats else 0
         out = (hits - self._hits, misses - self._misses)

@@ -123,15 +123,16 @@ class TestBatchServing:
         assert stats.topics_considered >= len(results)
 
     def test_cache_stats_empty_without_budgets(self, engine):
-        assert engine.serving().cache_stats() == ()
+        assert list(engine.serving().tier_stats()) == ["plans"]
 
     def test_cache_stats_with_budgets(self, engine):
         serving = engine.serving(
-            entry_cache_bytes=1 << 20, summary_cache_bytes=1 << 20
+            entry_cache_bytes=1 << 20, answer_cache_bytes=1 << 20
         )
         serving.search(3, "phone", k=2)
-        names = [s.name for s in serving.cache_stats()]
-        assert names == ["propagation-entries", "summary-arrays"]
+        tiers = serving.tier_stats()
+        assert list(tiers) == ["answers", "plans", "entries"]
+        assert [s.name for s in tiers.values()] == list(tiers)
 
     def test_serving_over_prebuilt_index(self, engine, bundle):
         from repro.core import PropagationIndex
@@ -182,13 +183,12 @@ class TestMemory:
         ).serving()
         cached = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=17
-        ).serving(entry_cache_bytes=64 << 20, summary_cache_bytes=64 << 20)
+        ).serving(entry_cache_bytes=64 << 20)
         plain.search(3, "phone", k=2)
         cached.search(3, "phone", k=2)
-        # The summary-array LRU holds aliases of arrays already charged to
-        # the summaries; the cached engine may only differ by the bounded
-        # entry cache, never by re-counting the arrays.
-        entry_bytes = cached._searcher.entry_cache_stats().current_bytes
+        # The cached engine may only differ by the bounded entry cache,
+        # never by re-counting the summaries' arrays.
+        entry_bytes = cached.tier_stats()["entries"].current_bytes
         assert cached.memory_bytes() - entry_bytes <= plain.memory_bytes()
 
     def test_walk_index_not_counted(self, engine):

@@ -277,24 +277,29 @@ class TestAnswerTier:
         second = engine.search(3, "phone", k=5, with_stats=True)
         assert second[0] == first[0]
         assert work_tuple(second[1]) == work_tuple(first[1])
-        stats = engine.answer_cache_stats()
+        stats = engine.tier_stats()["answers"]
         assert stats.misses == 1 and stats.hits == 1
 
     def test_hit_reports_no_cache_delta_work(self, built):
-        engine = serving_engine(built, answer_cache_bytes=1 << 20)
+        engine = serving_engine(
+            built, answer_cache_bytes=1 << 20, entry_cache_bytes=1 << 20
+        )
         engine.search(3, "phone", k=5)
-        _, stats = engine.search(3, "phone", k=5, with_stats=True)
-        # A cached answer did no entry/summary work this call.
-        assert stats.entry_cache_hits == 0
-        assert stats.entry_cache_misses == 0
-        assert stats.summary_cache_hits == 0
-        assert stats.summary_cache_misses == 0
+        before = engine.tier_stats()
+        engine.search(3, "phone", k=5)
+        after = engine.tier_stats()
+        # A cached answer did no plan or entry work this call.
+        for tier in ("plans", "entries"):
+            assert (after[tier].hits, after[tier].misses) == (
+                before[tier].hits, before[tier].misses
+            )
+        assert after["answers"].hits == before["answers"].hits + 1
 
     def test_key_normalization_shares_answers(self, built):
         engine = serving_engine(built, answer_cache_bytes=1 << 20)
         engine.search(3, "Phone  CAMERA", k=5)
         engine.search(3, "camera phone", k=5)
-        stats = engine.answer_cache_stats()
+        stats = engine.tier_stats()["answers"]
         assert stats.n_items == 1
         assert stats.hits == 1
 
@@ -308,20 +313,20 @@ class TestAnswerTier:
         got = engine.search_batch(requests, k=5)
         want = cold.search_batch(requests, k=5)
         assert got == want
-        stats = engine.answer_cache_stats()
+        stats = engine.tier_stats()["answers"]
         assert stats.hits == 2  # the two warm pairs
         # The two cold requests were written through.
         assert engine.search(40, "phone", k=5) == want[0]
-        assert engine.answer_cache_stats().hits == 3
+        assert engine.tier_stats()["answers"].hits == 3
 
     def test_invalidate_all_and_by_user(self, built):
         engine = serving_engine(built, answer_cache_bytes=1 << 20)
         for user, query in ((3, "phone"), (11, "phone"), (3, "camera")):
             engine.search(user, query, k=5)
         assert engine.invalidate_answers(users=[3]) == 2
-        assert engine.answer_cache_stats().n_items == 1
+        assert engine.tier_stats()["answers"].n_items == 1
         assert engine.invalidate_answers() == 1
-        assert engine.answer_cache_stats().n_items == 0
+        assert engine.tier_stats()["answers"].n_items == 0
         # Disabled tier: the seam is a harmless no-op.
         assert serving_engine(built).invalidate_answers() == 0
 
@@ -351,7 +356,7 @@ class TestAnswerTier:
         wrong = dataclasses.replace(artifact, summaries_fingerprint="0" * 64)
         with pytest.raises(ConfigurationError, match="summaries"):
             engine.warm_from_precompute(wrong)
-        assert engine.answer_cache_stats().n_items == 0
+        assert engine.tier_stats()["answers"].n_items == 0
 
     def test_eviction_demotes_into_plan_tier(self, built):
         # An answer tier far smaller than the working set: later answers
@@ -366,7 +371,7 @@ class TestAnswerTier:
         for user in (3, 11, 40):
             for query in queries:
                 engine.search(user, query, k=5)
-        answer_stats = engine.answer_cache_stats()
+        answer_stats = engine.tier_stats()["answers"]
         assert answer_stats.evictions > 0
         engine.publish_tier_gauges(registry)
         snapshot = registry.snapshot()

@@ -233,10 +233,10 @@ class TestInvalidateAnswers:
     def test_full_invalidation_clears_everything(self, built):
         serving = self._serving(built)
         self._fill(serving)
-        resident = serving.answer_cache_stats().n_items
+        resident = serving.tier_stats()["answers"].n_items
         assert resident == len(QUERIES)
         assert serving.invalidate_answers() == resident
-        stats = serving.answer_cache_stats()
+        stats = serving.tier_stats()["answers"]
         assert stats.n_items == 0
         assert serving.invalidate_answers() == 0  # already empty
 
@@ -246,44 +246,44 @@ class TestInvalidateAnswers:
         # User 3 cached two answers (phone, music); user 11 and 40 one.
         removed = serving.invalidate_answers(users=[3])
         assert removed == 2
-        assert serving.answer_cache_stats().n_items == len(QUERIES) - 2
+        assert serving.tier_stats()["answers"].n_items == len(QUERIES) - 2
 
         # The survivors still hit; user 3's queries miss and recompute.
-        before = serving.answer_cache_stats()
+        before = serving.tier_stats()["answers"]
         serving.search(11, "camera", k=self.K)
         serving.search(40, "phone", k=self.K)
-        mid = serving.answer_cache_stats()
+        mid = serving.tier_stats()["answers"]
         assert mid.hits == before.hits + 2
         assert mid.misses == before.misses
         serving.search(3, "phone", k=self.K)
-        after = serving.answer_cache_stats()
+        after = serving.tier_stats()["answers"]
         assert after.misses == mid.misses + 1
 
     def test_unknown_user_invalidates_nothing(self, built):
         serving = self._serving(built)
         self._fill(serving)
         assert serving.invalidate_answers(users=[10_000]) == 0
-        assert serving.answer_cache_stats().n_items == len(QUERIES)
+        assert serving.tier_stats()["answers"].n_items == len(QUERIES)
 
     def test_byte_accounting_tracks_invalidation(self, built):
         serving = self._serving(built)
         self._fill(serving)
-        full = serving.answer_cache_stats()
+        full = serving.tier_stats()["answers"]
         assert full.current_bytes > 0
 
         serving.invalidate_answers(users=[3])
-        partial = serving.answer_cache_stats()
+        partial = serving.tier_stats()["answers"]
         assert 0 < partial.current_bytes < full.current_bytes
 
         serving.invalidate_answers()
-        empty = serving.answer_cache_stats()
+        empty = serving.tier_stats()["answers"]
         assert empty.current_bytes == 0
         assert empty.n_items == 0
 
         # Recomputing after a full clear restores the exact footprint:
         # invalidation never leaks byte accounting.
         self._fill(serving)
-        again = serving.answer_cache_stats()
+        again = serving.tier_stats()["answers"]
         assert again.current_bytes == full.current_bytes
         assert again.n_items == full.n_items
 
@@ -303,26 +303,26 @@ class TestInvalidateAnswers:
         serving = self._serving(built)
         warm = serving.warm_from_precompute(artifact)
         assert warm["answers"] == len(artifact.answers)
-        warmed = serving.answer_cache_stats()
+        warmed = serving.tier_stats()["answers"]
         assert warmed.n_items == warm["answers"]
 
         # A warm answer serves without touching the searcher...
         serving.search(3, "phone", k=self.K)
-        assert serving.answer_cache_stats().hits == warmed.hits + 1
+        assert serving.tier_stats()["answers"].hits == warmed.hits + 1
 
         # ...until its user is invalidated: the warm entries go too.
         removed = serving.invalidate_answers(users=[3])
         assert removed == 2
-        stats = serving.answer_cache_stats()
+        stats = serving.tier_stats()["answers"]
         assert stats.n_items == warmed.n_items - 2
         before_misses = stats.misses
         serving.search(3, "phone", k=self.K)
-        assert serving.answer_cache_stats().misses == before_misses + 1
+        assert serving.tier_stats()["answers"].misses == before_misses + 1
 
         # Re-warming after invalidation re-seeds only the still-missing
         # key ((3, "phone") was just recomputed and is resident again).
         again = serving.warm_from_precompute(artifact)
         assert again["answers"] == 1
         assert (
-            serving.answer_cache_stats().n_items == warmed.n_items
+            serving.tier_stats()["answers"].n_items == warmed.n_items
         )

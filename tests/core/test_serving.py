@@ -75,18 +75,6 @@ class TestByteLRUCache:
         assert cache.memory_bytes() == 0
         assert cache.hits == 1  # cumulative across clears
 
-    def test_get_or_build(self):
-        cache = ByteLRUCache(100)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_build("k", build, lambda v: 5) == "value"
-        assert cache.get_or_build("k", build, lambda v: 5) == "value"
-        assert len(calls) == 1
-
     def test_budget_validated(self):
         with pytest.raises(ConfigurationError):
             ByteLRUCache(0)
@@ -227,15 +215,6 @@ class TestByteLRUCacheEdgeCases:
         assert "b" in cache and "d" in cache
         assert cache.evictions == 2
         assert cache.memory_bytes() == 30
-
-    def test_get_or_build_refreshes_recency_too(self):
-        cache = ByteLRUCache(20)
-        cache.put("a", 1, 10)
-        cache.put("b", 2, 10)
-        cache.get_or_build("a", lambda: 99, lambda v: 10)  # hit: bump "a"
-        cache.put("c", 3, 10)
-        assert "b" not in cache
-        assert cache.get("a") == 1  # the cached value, not the builder's
 
     def test_stats_deltas_stay_consistent_across_clear(self):
         cache = ByteLRUCache(100, name="delta-check")
@@ -387,39 +366,21 @@ def stack():
 class TestBoundedSearcherCaches:
     def test_cache_stats_disabled_by_default(self, stack):
         searcher = PersonalizedSearcher(*stack)
-        assert searcher.entry_cache_stats() is None
-        assert searcher.summary_cache_stats() is None
-        assert searcher.cache_stats() == ()
+        assert list(searcher.tier_stats()) == ["plans"]
 
-    def test_entry_cache_hits_accumulate(self, stack):
-        searcher = PersonalizedSearcher(
-            *stack, entry_cache_bytes=1 << 20, summary_cache_bytes=1 << 20
-        )
-        _, first = searcher.search(0, "topic", k=4)
-        _, second = searcher.search(0, "topic", k=4)
-        assert first.entry_cache_misses > 0
-        assert second.entry_cache_hits > 0
-        assert second.entry_cache_misses == 0
-        entry_stats, summary_stats = searcher.cache_stats()
-        assert entry_stats.name == "propagation-entries"
-        assert summary_stats.name == "summary-arrays"
-        assert entry_stats.hits == second.entry_cache_hits
-
-    def test_summary_cache_filled_by_plan_compile(self, stack):
-        searcher = PersonalizedSearcher(*stack, summary_cache_bytes=1 << 20)
-        _, stats = searcher.search(0, "topic", k=4)
-        assert stats.summary_cache_misses == 4  # one per q-related topic
-        assert searcher.summary_cache_stats().n_items == 4
-        # A second distinct searcher call reuses the compiled plan, so no
-        # further summary lookups happen at all.
-        _, again = searcher.search(1, "topic", k=4)
-        assert again.summary_cache_hits == 0
-        assert again.summary_cache_misses == 0
+    def test_entry_tier_hits_accumulate(self, stack):
+        searcher = PersonalizedSearcher(*stack, entry_cache_bytes=1 << 20)
+        searcher.search(0, "topic", k=4)
+        first = searcher.tier_stats()["entries"]
+        searcher.search(0, "topic", k=4)
+        second = searcher.tier_stats()["entries"]
+        assert first.name == "entries"
+        assert first.misses > 0
+        assert second.hits > first.hits
+        assert second.misses == first.misses
 
     def test_cache_memory_accounted(self, stack):
-        searcher = PersonalizedSearcher(
-            *stack, entry_cache_bytes=1 << 20, summary_cache_bytes=1 << 20
-        )
+        searcher = PersonalizedSearcher(*stack, entry_cache_bytes=1 << 20)
         searcher.search(0, "topic", k=4)
         assert searcher.cache_memory_bytes() > 0
 
@@ -429,14 +390,14 @@ class TestBoundedSearcherCaches:
             topic_index, summaries, propagation, entry_cache_bytes=1 << 20
         )
         results_before, _ = searcher.search(0, "topic", k=4)
-        assert searcher.entry_cache_stats().n_items > 0
+        assert searcher.tier_stats()["entries"].n_items > 0
         # An empty graph kills every influence path; stale Γ probes or
         # cached entries would keep the old scores alive.
         empty = GraphBuilder(5).build()
         searcher.set_propagation_index(
             PropagationIndex(empty, 0.05), affected=np.arange(5)
         )
-        assert searcher.entry_cache_stats().n_items == 0
+        assert searcher.tier_stats()["entries"].n_items == 0
         results_after, _ = searcher.search(0, "topic", k=4)
         assert all(r.influence == 0.0 for r in results_after)
         assert any(r.influence > 0.0 for r in results_before)
@@ -455,15 +416,20 @@ class TestSearchMany:
             ]
 
     def test_duplicate_queries_share_summary_lookups(self, stack):
-        searcher = PersonalizedSearcher(*stack, summary_cache_bytes=1 << 20)
-        outcomes = searcher.search_many(
-            [(0, "topic"), (1, "topic"), (2, "topic")], k=4
-        )
-        # The plan compiles once for the group: 4 summary misses, charged
-        # to the group's first request; the rest do no summary work.
-        assert outcomes[0][1].summary_cache_misses == 4
-        assert outcomes[1][1].summary_cache_misses == 0
-        assert outcomes[2][1].summary_cache_misses == 0
+        topic_index, summaries, propagation = stack
+        lookups = []
+
+        def provider(topic_id):
+            lookups.append(topic_id)
+            return summaries[topic_id]
+
+        searcher = PersonalizedSearcher(topic_index, provider, propagation)
+        searcher.search_many([(0, "topic"), (1, "topic"), (2, "topic")], k=4)
+        # The plan compiles once for the group: one summary lookup per
+        # q-related topic, however many users ask.
+        assert sorted(lookups) == sorted(summaries)
+        plans = searcher.tier_stats()["plans"]
+        assert (plans.misses, plans.n_items) == (1, 1)
 
     def test_k_validated(self, stack):
         searcher = PersonalizedSearcher(*stack)
@@ -473,3 +439,34 @@ class TestSearchMany:
     def test_empty_request_list(self, stack):
         searcher = PersonalizedSearcher(*stack)
         assert searcher.search_many([], k=3) == []
+
+
+class TestPlanTierCharge:
+    """The plan tier charges each plan its live size, probe cache included."""
+
+    REQUESTS = [
+        (user, query) for query in ("topic", "alpha") for user in range(5)
+    ]
+
+    @staticmethod
+    def _live(searcher):
+        return sum(plan.memory_bytes() for plan in searcher._plans.values())
+
+    def test_charge_equals_live_after_batch(self, stack):
+        searcher = PersonalizedSearcher(*stack)
+        searcher.search_many(self.REQUESTS, k=2)
+        plans = searcher.tier_stats()["plans"]
+        assert plans.n_items == 2
+        # Every user's probe grew the plans after they were compiled.
+        assert all(p.probe_cache for p in searcher._plans.values())
+        assert plans.current_bytes == self._live(searcher)
+
+    def test_budget_bounds_live_bytes(self, stack):
+        roomy = PersonalizedSearcher(*stack)
+        want = roomy.search_many(self.REQUESTS, k=2)
+        budget = self._live(roomy) - 1
+        tight = PersonalizedSearcher(*stack, plan_cache_bytes=budget)
+        assert tight.search_many(self.REQUESTS, k=2) == want
+        resident = self._live(tight)
+        assert resident <= budget
+        assert tight.tier_stats()["plans"].current_bytes == resident

@@ -126,8 +126,8 @@ class TestCommands:
         assert "served 4 requests" in out
         assert "QPS, 1 empty" in out
         assert "no matching topics" in out
-        assert "cache propagation-entries:" in out
-        assert "cache summary-arrays:" in out
+        assert "cache plans:" in out
+        assert "cache entries:" in out
 
     def test_search_batch_metrics_out(self, capsys, tmp_path):
         import json
@@ -153,7 +153,7 @@ class TestCommands:
         latency = payload["histograms"]["search.latency_seconds"]
         assert latency["count"] == 2
         assert latency["p50"] is not None and latency["p99"] is not None
-        assert "cache.propagation-entries.hit_ratio" in payload["gauges"]
+        assert "cache.tier.entries.hit_ratio" in payload["gauges"]
         prom = metrics_path.with_suffix(".prom").read_text(encoding="utf-8")
         assert "# TYPE repro_search_latency_seconds histogram" in prom
 

@@ -20,7 +20,7 @@ from repro.obs.registry import MetricsRegistry
 def snapshot():
     registry = MetricsRegistry()
     registry.inc("search.requests", 3)
-    registry.set_gauge("cache.propagation-entries.hit_ratio", 0.75)
+    registry.set_gauge("cache.tier.entries.hit_ratio", 0.75)
     for value in (0.0002, 0.0007, 0.004):
         registry.observe("search.latency_seconds", value,
                          buckets=(0.0005, 0.001, 0.005))
@@ -100,8 +100,8 @@ class TestJsonSchema:
 class TestPrometheusNames:
     @pytest.mark.parametrize("dotted, expected", [
         ("search.latency_seconds", "repro_search_latency_seconds"),
-        ("cache.propagation-entries.hit_ratio",
-         "repro_cache_propagation_entries_hit_ratio"),
+        ("cache.tier.entries.hit-ratio",
+         "repro_cache_tier_entries_hit_ratio"),
         ("phase.summarize.rcl.no_overlap.seconds",
          "repro_phase_summarize_rcl_no_overlap_seconds"),
         (".edge.case.", "repro_edge_case"),
@@ -115,9 +115,9 @@ class TestPrometheusRendering:
         text = render_prometheus(snapshot)
         assert "# TYPE repro_search_requests counter" in text
         assert "repro_search_requests 3" in text
-        assert ("# TYPE repro_cache_propagation_entries_hit_ratio gauge"
+        assert ("# TYPE repro_cache_tier_entries_hit_ratio gauge"
                 in text)
-        assert "repro_cache_propagation_entries_hit_ratio 0.75" in text
+        assert "repro_cache_tier_entries_hit_ratio 0.75" in text
         assert "# TYPE repro_search_latency_seconds histogram" in text
         assert text.endswith("\n")
 

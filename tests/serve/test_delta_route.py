@@ -251,5 +251,5 @@ class TestInlineAnswers:
         assert (hits, misses) == (5, 4)
         assert hits + misses == counters["serve.responses_ok"] == len(sequence)
         assert counters["serve.answered_inline"] == hits
-        lru = daemon.server.engines.current.answer_cache_stats()
+        lru = daemon.server.engines.current.tier_stats()["answers"]
         assert (lru.hits, lru.misses) == (hits, misses)
