@@ -341,23 +341,35 @@ class ShardWriter:
             verify_shard_file(self._dir, record, what)
         return list(manifest["shards"])
 
-    def write_shard(self, name: str, data: bytes, **extra: Any) -> dict:
-        """Atomically publish one shard and update the manifest.
+    def write_file(self, name: str, data: bytes, **extra: Any) -> dict:
+        """Atomically write one shard file without listing it.
 
         Returns the shard's manifest record (name, byte count, SHA-256,
-        plus any *extra* fields).
+        plus any *extra* fields) for a later :meth:`replace`.
         """
         self._dir.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(self._dir / name, data)
-        record = {
+        return {
             "name": str(name),
             "nbytes": len(data),
             "sha256": bytes_digest(data),
             **extra,
         }
+
+    def write_shard(self, name: str, data: bytes, **extra: Any) -> dict:
+        """Atomically publish one shard and update the manifest.
+
+        Returns the shard's manifest record (see :meth:`write_file`).
+        """
+        record = self.write_file(name, data, **extra)
         self._shards.append(record)
         self._flush_manifest(complete=False)
         return record
+
+    def replace(self, records: Sequence[Mapping[str, Any]]) -> None:
+        """Swap the whole shard inventory for *records* (files already
+        written); the next :meth:`finalize` publishes it in one write."""
+        self._shards = [dict(r) for r in records]
 
     def adopt_shard(
         self, record: Mapping[str, Any], *, verify: bool = True

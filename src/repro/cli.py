@@ -10,10 +10,11 @@ Commands
     query-serving layer, reporting QPS and cache hit rates.
 ``build-index``
     Pre-build the full §5.1 propagation index (optionally in parallel)
-    into the shard directory ``--output`` (``--shard-nodes`` contiguous
-    nodes per shard) for ``search``/``serve``/``precompute --index-dir``.
-    The build streams completed shards to disk (bounded RSS) and
-    ``--resume`` picks an interrupted run up at shard granularity; see
+    into the shard directory ``--output`` (built ``--shard-nodes`` nodes at
+    a time, then cut into ``ceil(n / --shard-nodes)`` byte-balanced
+    shards) for ``search``/``serve``/``precompute --index-dir``.
+    The build streams completed ranges to disk (bounded RSS) and
+    ``--resume`` picks an interrupted run up at range granularity; see
     ``docs/operations.md``.
 ``build-summaries``
     Pre-build the per-topic summaries (§3 RCL-A or §4 LRW-A), optionally
@@ -177,9 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="destination shard directory")
     build_index.add_argument("--shard-nodes", type=int,
                              default=DEFAULT_SHARD_NODES, metavar="N",
-                             help="contiguous nodes per shard (default "
-                                  f"{DEFAULT_SHARD_NODES}); completed shards "
-                                  "stream to disk, bounding RSS")
+                             help="nodes per build range and mean nodes "
+                                  "per shard (default "
+                                  f"{DEFAULT_SHARD_NODES}); completed ranges "
+                                  "stream to disk, bounding RSS, then are "
+                                  "cut into byte-balanced shards")
     _add_build_flags(build_index, resume="the completed shards in --output",
                      item="nodes")
 
@@ -627,7 +630,7 @@ def _run_build_index(args) -> int:
           f"({stats.entries_per_second:.0f} entries/s, "
           f"{stats.workers} worker(s), "
           f"{stats.total_bytes / 1024:.1f} KiB in shards of "
-          f"{args.shard_nodes} nodes) -> {args.output}")
+          f"{args.shard_nodes} nodes on average) -> {args.output}")
     if stats.failed_nodes:
         print(f"warning: {stats.n_failed} entries failed to build and were "
               f"stored empty: {list(stats.failed_nodes)[:10]}",

@@ -251,11 +251,22 @@ class TestCommands:
         ])
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prop"]
-        assert sorted(p.name for p in artifact.iterdir()) == [
-            "manifest.json",
-            "shard-0000000000-0000000040.bin",
-            "shard-0000000040-0000000080.bin",
-            "shard-0000000080-0000000120.bin",
+        # ceil(120 / 40) byte-balanced shards: contiguous records whose
+        # ranges match their segment headers, one file per record.
+        from repro.core.shards import MmapShardBackend, shard_filename
+        from repro.datasets import data_2k
+
+        backend = MmapShardBackend(
+            artifact, data_2k(seed=3, n_nodes=120, with_corpus=False).graph
+        )
+        ranges = backend.ranges
+        assert len(ranges) == 3
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == 120
+        for lo, hi in ranges:
+            backend.get(lo), backend.get(hi - 1)  # header range checked
+        assert sorted(p.name for p in artifact.iterdir()) == ["manifest.json"] + [
+            shard_filename(lo, hi) for lo, hi in ranges
         ]
 
     def test_build_index_resume_from_checkpoint(self, capsys, tmp_path):
