@@ -39,7 +39,7 @@ GATES = {
         "metrics_ok_after_storm",
         "queue_drained",
         "answer_hit_ratio_ge_50pct",
-        "cached_p99_below_uncached",
+        "cached_p90_below_uncached",
         "metrics_expose_tier_family",
         "parity_seed_7",
         "parity_seed_1234",
