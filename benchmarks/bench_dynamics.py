@@ -13,7 +13,12 @@ correctness and cost:
   costs must show **>= 5x reduction** (full profile; a smoke run's
   scale cannot support the ratio and reports it ungated). After the
   stream, every one of the n entries in the delta-maintained index is
-  compared bit for bit against the final from-scratch index.
+  compared bit for bit against the final from-scratch index. The same
+  batches then stream through a sharded copy of the index (256-node
+  shards), whose refresh time is split into the batched entry rebuild
+  (``kernel_ms_per_batch``) and the rest - splicing and writing the
+  dirty segments, manifest writes (``write_ms_per_batch``); its
+  entries are compared the same way.
 
 * **Parity legs** - the differential-harness seeds 7 and 1234 (memory
   backend both, plus a sharded-backend arm) warm an answer tier, stream
@@ -124,6 +129,44 @@ def same_entry(a, b) -> bool:
     )
 
 
+def sharded_arm(
+    bundle, index: PropagationIndex, batches, directory: Path
+) -> Tuple[ServingEngine, Dict]:
+    """Stream *batches* through a sharded copy of *index*; the refresh
+    time per batch, split into the entry rebuild and the rest."""
+    shard_dir = directory / "perf_shards"
+    save_sharded_index(index, shard_dir, shard_nodes=256)
+    registry = MetricsRegistry()
+    serving = ServingEngine(
+        bundle.graph,
+        bundle.topic_index,
+        {},
+        load_sharded_index(shard_dir, bundle.graph, metrics=registry),
+        answer_cache_bytes=1 << 20,
+        metrics=registry,
+    )
+    for delta in batches:
+        serving.apply_delta(delta)
+    snapshot = registry.snapshot()
+
+    def per_batch_ms(name: str) -> float:
+        return 1000.0 * snapshot.histogram(name).sum / len(batches)
+
+    apply_ms = per_batch_ms("dynamics.apply_delta_seconds")
+    refresh_ms = per_batch_ms("dynamics.refresh_seconds")
+    kernel_ms = per_batch_ms("dynamics.refresh_build_seconds")
+    return serving, {
+        "n_shards": serving.propagation_index.shards.n_shards,
+        "shards_rewritten": int(
+            snapshot.counters["dynamics.shards_rewritten"]
+        ),
+        "apply_ms_per_batch": apply_ms,
+        "refresh_ms_per_batch": refresh_ms,
+        "kernel_ms_per_batch": kernel_ms,
+        "write_ms_per_batch": refresh_ms - kernel_ms,
+    }
+
+
 def perf_leg(
     seed: int,
     n_nodes: int,
@@ -131,6 +174,7 @@ def perf_leg(
     n_batches: int,
     per: int,
     workers: int,
+    directory: Path,
 ) -> Dict:
     """Stream deltas and time them against from-scratch rebuilds.
 
@@ -181,6 +225,15 @@ def perf_leg(
             serving.propagation_index.entry(node), scratch.entry(node)
         )
     )
+    # After the timed stream, so the from-scratch baseline runs as before.
+    sharded, split = sharded_arm(bundle, index, batches, directory)
+    split["entry_mismatches"] = sum(
+        1
+        for node in range(n_nodes)
+        if not same_entry(
+            sharded.propagation_index.entry(node), scratch.entry(node)
+        )
+    )
     return {
         "n_nodes": n_nodes,
         "n_edges": serving.graph.n_edges,
@@ -195,6 +248,7 @@ def perf_leg(
             scratch_seconds / delta_seconds if delta_seconds > 0 else None
         ),
         "entry_mismatches": mismatches,
+        "sharded": split,
     }
 
 
@@ -306,16 +360,22 @@ def main() -> int:
         parity_nodes = {7: 600, 1234: 500}
     theta = 0.02
 
+    tmp = tempfile.TemporaryDirectory(prefix="bench_dynamics_")
+    directory = Path(tmp.name)
     print(f"perf leg: n={perf_nodes}, {perf_batches} batches of 3 edits, "
           f"theta={theta}", flush=True)
-    perf = perf_leg(args.seed, perf_nodes, theta, perf_batches, 1, workers)
+    perf = perf_leg(
+        args.seed, perf_nodes, theta, perf_batches, 1, workers, directory
+    )
+    split = perf["sharded"]
     print(f"perf: delta {perf['delta_ms_per_batch']:.1f}ms/batch vs "
           f"scratch {perf['scratch_ms_per_batch']:.1f}ms/batch "
           f"({perf['speedup']:.1f}x), "
           f"{perf['entry_mismatches']} entry mismatches", flush=True)
-
-    tmp = tempfile.TemporaryDirectory(prefix="bench_dynamics_")
-    directory = Path(tmp.name)
+    print(f"sharded: refresh {split['refresh_ms_per_batch']:.1f}ms/batch = "
+          f"kernel {split['kernel_ms_per_batch']:.1f} + "
+          f"writes {split['write_ms_per_batch']:.1f}, "
+          f"{split['entry_mismatches']} entry mismatches", flush=True)
     parity = {}
     for seed, arm in ((7, "memory"), (1234, "memory"), (7, "sharded")):
         leg = parity_leg(
@@ -331,6 +391,7 @@ def main() -> int:
 
     gates = {
         "entry_parity_at_scale": perf["entry_mismatches"] == 0,
+        "sharded_entry_parity_at_scale": split["entry_mismatches"] == 0,
         "parity_memory_seed_7": parity["memory_7"]["ok"],
         "parity_memory_seed_1234": parity["memory_1234"]["ok"],
         "parity_sharded_seed_7": parity["sharded_7"]["ok"],

@@ -14,6 +14,12 @@ The emitted JSON carries entries/sec, peak entry bytes, and the
 serial/parallel speedups over the legacy baseline, plus a parity check
 (max |Γ| deviation between legacy and current on sampled nodes).
 
+It also times ``PropagationIndex.build_entries`` - the batched rebuild
+the delta path uses - against the per-node DFS over growing target sets
+(the ``batched`` crossover table), and checks the batch against the DFS
+bit for bit over every node of the graph. ``gates`` records both
+parity checks; the script exits 1 unless they hold, smoke included.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_propagation_index.py
@@ -153,6 +159,61 @@ def _parity(legacy: PropagationIndex, current: PropagationIndex, step: int) -> D
             "marked_equal": marked_equal}
 
 
+def _same_entry(a: PropagationEntry, b: PropagationEntry) -> bool:
+    return (
+        a.sources.tobytes() == b.sources.tobytes()
+        and a.probabilities.tobytes() == b.probabilities.tobytes()
+        and a.marked_flags.tobytes() == b.marked_flags.tobytes()
+        and a.branches == b.branches
+    )
+
+
+def _median_ms(build, repeats: int = 5) -> float:
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        build()
+        times.append(perf_counter() - start)
+    return 1000.0 * sorted(times)[len(times) // 2]
+
+
+def _batched(serial: PropagationIndex) -> Dict:
+    """``build_entries`` vs the DFS: a crossover table over evenly spread
+    target sets, and bit-exact parity over every node."""
+    graph = serial.graph
+    n = graph.n_nodes
+    index = PropagationIndex(
+        graph, serial.theta, max_branches=serial.max_branches
+    )
+    index.build_entry(0)  # both paths warm: CSR lists and max-in built
+    crossover = []
+    for k in (1, 8, 32, 128, 512):
+        if k > n:
+            break
+        nodes = list(range(0, n, n // k))[:k]
+        batch_ms = _median_ms(lambda: index.build_entries(nodes))
+        dfs_ms = _median_ms(lambda: [index.build_entry(v) for v in nodes])
+        crossover.append({
+            "targets": k,
+            "batch_ms": batch_ms,
+            "dfs_ms": dfs_ms,
+            "dfs_over_batch": dfs_ms / batch_ms,
+        })
+    start = perf_counter()
+    batch = index.build_entries(range(n))
+    batch_s = perf_counter() - start
+    mismatches = sum(
+        1 for node, entry in enumerate(batch)
+        if not _same_entry(entry, serial.entry(node))
+    )
+    return {
+        "crossover": crossover,
+        "all_nodes_seconds": batch_s,
+        "entries_checked": n,
+        "mismatches": mismatches,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=5000)
@@ -199,6 +260,19 @@ def main(argv=None) -> int:
           f"{legacy_s / parallel_s:.2f}x vs legacy)", flush=True)
 
     parity = _parity(legacy, serial, step=max(1, args.nodes // 200))
+    batched = _batched(serial)
+    for row in batched["crossover"]:
+        print(f"batched {row['targets']:4d} targets: "
+              f"{row['batch_ms']:8.2f} ms vs DFS {row['dfs_ms']:8.2f} ms",
+              flush=True)
+    print(f"batched all {batched['entries_checked']} entries: "
+          f"{batched['mismatches']} mismatches vs the DFS", flush=True)
+    gates = {
+        "parity_legacy_vs_serial": (
+            parity["max_gamma_diff"] <= 1e-9 and parity["marked_equal"]
+        ),
+        "batched_bit_exact": batched["mismatches"] == 0,
+    }
     payload = {
         "benchmark": "propagation_index_construction",
         "config": {
@@ -221,7 +295,10 @@ def main(argv=None) -> int:
             "parallel_vs_serial": serial_s / parallel_s,
         },
         "parity_legacy_vs_serial": parity,
+        "batched": batched,
         "build_stats_parallel": parallel.last_build_stats.as_dict(),
+        "gates": gates,
+        "ok": all(gates.values()),
     }
     output = Path(
         args.output
@@ -231,9 +308,9 @@ def main(argv=None) -> int:
     output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")
 
-    if parity["max_gamma_diff"] > 1e-9 or not parity["marked_equal"]:
-        print("PARITY FAILURE between legacy and current builds",
-              file=sys.stderr)
+    if not payload["ok"]:
+        failed = [name for name, ok in gates.items() if not ok]
+        print(f"GATE FAILURE: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 

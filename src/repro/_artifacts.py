@@ -341,6 +341,16 @@ class ShardWriter:
             verify_shard_file(self._dir, record, what)
         return list(manifest["shards"])
 
+    def begin(self) -> None:
+        """Publish an incomplete manifest listing no shard yet.
+
+        For a producer that replaces segment files of an existing
+        artifact in place: from this write on, loaders refuse the
+        directory until :meth:`finalize`, so a crash can never leave the
+        old complete manifest over a replaced segment.
+        """
+        self._flush_manifest(complete=False)
+
     def write_file(self, name: str, data: bytes, **extra: Any) -> dict:
         """Atomically write one shard file without listing it.
 

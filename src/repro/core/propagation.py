@@ -57,6 +57,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -435,6 +436,248 @@ class _EntryBuild(BuildRunner):
         error.partial_index = self.index
 
 
+# ---------------------------------------------------------------------------
+# Batched rebuild (PropagationIndex.build_entries): the branch expansion of
+# many targets at once, one level of branch rows at a time, with the DFS's
+# pre-order recovered afterwards so every sum adds in the DFS's order.
+# ---------------------------------------------------------------------------
+
+#: Branch rows one chunk of targets may hold. A target whose expansion
+#: alone needs more is handed to the DFS.
+_BATCH_ROWS = 1 << 13
+#: (row, in-edge) or (member, in-edge) pairs expanded in one step.
+_BATCH_PAIRS = 1 << 13
+#: In-neighbours per member tested one at a time before Γ* marking
+#: expands the rest of an in-list whole.
+_MARK_PROBES = 2
+
+
+class _Level(NamedTuple):
+    """One depth of branch rows; row ``i`` extends row ``parent[i]`` of the
+    level above (the roots, one per target, have no parent)."""
+
+    target: np.ndarray  # chunk-local target index, non-decreasing
+    node: np.ndarray
+    prob: np.ndarray
+    parent: Optional[np.ndarray]
+
+    def head(self, n_targets: int) -> "_Level":
+        """The rows of the first *n_targets* targets (a prefix)."""
+        rows = int(np.searchsorted(self.target, n_targets))
+        return _Level(*(None if a is None else a[:rows] for a in self))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """Owner and position of every slot of the ranges
+    ``[starts[i], starts[i] + lengths[i])``, concatenated in order."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    return owner, np.arange(owner.size) + (starts - offsets)[owner]
+
+
+def _slices(lengths: np.ndarray, budget: int) -> List[int]:
+    """Cut points splitting consecutive items into runs whose *lengths*
+    sum to at most *budget* (a longer single item is a run of its own)."""
+    ends = np.cumsum(lengths)
+    cuts = [0]
+    while cuts[-1] < lengths.size:
+        start = cuts[-1]
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + budget, side="right"))
+        cuts.append(max(stop, start + 1))
+    return cuts
+
+
+def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
+    """Every branch row of the targets in *chunk*, level by level.
+
+    A row is one extension of the DFS: a node that joins a branch at a
+    path probability >= θ without revisiting the branch. Rows with
+    ``prob * max_in >= θ`` grow the next level from their in-lists.
+    Rows stay grouped by target, so dropping the chunk's trailing
+    targets cuts a prefix off every level. That happens when the chunk
+    outgrows :data:`_BATCH_ROWS`, or when a target passes *limit* rows;
+    that target is handed to the DFS.
+
+    Returns ``(levels, done, counts, handed)``: ``chunk[:done]`` is
+    expanded, with ``counts`` rows each; ``handed`` holds the
+    chunk-local indices past *done* that go to the DFS.
+    """
+    graph = index._graph
+    indptr, in_sources, in_probs = (
+        graph._in_indptr, graph._in_sources, graph._in_probs
+    )
+    max_in = index._max_in()
+    theta = index._theta
+    done = int(chunk.size)
+    counts = np.zeros(done, dtype=np.int64)
+    handed: List[int] = []
+    levels = [_Level(np.arange(done), chunk, np.ones(done), None)]
+    while True:
+        last = levels[-1]
+        if len(levels) == 1:
+            grow = np.arange(done)  # a target always scans its in-list
+        else:
+            grow = np.flatnonzero(last.prob * max_in[last.node] >= theta)
+        first = indptr[last.node[grow]]
+        degree = indptr[last.node[grow] + 1] - first
+        cuts = _slices(degree, _BATCH_PAIRS)
+        pieces: List[_Level] = []
+        for a, b in zip(cuts, cuts[1:]):
+            if a >= grow.size:
+                break  # the rest belonged to dropped targets
+            b = min(b, grow.size)
+            owner, position = _ranges(first[a:b], degree[a:b])
+            parent = grow[a:b][owner]
+            prob = last.prob[parent] * in_probs[position]
+            keep = prob >= theta
+            parent, prob = parent[keep], prob[keep]
+            node = in_sources[position[keep]]
+            # The DFS skips a source already on the branch: the row's
+            # own node, its ancestors' nodes, or the target.
+            fresh = np.ones(node.size, dtype=bool)
+            above = parent
+            for level in reversed(levels):
+                fresh &= level.node[above] != node
+                if level.parent is not None:
+                    above = level.parent[above]
+            parent = parent[fresh]
+            piece = _Level(last.target[parent], node[fresh], prob[fresh], parent)
+            pieces.append(piece)
+            counts += np.bincount(piece.target, minlength=done)
+            over = np.flatnonzero(counts > limit)
+            cut = int(over[0]) if over.size else done
+            total = np.cumsum(counts)
+            if total[-1] > _BATCH_ROWS:
+                cut = min(cut, int(np.searchsorted(total, _BATCH_ROWS, "right")))
+            if cut < done:
+                if over.size and cut == over[0]:
+                    handed.append(cut)
+                done = cut
+                counts = counts[:done]
+                levels = [level.head(done) for level in levels]
+                pieces = [piece.head(done) for piece in pieces]
+                grow = grow[: int(np.searchsorted(last.target[grow], done))]
+        rows = [piece for piece in pieces if piece.node.size]
+        if not rows:
+            # A cut can empty the deepest levels of the kept targets.
+            levels = [level for level in levels if level.node.size]
+            return levels, done, counts, handed
+        levels.append(_Level(*(np.concatenate(c) for c in zip(*rows))))
+
+
+def _chunk_entries(
+    index: "PropagationIndex",
+    chunk: np.ndarray,
+    levels: List[_Level],
+    counts: np.ndarray,
+) -> Dict[int, "PropagationEntry"]:
+    """The entries of *chunk* from its expanded *levels*, bit-exact with
+    the DFS.
+
+    The DFS adds a member's contributions in its pre-order. Subtree
+    sizes (bottom-up) and sibling offsets (top-down) give each row its
+    pre-order rank, rows are laid out in that order, and ``np.bincount``
+    - which adds its weights sequentially - sums each (target, member)
+    bin in exactly the DFS's order.
+    """
+    graph = index._graph
+    n = graph.n_nodes
+    sizes: List[Optional[np.ndarray]] = [None] * len(levels)
+    for depth in range(len(levels) - 1, 0, -1):
+        size = np.ones(levels[depth].node.size, dtype=np.int64)
+        if depth + 1 < len(levels):
+            below = levels[depth + 1]
+            size += np.bincount(
+                below.parent, weights=sizes[depth + 1], minlength=size.size
+            ).astype(np.int64)
+        sizes[depth] = size
+    base = np.cumsum(counts) - counts
+    n_rows = int(counts.sum())
+    order_node = np.empty(n_rows, dtype=np.int64)
+    order_prob = np.empty(n_rows)
+    rank = np.full(chunk.size, -1, dtype=np.int64)
+    for level, size in zip(levels[1:], sizes[1:]):
+        before = np.cumsum(size) - size
+        parent = level.parent
+        head = np.empty(parent.size, dtype=bool)
+        head[0] = True
+        np.not_equal(parent[1:], parent[:-1], out=head[1:])
+        first = np.maximum.accumulate(np.where(head, np.arange(parent.size), 0))
+        rank = rank[parent] + 1 + before - before[first]
+        position = base[level.target] + rank
+        order_node[position] = level.node
+        order_prob[position] = level.prob
+    keys = np.repeat(np.arange(chunk.size, dtype=np.int64), counts) * n
+    keys += order_node
+    members, inverse = np.unique(keys, return_inverse=True)
+    probabilities = np.bincount(
+        inverse, weights=order_prob, minlength=members.size
+    )
+    owner = members // n
+    sources = members - owner * n
+    flags = _potential(graph, chunk, members, owner, sources)
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(owner, minlength=chunk.size)))
+    ).tolist()
+    return {
+        node: PropagationEntry.from_arrays(
+            node,
+            sources[bounds[i] : bounds[i + 1]],
+            probabilities[bounds[i] : bounds[i + 1]],
+            flags[bounds[i] : bounds[i + 1]],
+            branches,
+        )
+        for i, (node, branches) in enumerate(
+            zip(chunk.tolist(), counts.tolist())
+        )
+    }
+
+
+def _potential(
+    graph: SocialGraph,
+    chunk: np.ndarray,
+    members: np.ndarray,
+    owner: np.ndarray,
+    sources: np.ndarray,
+) -> np.ndarray:
+    """Γ* flag of every (target, member) key in the sorted *members*: an
+    in-neighbour outside Γ(target) ∪ {target}.
+
+    Like the DFS, a member stops at its first outside in-neighbour: the
+    first :data:`_MARK_PROBES` in-neighbours are tested one round at a
+    time, which settles most members, and only the in-lists left open
+    are expanded whole, :data:`_BATCH_PAIRS` at a time.
+    """
+    indptr, in_sources = graph._in_indptr, graph._in_sources
+    n = graph.n_nodes
+
+    def outside(item: np.ndarray, position: np.ndarray) -> np.ndarray:
+        neighbour = in_sources[position]
+        target = owner[item]
+        key = target * n + neighbour
+        slot = np.minimum(np.searchsorted(members, key), members.size - 1)
+        return (members[slot] != key) & (neighbour != chunk[target])
+
+    flags = np.zeros(members.size, dtype=bool)
+    start = indptr[sources]
+    end = indptr[sources + 1]
+    open_ = np.flatnonzero(start < end)
+    for _ in range(_MARK_PROBES):
+        if not open_.size:
+            return flags
+        hit = outside(open_, start[open_])
+        flags[open_[hit]] = True
+        start[open_] += 1
+        open_ = open_[~hit & (start[open_] < end[open_])]
+    degree = end[open_] - start[open_]
+    cuts = _slices(degree, _BATCH_PAIRS)
+    for a, b in zip(cuts, cuts[1:]):
+        local, position = _ranges(start[open_[a:b]], degree[a:b])
+        flags[open_[a:b][local[outside(open_[a:b][local], position)]]] = True
+    return flags
+
+
 class PropagationIndex:
     """Lazy, cached per-node propagation entries over a graph.
 
@@ -479,6 +722,7 @@ class PropagationIndex:
         self._entries: Dict[int, PropagationEntry] = {}
         self._shards = None  # Optional[repro.core.shards.MmapShardBackend]
         self._csr: Optional[Tuple[List[int], List[int], List[float]]] = None
+        self._peak: Optional[np.ndarray] = None
         self._mask: Optional[bytearray] = None
         self._metrics = metrics
         self.last_build_stats = None
@@ -559,9 +803,10 @@ class PropagationIndex:
         (:mod:`repro.core.dynamics`): entries are graph-independent
         sorted arrays, so nodes outside *affected* carry their entry
         over untouched; affected nodes that were materialized are
-        rebuilt eagerly against the new graph's CSR (same deterministic
-        DFS, so a fully materialized index comes out byte-identical to
-        a from-scratch build); never-built nodes stay lazy. The result
+        rebuilt eagerly against the new graph's CSR in one
+        :meth:`build_entries` batch (bit-exact with the DFS, so a fully
+        materialized index comes out byte-identical to a from-scratch
+        build); never-built nodes stay lazy. The result
         records ``{"entries_rebuilt", "entries_copied"}`` in
         :attr:`last_refresh_stats` and the ``dynamics.*`` counters.
 
@@ -593,15 +838,12 @@ class PropagationIndex:
         )
         mask = np.zeros(graph.n_nodes, dtype=bool)
         mask[np.asarray(affected, dtype=np.int64)] = True
-        rebuilt = 0
-        copied = 0
+        stale = [node for node in self._entries if mask[node]]
+        rebuilt_entries = dict(zip(stale, fresh.build_entries(stale)))
         for node, entry in self._entries.items():
-            if mask[node]:
-                fresh._entries[node] = fresh._build_entry(node)
-                rebuilt += 1
-            else:
-                fresh._entries[node] = entry
-                copied += 1
+            fresh._entries[node] = rebuilt_entries.get(node, entry)
+        rebuilt = len(stale)
+        copied = len(self._entries) - rebuilt
         registry = self._registry()
         registry.inc("dynamics.entries_rebuilt", rebuilt)
         registry.inc("dynamics.entries_copied", copied)
@@ -645,6 +887,49 @@ class PropagationIndex:
         index's unbounded cache.
         """
         return self._build_entry(self._graph._check_node(node))
+
+    def build_entries(self, nodes: Iterable[int]) -> List[PropagationEntry]:
+        """Build the entries of *nodes* in one batch, WITHOUT inserting them.
+
+        Equal bit for bit to ``[self.build_entry(n) for n in nodes]``
+        (sources, probability bytes, Γ* flags, branch counts), in input
+        order, duplicates included. The branch expansion of every target
+        runs at once, one level of branch rows at a time over the
+        reverse-CSR arrays, and each member's probability is summed in
+        the DFS's own pre-order. Targets go through in chunks under a
+        fixed row budget. A target whose expansion passes
+        ``max_branches`` (or the row budget on its own) is built by the
+        DFS instead, which truncates it and warns, or raises in strict
+        mode, exactly as :meth:`build_entry` does.
+
+        The delta path's multi-node rebuilds use it (:meth:`rebuilt_for`,
+        :func:`~repro.core.shards.refresh_sharded_index`). One node
+        costs the batch about three times the DFS, so single entries and
+        the offline builds keep the DFS.
+        """
+        nodes = [self._graph._check_node(node) for node in nodes]
+        pending = sorted(set(nodes))
+        limit = min(self._max_branches, _BATCH_ROWS)
+        built: Dict[int, PropagationEntry] = {}
+        width = len(pending)
+        while pending:
+            chunk = np.array(pending[:width], dtype=np.int64)
+            levels, done, counts, handed = _expand(self, chunk, limit)
+            if done:
+                built.update(
+                    _chunk_entries(self, chunk[:done], levels, counts)
+                )
+            rest = [
+                node for i, node in enumerate(pending[done:width], done)
+                if i not in handed
+            ]
+            pending = rest + pending[width:]
+            # Dropped targets re-run in a chunk the size of what fitted.
+            width = max(1, done) if rest else 2 * width
+        return [
+            built[node] if node in built else self._build_entry(node)
+            for node in nodes
+        ]
 
     def build_all(
         self,
@@ -853,28 +1138,38 @@ class PropagationIndex:
         return self._shards.mapped_bytes()
 
     # ------------------------------------------------------------------
+    def _max_in(self) -> np.ndarray:
+        """Strongest in-edge probability per node (0 for none).
+
+        A branch at probability p only needs its node expanded when
+        p * max_in >= θ - every extension through a weaker node provably
+        fails the per-edge test, so the expansion skips the whole scan.
+        Segmented max via reduceat (starts clipped so trailing empty rows
+        stay in bounds; empty rows zeroed after).
+        """
+        peak = self._peak
+        if peak is None:
+            indptr = self._graph._in_indptr
+            probs = self._graph._in_probs
+            if probs.size:
+                starts = np.minimum(indptr[:-1], probs.size - 1)
+                peak = np.maximum.reduceat(probs, starts)
+                peak[indptr[:-1] == indptr[1:]] = 0.0
+            else:
+                peak = np.zeros(self._graph.n_nodes)
+            self._peak = peak
+        return peak
+
     def _csr_lists(self) -> Tuple[List[int], List[int], List[float], List[float]]:
         cache = self._csr
         if cache is None:
             graph = self._graph
-            indptr_arr = graph._in_indptr
-            probs_arr = graph._in_probs
-            indptr = indptr_arr.tolist()
-            in_probs = probs_arr.tolist()
-            # Strongest in-edge per node: a branch at probability p only
-            # needs its node expanded when p * max_in >= θ - every
-            # extension through a weaker node provably fails the per-edge
-            # test, so the expansion skips the whole scan. Segmented max
-            # via reduceat (starts clipped so trailing empty rows stay
-            # in bounds; empty rows zeroed after).
-            if probs_arr.size:
-                starts = np.minimum(indptr_arr[:-1], probs_arr.size - 1)
-                peak = np.maximum.reduceat(probs_arr, starts)
-                peak[indptr_arr[:-1] == indptr_arr[1:]] = 0.0
-                max_in = peak.tolist()
-            else:
-                max_in = [0.0] * graph.n_nodes
-            cache = (indptr, graph._in_sources.tolist(), in_probs, max_in)
+            cache = (
+                graph._in_indptr.tolist(),
+                graph._in_sources.tolist(),
+                graph._in_probs.tolist(),
+                self._max_in().tolist(),
+            )
             self._csr = cache
         return cache
 

@@ -200,6 +200,20 @@ def _pack(
     ))
 
 
+def _pack_columns(
+    lo: int, hi: int, columns: Sequence[Sequence[np.ndarray]]
+) -> Tuple[bytes, int]:
+    """Shard bytes of ``[lo, hi)`` from consecutive runs of slots, each
+    ``(counts, branches, sources, probabilities, flags)``, and its member
+    count."""
+    counts, branches, sources, probabilities, flags = (
+        np.concatenate(column) for column in zip(*columns)
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    data = _pack(lo, hi, offsets, branches, sources, probabilities, flags)
+    return data, int(sources.size)
+
+
 def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
@@ -586,7 +600,10 @@ class MmapShardBackend:
 
     def get(self, node: int) -> PropagationEntry:
         """The mapped entry of *node* (pages its shard in if needed)."""
-        shard_id = self.shard_of(node)
+        return self._shard(self.shard_of(node)).entry(node)
+
+    def _shard(self, shard_id: int) -> _MappedShard:
+        """The mapped segment of shard *shard_id*, paged in if needed."""
         shard = self._cache.get(shard_id)
         if shard is None:
             shard = _open_shard(
@@ -595,7 +612,7 @@ class MmapShardBackend:
             )
             self._cache.put(shard_id, shard, shard.nbytes)
             self._registry().inc("index.shard.loads")
-        return shard.entry(node)
+        return shard
 
     def resident_bytes(self) -> int:
         """Mapped-segment bytes currently charged to the paging cache."""
@@ -659,6 +676,11 @@ class PropagationShardWriter:
     def directory(self) -> Path:
         """The artifact directory."""
         return self._writer.directory
+
+    def begin(self) -> None:
+        """Mark the directory incomplete before replacing any segment
+        (see :meth:`repro._artifacts.ShardWriter.begin`)."""
+        self._writer.begin()
 
     def resume(self) -> None:
         """Load the verified records of already-written shards for
@@ -724,6 +746,40 @@ class PropagationShardWriter:
             shard_filename(lo, hi), data,
             lo=int(lo), hi=int(hi), n_members=int(n_members),
             **extra,
+        )
+
+    def splice_range(
+        self,
+        shard: _MappedShard,
+        entries: Mapping[int, PropagationEntry],
+        failed: Sequence[int] = (),
+    ) -> dict:
+        """Publish *shard*'s range with the slots of *entries* replaced.
+
+        The delta-refresh path: every other node's slot is copied section
+        by section out of the mapped segment, so the unchanged entries
+        are never materialized. *failed* lists the range's nodes that
+        stay empty slots (see :meth:`write_range`).
+        """
+        lo, hi = shard.lo, shard.hi
+        columns = []
+        pos = lo
+        for node in sorted(entries):
+            if pos < node:
+                columns.append(shard.sections(pos, node))
+            entry = entries[node]
+            columns.append((
+                [entry.size], [entry.branches],
+                entry.sources, entry.probabilities, entry.marked_flags,
+            ))
+            pos = node + 1
+        if pos < hi:
+            columns.append(shard.sections(pos, hi))
+        data, n_members = _pack_columns(lo, hi, columns)
+        extra = {"failed_nodes": sorted(map(int, failed))} if failed else {}
+        return self._writer.write_shard(
+            shard_filename(lo, hi), data,
+            lo=lo, hi=hi, n_members=n_members, **extra,
         )
 
     def adopt(self, record: Mapping[str, object], *, verify: bool = True) -> dict:
@@ -812,16 +868,12 @@ class PropagationShardWriter:
             self._open(record).sections(max(a, lo), min(b, hi))
             for record, a, b in pieces if a < hi and lo < b
         ]
-        counts, branches, sources, probabilities, flags = (
-            np.concatenate(column) for column in zip(*columns)
-        )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        data, n_members = _pack_columns(lo, hi, columns)
         range_failed = [n for n in failed if lo <= n < hi]
         extra = {"failed_nodes": range_failed} if range_failed else {}
         return self._writer.write_file(
-            shard_filename(lo, hi),
-            _pack(lo, hi, offsets, branches, sources, probabilities, flags),
-            lo=lo, hi=hi, n_members=int(sources.size), **extra,
+            shard_filename(lo, hi), data,
+            lo=lo, hi=hi, n_members=n_members, **extra,
         )
 
 
@@ -905,10 +957,11 @@ def refresh_sharded_index(
     *affected* is the node set whose Γ can change (see
     :func:`~repro.core.dynamics.affected_nodes`), *graph* is the
     post-delta graph over the same node set. Shards containing an
-    affected node (found with :meth:`MmapShardBackend.shard_of`) are
-    repacked - affected entries rebuilt against the new graph's CSR,
-    unaffected entries copied zero-copy out of the old mapped segment -
-    and atomically replaced in the same directory; clean shards are
+    affected node (a bisection of the sorted affected set per shard
+    range) are repacked - affected entries rebuilt against the new graph's CSR,
+    the other slots copied section by section out of the old segment
+    (:meth:`PropagationShardWriter.splice_range`) - and atomically
+    replaced in the same directory; clean shards are
     carried into the new manifest byte-untouched (the manifest must be
     rewritten regardless, because its ``meta`` records the edge count).
     The shard boundaries stay fixed across deltas. Affected nodes drop
@@ -921,51 +974,63 @@ def refresh_sharded_index(
     mapped segments keep serving their pre-delta bytes until dropped -
     discard it after the swap.
 
-    The directory is momentarily incomplete while shards are replaced;
-    a crash mid-refresh leaves a manifest that loaders refuse, and the
-    recovery is a full ``build_sharded`` (see ``docs/dynamics.md``).
+    Every affected entry of a dirty shard is rebuilt in one
+    :meth:`~repro.core.propagation.PropagationIndex.build_entries` batch
+    (bit-exact with the per-node DFS), timed as
+    ``dynamics.refresh_build_seconds``; the rest of the refresh is
+    splicing and writing the dirty segments, verifying the carried ones,
+    and the manifest writes.
+
+    Before any segment is replaced, the manifest is rewritten as
+    incomplete under the new ``meta``, listing no shard; it then lists
+    each shard as it is carried or rewritten, and only the last write
+    marks it complete. A crash mid-refresh therefore leaves a directory
+    every loader refuses as incomplete - never a complete manifest over
+    a mix of pre- and post-delta segments - and
+    :meth:`~repro.core.propagation.PropagationIndex.build_sharded` over
+    the post-delta graph resumes from the shards it lists (see
+    ``docs/dynamics.md``).
     """
     if graph.n_nodes != backend._graph.n_nodes:
         raise ConfigurationError(
             f"delta graphs must keep the node set: got {graph.n_nodes} "
             f"nodes, shards cover {backend._graph.n_nodes}"
         )
-    affected = np.asarray(affected, dtype=np.int64)
-    mask = np.zeros(graph.n_nodes, dtype=bool)
-    mask[affected] = True
+    affected = np.unique(np.asarray(affected, dtype=np.int64))
     builder = PropagationIndex(
         graph, backend.theta,
         max_branches=backend.max_branches,
         strict=backend.strict,
         metrics=metrics,
     )
+    registry = metrics if metrics is not None else get_registry()
     writer = PropagationShardWriter(
         backend.directory, builder, backend.shard_nodes
     )
-    dirty = {backend.shard_of(node) for node in affected.tolist()}
-    failed = set(backend.failed_nodes)
+    writer.begin()
+    failed = backend.failed_nodes
     rewritten = carried = rebuilt = copied = 0
     for shard_id, record in enumerate(backend._records):
         lo, hi = int(record["lo"]), int(record["hi"])
-        if shard_id not in dirty:
+        stale = affected[
+            np.searchsorted(affected, lo) : np.searchsorted(affected, hi)
+        ].tolist()
+        if not stale:
             writer.adopt(record)
             carried += 1
             continue
-        entries: Dict[int, PropagationEntry] = {}
-        still_failed = []
-        for node in range(lo, hi):
-            if mask[node]:
-                entries[node] = builder.build_entry(node)
-                rebuilt += 1
-            elif node not in failed:
-                entries[node] = backend.get(node)
-                copied += 1
-            else:
-                still_failed.append(node)
-        writer.write_range(lo, hi, entries, failed=still_failed)
+        with registry.timer("dynamics.refresh_build_seconds"):
+            entries = dict(zip(stale, builder.build_entries(stale)))
+        still_failed = [
+            node for node in failed if lo <= node < hi and node not in entries
+        ]
+        writer.splice_range(
+            backend._shard(shard_id), entries, failed=still_failed
+        )
         rewritten += 1
+        rebuilt += len(stale)
+        copied += hi - lo - len(stale) - len(still_failed)
     writer.finalize()
-    registry = metrics if metrics is not None else get_registry()
     registry.inc("dynamics.shards_rewritten", rewritten)
     registry.inc("dynamics.shards_carried", carried)
     registry.inc("dynamics.entries_rebuilt", rebuilt)

@@ -237,6 +237,107 @@ class TestBalancedBoundaries:
             assert want.branches == got.branches
 
 
+class TestRefreshCrash:
+    """A refresh that dies at any file replace never leaves a complete
+    manifest over a mix of pre- and post-delta segments."""
+
+    @pytest.fixture(scope="class")
+    def delta(self, graph, built_index, shard_dir):
+        # A tiny reweight of an edge into shard 0: every affected entry
+        # keeps its members, so every rewritten segment keeps its byte
+        # count and the loader's size check cannot tell the two apart.
+        sources, targets, probs = graph.edge_arrays()
+        i = int(np.argmin(targets))
+        delta = GraphDelta(reweights=(
+            (int(sources[i]), int(targets[i]), float(probs[i]) * 0.999),
+        ))
+        new_graph, application = apply_delta_to_graph(graph, delta)
+        affected = affected_nodes(graph, new_graph, application, theta=THETA)
+        fresh = PropagationIndex(new_graph, THETA)
+        assert MmapShardBackend(shard_dir, graph).shard_of(
+            int(affected[0])
+        ) == 0
+        assert all(
+            np.array_equal(fresh.entry(v).sources, built_index.entry(v).sources)
+            for v in affected.tolist()
+        )
+        assert any(
+            not np.array_equal(
+                fresh.entry(v).probabilities,
+                built_index.entry(v).probabilities,
+            )
+            for v in affected.tolist()
+        )
+        return new_graph, affected, fresh
+
+    @staticmethod
+    def _refresh(graph, directory, new_graph, affected, crash_at=None):
+        """Refresh a copy; with *crash_at*, die before that file replace.
+        Returns the number of replaces the refresh reached."""
+        replaces = []
+
+        def hook(*, path, **_):
+            replaces.append(path.name)
+            if len(replaces) - 1 == crash_at:
+                raise KeyboardInterrupt("injected crash mid-refresh")
+
+        backend = MmapShardBackend(directory, graph)
+        with _faults.fault("artifact.pre_replace", hook):
+            refresh_sharded_index(backend, new_graph, affected)
+        return len(replaces)
+
+    def test_no_crash_point_serves_a_mix(
+        self, graph, built_index, shard_dir, delta, tmp_path
+    ):
+        new_graph, affected, _ = delta
+        probe = tmp_path / "probe"
+        shutil.copytree(shard_dir, probe)
+        n_replaces = self._refresh(graph, probe, new_graph, affected)
+        assert _shard_sizes(probe) == _shard_sizes(shard_dir)
+        for crash_at in range(n_replaces):
+            directory = tmp_path / f"crash-{crash_at}"
+            shutil.copytree(shard_dir, directory)
+            with pytest.raises(KeyboardInterrupt):
+                self._refresh(graph, directory, new_graph, affected, crash_at)
+            try:
+                loaded = load_sharded_index(directory, graph)
+            except ArtifactCorruptedError as error:
+                assert "incomplete" in str(error)
+                continue
+            for node in range(graph.n_nodes):  # all pre-delta, or refused
+                assert np.array_equal(
+                    loaded.entry(node).probabilities,
+                    built_index.entry(node).probabilities,
+                ), (crash_at, node)
+
+    def test_build_sharded_resumes_a_crashed_refresh(
+        self, graph, shard_dir, delta, tmp_path
+    ):
+        new_graph, affected, _ = delta
+        probe = tmp_path / "probe"
+        shutil.copytree(shard_dir, probe)
+        n_replaces = self._refresh(graph, probe, new_graph, affected)
+        directory = tmp_path / "crashed"
+        shutil.copytree(shard_dir, directory)
+        with pytest.raises(KeyboardInterrupt):
+            # Die at the last write: every post-delta shard is listed,
+            # and the manifest is still incomplete.
+            self._refresh(
+                graph, directory, new_graph, affected, n_replaces - 1
+            )
+        with pytest.raises(ArtifactCorruptedError, match="incomplete"):
+            load_sharded_index(directory, new_graph)
+        resumed = PropagationIndex(new_graph, THETA)
+        resumed.build_sharded(directory, shard_nodes=SHARD_NODES)
+        assert resumed.last_build_stats.n_resumed == new_graph.n_nodes
+        assert resumed.last_build_stats.n_built == 0
+        expected = tmp_path / "fresh"
+        PropagationIndex(new_graph, THETA).build_sharded(
+            expected, shard_nodes=SHARD_NODES
+        )
+        assert _dir_digest(directory) == _dir_digest(expected)
+
+
 class TestResumeCovering:
     def test_covering_takes_the_record_reaching_furthest(
         self, graph, tmp_path, monkeypatch

@@ -16,12 +16,17 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 GATES = {
     "BENCH_dynamics.json": (
         "entry_parity_at_scale",
+        "sharded_entry_parity_at_scale",
         "parity_memory_seed_7",
         "parity_memory_seed_1234",
         "parity_sharded_seed_7",
         "never_served_stale",
         "surgical_survivors_everywhere",
         "delta_speedup_ge_5x",
+    ),
+    "BENCH_propagation_index.json": (
+        "parity_legacy_vs_serial",
+        "batched_bit_exact",
     ),
     "BENCH_scenarios.json": (
         "all_scenarios_ok",

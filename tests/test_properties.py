@@ -8,6 +8,9 @@ index invariants that make the top-k search's pruning sound.
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +22,13 @@ from repro.core import (
     propagate_influence,
 )
 from repro.core.rcl import greedy_no_overlap, label_pairs
-from repro.graph import SocialGraph, hop_distances, reverse_hop_distances
+from repro.exceptions import BudgetExceededError
+from repro.graph import (
+    SocialGraph,
+    hop_distances,
+    preferential_attachment_graph,
+    reverse_hop_distances,
+)
 from repro.walks import WalkIndex
 
 # ---------------------------------------------------------------------------
@@ -250,6 +259,101 @@ class TestPropagationIndexProperties:
         for node in range(graph.n_nodes):
             entry = index.entry(node)
             assert entry.marked <= set(entry.gamma)
+
+
+def _same_entries(got, want):
+    """Bit-for-bit equality of two entry lists."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.node == b.node
+        assert a.sources.tobytes() == b.sources.tobytes()
+        assert a.probabilities.tobytes() == b.probabilities.tobytes()
+        assert a.marked_flags.tobytes() == b.marked_flags.tobytes()
+        assert a.branches == b.branches
+
+
+class TestBatchedRebuildParity:
+    """``build_entries`` is the per-node DFS, bit for bit."""
+
+    @SETTINGS
+    @given(small_graphs(), st.floats(min_value=0.005, max_value=0.5), st.data())
+    def test_matches_dfs_on_random_targets(self, graph, theta, data):
+        nodes = data.draw(
+            st.lists(st.integers(0, graph.n_nodes - 1), max_size=20)
+        )  # unsorted, with duplicates, possibly empty
+        index = PropagationIndex(graph, theta)
+        _same_entries(
+            index.build_entries(nodes), [index.build_entry(n) for n in nodes]
+        )
+
+    @pytest.mark.parametrize("seed", [5, 7, 1234])
+    def test_matches_dfs_on_seeded_graphs_with_cycles(self, seed):
+        graph = preferential_attachment_graph(400, 4, seed=seed)
+        sources, targets, _ = graph.edge_arrays()
+        edges = set(zip(sources.tolist(), targets.tolist()))
+        assert any((v, u) in edges for u, v in edges)  # 2-cycles exist
+        assert (np.diff(graph._in_indptr) == 0).any()  # and in-edge-free nodes
+        nodes = list(range(graph.n_nodes))[::-1] + [3, 3, 0]
+        index = PropagationIndex(graph, 0.003)
+        _same_entries(
+            index.build_entries(nodes), [index.build_entry(n) for n in nodes]
+        )
+
+    def test_theta_equal_to_a_path_product(self):
+        graph = SocialGraph(4, [
+            (0, 1, 0.3), (1, 2, 0.7), (3, 1, 0.9), (2, 0, 0.5), (3, 2, 0.2),
+        ])
+        theta = 0.3 * 0.7  # the branch 2 <- 1 <- 0 lands exactly on θ
+        index = PropagationIndex(graph, theta)
+        entries = index.build_entries([2, 0, 1, 3])
+        assert 0 in entries[0].gamma
+        _same_entries(entries, [index.build_entry(n) for n in (2, 0, 1, 3)])
+
+    def test_empty(self):
+        graph = preferential_attachment_graph(30, 2, seed=1)
+        assert PropagationIndex(graph, 0.01).build_entries([]) == []
+
+    def test_truncation_defers_to_the_dfs(self):
+        graph = preferential_attachment_graph(300, 5, seed=3)
+        nodes = [7, 250, 0, 7, 120]
+        index = PropagationIndex(graph, 0.002, max_branches=40)
+
+        def run(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                entries = build()
+            return entries, [(w.category, str(w.message)) for w in caught]
+
+        got, got_warnings = run(lambda: index.build_entries(nodes))
+        want, want_warnings = run(
+            lambda: [index.build_entry(n) for n in nodes]
+        )
+        _same_entries(got, want)
+        assert got_warnings == want_warnings
+        assert any(e.branches == 40 for e in want)  # some were truncated
+        strict = PropagationIndex(graph, 0.002, max_branches=40, strict=True)
+        with pytest.raises(BudgetExceededError):
+            strict.build_entries(nodes)
+
+    def test_scratch_does_not_grow_with_the_batch(self):
+        graph = preferential_attachment_graph(2000, 6, seed=42)
+
+        def peak(n_targets):
+            index = PropagationIndex(graph, 0.002)
+            index._max_in()
+            nodes = list(range(0, 2000, 2000 // n_targets))[:n_targets]
+            tracemalloc.start()
+            try:
+                entries = index.build_entries(nodes)
+                return tracemalloc.get_traced_memory()[1], entries
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(100)
+        large, entries = peak(400)
+        # 100 targets already fill a chunk; what grows is the output.
+        assert sum(e.branches for e in entries[:100]) > 8192
+        assert large - small < 1 << 20
 
 
 # ---------------------------------------------------------------------------
