@@ -25,10 +25,11 @@ after every storm ``/healthz``, ``/readyz`` and ``/metrics`` answer 200
 and the queue is empty, its reload returned 200 and generation 2
 answered; every cached storm hits the answer tier >= 50%, exposes the
 tier family on ``/metrics`` and answers a post-reload spot check
-bit-exactly, and the p90 of every cached storm's successes pooled is
-below the same pooled p90 of the uncached storms, each side pooling at
-least ``MIN_POOLED_SAMPLES`` successes (storms of the same run, never a
-committed number); parity is bit-exact
+whose raw response bodies equal, byte for byte, the uncached engine's
+answers serialized as one response object, and the p90 of every cached
+storm's successes pooled is below the same pooled p90 of the uncached
+storms, each side pooling at least ``MIN_POOLED_SAMPLES`` successes
+(storms of the same run, never a committed number); parity is bit-exact
 (results and the five work-stat fields); zero 5xx; every drain exits 0.
 
 Run from the repo root (``--smoke`` is the CI profile: it proves the
@@ -320,27 +321,48 @@ def engine_parity(
     }
 
 
-def daemon_spot_check(daemon: LocalDaemon, plain: ServingEngine,
-                      records) -> Dict:
-    """Post-reload daemon responses vs. a fresh uncached engine."""
-    mismatches = 0
-    checked = 0
-    for record in records:
-        status, body, _ = daemon.request("POST", "/search", record)
-        if status != 200:
-            continue  # sheds are not answers; nothing to compare
-        checked += 1
-        results, stats = plain.search(
-            record["user"], record["query"], record["k"], with_stats=True
-        )
-        want = [
+def oracle_body(record, results, stats, generation: int) -> bytes:
+    """A ``/search`` body as the whole response object serialized at once."""
+    return (json.dumps({
+        "user": record["user"],
+        "query": record["query"],
+        "k": record["k"],
+        "results": [
             {"topic_id": r.topic_id, "label": r.label,
              "influence": r.influence}
             for r in results
-        ]
-        want_stats = {f: getattr(stats, f) for f in WORK_FIELDS}
-        if body["results"] != want or body["stats"] != want_stats:
-            mismatches += 1
+        ],
+        "stats": {f: getattr(stats, f) for f in WORK_FIELDS},
+        "generation": generation,
+    }, sort_keys=True) + "\n").encode("utf-8")
+
+
+def daemon_spot_check(daemon: LocalDaemon, plain: ServingEngine,
+                      records) -> Dict:
+    """Post-reload daemon responses vs. a fresh uncached engine, byte for
+    byte: each raw body must equal :func:`oracle_body` of the engine's
+    answer at the generation the response carries."""
+    mismatches = 0
+    checked = 0
+    conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=60)
+    try:
+        for record in records:
+            conn.request("POST", "/search", body=json.dumps(record),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = response.read()
+            if response.status != 200:
+                continue  # sheds are not answers; nothing to compare
+            checked += 1
+            results, stats = plain.search(
+                record["user"], record["query"], record["k"],
+                with_stats=True,
+            )
+            generation = json.loads(body)["generation"]
+            if body != oracle_body(record, results, stats, generation):
+                mismatches += 1
+    finally:
+        conn.close()
     return {"checked": checked, "mismatches": mismatches,
             "ok": checked > 0 and mismatches == 0}
 

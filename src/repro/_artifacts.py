@@ -291,9 +291,12 @@ class ShardWriter:
         the identical ``meta`` or :meth:`resume` raises - shards built
         under different parameters must never be mixed.
 
-    The manifest is rewritten (atomically) after every shard, so the
-    directory is always in a loadable state: either ``complete`` with the
-    full inventory, or incomplete with exactly the shards written so far.
+    The manifest is rewritten (atomically) after every
+    :meth:`write_shard`, so a streaming build's directory is always in a
+    loadable state: either ``complete`` with the full inventory, or
+    incomplete with exactly the shards written so far. Shards listed
+    without a write of their own (:meth:`adopt_shard`) reach the manifest
+    with the next manifest write.
     """
 
     def __init__(self, directory: PathLike, kind: str, meta: Mapping[str, Any]):
@@ -384,22 +387,23 @@ class ShardWriter:
     def adopt_shard(
         self, record: Mapping[str, Any], *, verify: bool = True
     ) -> dict:
-        """Carry an existing on-disk shard into this writer's manifest.
+        """List an existing on-disk shard in this writer's inventory.
 
-        The seam behind in-place incremental refresh: a delta rewrite
-        that changes the manifest ``meta`` (e.g. a new edge count) cannot
-        :meth:`resume`, but most shard files are untouched by the delta -
-        adopting their records keeps the bytes on disk while the dirty
-        shards are rewritten through :meth:`write_shard`. With *verify*
+        The seam behind in-place incremental refresh and resumed builds:
+        a delta rewrite that changes the manifest ``meta`` (e.g. a new
+        edge count) cannot :meth:`resume`, but most shard files are
+        untouched by the delta - adopting their records keeps the bytes
+        on disk while the dirty shards are rewritten. With *verify*
         (default) the file is re-read and checked against the record's
         byte count and SHA-256 first, so a clean-looking manifest can
-        never adopt a corrupted file.
+        never adopt a corrupted file. No manifest is written here: the
+        record is published by the next :meth:`write_shard` or by
+        :meth:`finalize`.
         """
         if verify:
             verify_shard_file(self._dir, record, "adopted shard")
         adopted = dict(record)
         self._shards.append(adopted)
-        self._flush_manifest(complete=False)
         return adopted
 
     def finalize(self, **extra: Any) -> dict:

@@ -49,7 +49,12 @@ from ..graph import SocialGraph
 from ..topics import KeywordQuery
 from .persistence import _graph_signature
 from .search import SearchResult, _QueryPlan, normalized_query_key
-from .serve_facade import ServingEngine, _work_of
+from .serve_facade import (
+    ServingEngine,
+    _answer_nbytes,
+    _new_answer,
+    _work_of,
+)
 from .summarization import TopicSummary
 
 __all__ = [
@@ -230,14 +235,17 @@ class PrecomputeArtifact:
     trace: Dict[str, int] = field(default_factory=dict)
 
     def memory_hint_bytes(self) -> int:
-        """Rough warm-tier footprint (sizing aid for ``--answer-cache-mb``)."""
+        """Rough warm-tier footprint (sizing aid for ``--answer-cache-mb``).
+
+        Answers count at exactly what the answer tier charges for them,
+        wire bytes included; plans are estimated.
+        """
         total = 0
         for record in self.plans:
             total += 24 * len(record["rep_ids"]) + 16 * len(record["topic_ids"])
         for record in self.answers:
-            total += 160 + sum(
-                96 + len(label) for _, label, _ in record["results"]
-            )
+            _, (results, work) = answer_entry(record)
+            total += _answer_nbytes(_new_answer(results, work))
         return total
 
 

@@ -36,12 +36,22 @@ artifact), and the artifact itself is refused unless its graph signature,
 theta, and summaries fingerprint match - so a stale answer cannot survive
 a generation bump. :meth:`ServingEngine.invalidate_answers` is the
 targeted seam for :mod:`repro.core.dynamics` deltas.
+
+**Encoded once.** A resident answer also holds its wire fragment
+(:func:`encode_answer`), built when the answer is written back after a
+miss or warm-loaded from a precompute artifact and charged to the
+tier's budget with the rest of the answer. The daemon answers hits from
+these stored bytes (``encoded=True`` on :meth:`ServingEngine.cached_answer`
+and :meth:`ServingEngine.search_batch`), so no answer is serialized twice.
 """
 
 from __future__ import annotations
 
+import json
 from time import perf_counter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union,
+)
 
 from ..exceptions import ConfigurationError
 from ..graph import SocialGraph
@@ -59,7 +69,7 @@ from .search import (
 from .serving import ByteLRUCache
 from .summarization import TopicSummary
 
-__all__ = ["ServingEngine"]
+__all__ = ["ServingEngine", "encode_answer"]
 
 #: Answer-key type: (user, normalized query key, k).
 AnswerKey = Tuple[int, Tuple[Tuple[str, ...], str], int]
@@ -69,10 +79,62 @@ _ANSWER_BASE_BYTES = 160
 #: Per-result overhead (SearchResult object + ints/floats), sans label.
 _ANSWER_RESULT_BYTES = 96
 
+#: The five work counters, in ``SearchStats`` order (also their wire names).
+_WORK_FIELDS = (
+    "topics_considered",
+    "topics_pruned",
+    "entries_probed",
+    "expansion_rounds",
+    "representatives_touched",
+)
 
-def _answer_nbytes(results: Tuple[SearchResult, ...]) -> int:
-    return _ANSWER_BASE_BYTES + sum(
-        _ANSWER_RESULT_BYTES + len(r.label) for r in results
+
+class _Answer(NamedTuple):
+    """One answer-tier value: the top-k, its work counters, its wire form."""
+
+    results: Tuple[SearchResult, ...]
+    work: Tuple[int, int, int, int, int]
+    wire: bytes
+
+
+def encode_answer(
+    results: Iterable[SearchResult], work: Iterable[int]
+) -> bytes:
+    """The wire fragment ``"results": [...], "stats": {...}`` of an answer.
+
+    Exactly the bytes ``json.dumps(response, sort_keys=True)`` emits for
+    those two keys of a ``POST /search`` response, which
+    :func:`repro.serve.protocol.results_payload` splices between the
+    request's fields. Influence floats pass through unrounded (``repr``
+    round-trips the exact double).
+    """
+    text = json.dumps(
+        {
+            "results": [
+                {
+                    "topic_id": r.topic_id,
+                    "label": r.label,
+                    "influence": r.influence,
+                }
+                for r in results
+            ],
+            "stats": dict(zip(_WORK_FIELDS, work)),
+        },
+        sort_keys=True,
+    )
+    return text[1:-1].encode("utf-8")
+
+
+def _new_answer(results: Iterable[SearchResult], work) -> _Answer:
+    results = tuple(results)
+    work = tuple(work)
+    return _Answer(results, work, encode_answer(results, work))
+
+
+def _answer_nbytes(answer: _Answer) -> int:
+    """The answer tier's charge for *answer*: objects plus wire bytes."""
+    return _ANSWER_BASE_BYTES + len(answer.wire) + sum(
+        _ANSWER_RESULT_BYTES + len(r.label) for r in answer.results
     )
 
 
@@ -83,13 +145,7 @@ def _work_of(stats: SearchStats) -> Tuple[int, int, int, int, int]:
     state, so replaying them keeps cached responses bit-exact with
     uncached ones.
     """
-    return (
-        stats.topics_considered,
-        stats.topics_pruned,
-        stats.entries_probed,
-        stats.expansion_rounds,
-        stats.representatives_touched,
-    )
+    return tuple(getattr(stats, field) for field in _WORK_FIELDS)
 
 
 class ServingEngine:
@@ -293,10 +349,8 @@ class ServingEngine:
         self._answer_demotions += 1
         self._searcher.touch_plan(key[1])
 
-    def _answer_hit(
-        self, cached, started: Optional[float]
-    ) -> Tuple[List[SearchResult], SearchStats]:
-        results, work = cached
+    def _answer_hit(self, cached: _Answer, started: Optional[float],
+                    encoded: bool):
         if started is not None:
             registry = self._registry()
             registry.inc("cache.tier.answers.hits")
@@ -304,13 +358,16 @@ class ServingEngine:
                 "cache.tier.answers.hit_latency_seconds",
                 perf_counter() - started,
             )
-        return list(results), SearchStats(*work)
+        if encoded:
+            return cached.wire
+        return list(cached.results), SearchStats(*cached.work)
 
     def _store_answer(
-        self, key: AnswerKey, results: List[SearchResult], stats: SearchStats
-    ) -> None:
-        value = (tuple(results), _work_of(stats))
-        self._answers.put(key, value, _answer_nbytes(value[0]))
+        self, key: AnswerKey, results: Iterable[SearchResult], work
+    ) -> _Answer:
+        answer = _new_answer(results, work)
+        self._answers.put(key, answer, _answer_nbytes(answer))
+        return answer
 
     def search(
         self,
@@ -330,23 +387,32 @@ class ServingEngine:
         return results
 
     def cached_answer(
-        self, user: int, query: Union[str, KeywordQuery], k: int = 10
-    ) -> Optional[Tuple[List[SearchResult], SearchStats]]:
+        self,
+        user: int,
+        query: Union[str, KeywordQuery],
+        k: int = 10,
+        *,
+        encoded: bool = False,
+    ):
         """The resident ``(results, stats)`` answer, or ``None``.
 
-        Records exactly what an answer hit in :meth:`search_batch`
-        records (tier hit counter and latency, LRU hit and bump); a miss
-        records nothing, so the caller's fallback to :meth:`search_batch`
-        counts it once. ``None`` also when the answer tier is disabled.
+        With ``encoded=True`` the answer's stored wire fragment
+        (:func:`encode_answer`) instead. Records exactly what an answer
+        hit in :meth:`search_batch` records (tier hit counter and
+        latency, LRU hit and bump); a miss records nothing, so the
+        caller's fallback to :meth:`search_batch` counts it once.
+        ``None`` also when the answer tier is disabled.
         """
         answers = self._answers
         if answers is None:
             return None
         started = perf_counter() if self._registry().enabled else None
-        key = self._answer_key(user, query, k)
-        if key not in answers:
+        cached = answers.get(
+            self._answer_key(user, query, k), record_miss=False
+        )
+        if cached is None:
             return None
-        return self._answer_hit(answers.get(key), started)
+        return self._answer_hit(cached, started, encoded)
 
     def search_batch(
         self,
@@ -354,6 +420,7 @@ class ServingEngine:
         k: int = 10,
         *,
         with_stats: bool = False,
+        encoded: bool = False,
     ):
         """Answer many ``(user, query)`` requests in one batched call.
 
@@ -361,24 +428,37 @@ class ServingEngine:
         :meth:`PersonalizedSearcher.search_many` (still grouped and
         vectorized), and their answers are written back. Output stays
         aligned with the input order.
+
+        With ``encoded=True`` each outcome is the answer's wire fragment
+        (:func:`encode_answer`) - the daemon's path: a hit's stored
+        bytes, a miss's bytes as just written back, or, with the answer
+        tier disabled, one fresh encoding per answer.
         """
-        if self._answers is None:
-            outcomes = self._searcher.search_many(requests, k)
+        if self._answers is not None:
+            outcomes = self._batch_with_answers(list(requests), k, encoded)
+            if encoded:
+                return outcomes
         else:
-            outcomes = self._batch_with_answers(list(requests), k)
+            outcomes = self._searcher.search_many(requests, k)
+            if encoded:
+                return [
+                    encode_answer(results, _work_of(stats))
+                    for results, stats in outcomes
+                ]
         if with_stats:
             return outcomes
         return [results for results, _ in outcomes]
 
     def _batch_with_answers(
-        self, requests: List[Tuple[int, Union[str, KeywordQuery]]], k: int
-    ) -> List[Tuple[List[SearchResult], SearchStats]]:
+        self,
+        requests: List[Tuple[int, Union[str, KeywordQuery]]],
+        k: int,
+        encoded: bool,
+    ) -> List:
         answers = self._answers
         registry = self._registry()
         enabled = registry.enabled
-        outcomes: List[Optional[Tuple[List[SearchResult], SearchStats]]] = (
-            [None] * len(requests)
-        )
+        outcomes: List = [None] * len(requests)
         miss_requests: List[Tuple[int, Union[str, KeywordQuery]]] = []
         miss_slots: List[Tuple[int, AnswerKey]] = []
         n_hits = 0
@@ -387,7 +467,7 @@ class ServingEngine:
             key = self._answer_key(user, query, k)
             cached = answers.get(key)
             if cached is not None:
-                outcomes[position] = self._answer_hit(cached, started)
+                outcomes[position] = self._answer_hit(cached, started, encoded)
                 n_hits += 1
             else:
                 miss_requests.append((user, query))
@@ -397,9 +477,10 @@ class ServingEngine:
         if miss_requests:
             computed = self._searcher.search_many(miss_requests, k)
             for (position, key), outcome in zip(miss_slots, computed):
-                outcomes[position] = outcome
-                self._store_answer(key, outcome[0], outcome[1])
-        return outcomes  # type: ignore[return-value]
+                results, stats = outcome
+                answer = self._store_answer(key, results, _work_of(stats))
+                outcomes[position] = answer.wire if encoded else outcome
+        return outcomes
 
     # ------------------------------------------------------------------
     # Invalidation and warm load
@@ -520,10 +601,10 @@ class ServingEngine:
         answers = self._answers
         if answers is not None:
             for record in pack.answers:
-                key, value = answer_entry(record)
+                key, (results, work) = answer_entry(record)
                 if key in answers:
                     continue
-                answers.put(key, value, _answer_nbytes(value[0]))
+                self._store_answer(key, results, work)
                 seeded += 1
         return {"plans": adopted, "answers": seeded}
 

@@ -79,11 +79,16 @@ class ByteLRUCache(Generic[K, V]):
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: K) -> Optional[V]:
-        """The cached value (bumped to most-recent), or ``None``."""
+    def get(self, key: K, *, record_miss: bool = True) -> Optional[V]:
+        """The cached value (bumped to most-recent), or ``None``.
+
+        With ``record_miss=False`` a miss is not counted: a probe whose
+        caller falls back to a lookup that counts it.
+        """
         item = self._items.get(key)
         if item is None:
-            self.misses += 1
+            if record_miss:
+                self.misses += 1
             return None
         self._items.move_to_end(key)
         self.hits += 1

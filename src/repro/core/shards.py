@@ -759,7 +759,9 @@ class PropagationShardWriter:
         The delta-refresh path: every other node's slot is copied section
         by section out of the mapped segment, so the unchanged entries
         are never materialized. *failed* lists the range's nodes that
-        stay empty slots (see :meth:`write_range`).
+        stay empty slots (see :meth:`write_range`). The segment file is
+        replaced atomically, but the manifest is not rewritten: the shard
+        is published by :meth:`finalize`.
         """
         lo, hi = shard.lo, shard.hi
         columns = []
@@ -777,10 +779,11 @@ class PropagationShardWriter:
             columns.append(shard.sections(pos, hi))
         data, n_members = _pack_columns(lo, hi, columns)
         extra = {"failed_nodes": sorted(map(int, failed))} if failed else {}
-        return self._writer.write_shard(
+        record = self._writer.write_file(
             shard_filename(lo, hi), data,
             lo=lo, hi=hi, n_members=n_members, **extra,
         )
+        return self._writer.adopt_shard(record, verify=False)
 
     def adopt(self, record: Mapping[str, object], *, verify: bool = True) -> dict:
         """Carry a clean shard's record into this writer's manifest.
@@ -789,7 +792,7 @@ class PropagationShardWriter:
         (``n_edges``), so :meth:`resume` refuses the old manifest - but
         shards untouched by the delta keep byte-identical files. Adopting
         re-verifies the file against the record (size + SHA-256) and
-        lists it in the new manifest without rewriting it.
+        lists it for the next manifest write without rewriting it.
         """
         return self._writer.adopt_shard(record, verify=verify)
 
@@ -979,16 +982,17 @@ def refresh_sharded_index(
     (bit-exact with the per-node DFS), timed as
     ``dynamics.refresh_build_seconds``; the rest of the refresh is
     splicing and writing the dirty segments, verifying the carried ones,
-    and the manifest writes.
+    and the two manifest writes.
 
-    Before any segment is replaced, the manifest is rewritten as
-    incomplete under the new ``meta``, listing no shard; it then lists
-    each shard as it is carried or rewritten, and only the last write
-    marks it complete. A crash mid-refresh therefore leaves a directory
+    The manifest is written twice: before any segment is replaced, as
+    incomplete under the new ``meta`` and listing no shard, and at the
+    end, complete. A crash mid-refresh therefore leaves a directory
     every loader refuses as incomplete - never a complete manifest over
-    a mix of pre- and post-delta segments - and
-    :meth:`~repro.core.propagation.PropagationIndex.build_sharded` over
-    the post-delta graph resumes from the shards it lists (see
+    a mix of pre- and post-delta segments - and one that lists no shard,
+    so :meth:`~repro.core.propagation.PropagationIndex.build_sharded`
+    with ``resume=True`` rebuilds every shard from whichever graph it is
+    given (a reweight-only delta keeps the ``meta``, so a resume over the
+    pre-delta graph would otherwise accept post-delta shards; see
     ``docs/dynamics.md``).
     """
     if graph.n_nodes != backend._graph.n_nodes:

@@ -11,6 +11,9 @@ busy, concurrent requests pile up in the queue, and the dispatcher drains
 them as a batch and routes same-``(keywords, mode, k)`` requests through
 ``search_batch`` - the engine's vectorized multi-request path that
 shares query-plan compilation and summary-array decoding across callers.
+Each request resolves to its answer's wire fragment (``encoded=True``):
+the bytes the answer tier stored when it wrote the answer back, so the
+event loop only splices them into the response.
 Under load the daemon gets *more* efficient per request, which is the
 opposite of collapse.
 
@@ -134,7 +137,7 @@ class Coalescer:
     def submit(
         self, request: SearchRequest, deadline: float
     ) -> "asyncio.Future[Tuple[Any, int]]":
-        """Enqueue one request; resolves to ``(outcome, generation)``."""
+        """Enqueue one request; resolves to ``(fragment, generation)``."""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Tuple[Any, int]]" = loop.create_future()
         self._queue.put_nowait(
@@ -201,8 +204,9 @@ class Coalescer:
     ) -> List[Tuple[PendingSearch, Any]]:
         """Worker-thread body: run each coalesced group through the engine.
 
-        Returns ``(pending, outcome_or_exception)`` pairs; nothing here
-        touches asyncio state.
+        Returns ``(pending, fragment_or_exception)`` pairs (the answer's
+        wire bytes, see ``ServingEngine.search_batch(encoded=True)``);
+        nothing here touches asyncio state.
         """
         groups: Dict[Tuple, List[PendingSearch]] = {}
         for pending in live:
@@ -214,7 +218,7 @@ class Coalescer:
                 outs = engine.search_batch(
                     [(m.request.user, m.request.query) for m in members],
                     k,
-                    with_stats=True,
+                    encoded=True,
                 )
                 outcomes.extend(zip(members, outs))
             except Exception:
@@ -224,10 +228,10 @@ class Coalescer:
                     self._metrics.inc("serve.batch_fallbacks")
                 for m in members:
                     try:
-                        out = engine.search(
-                            m.request.user, m.request.query, m.request.k,
-                            with_stats=True,
-                        )
+                        out = engine.search_batch(
+                            [(m.request.user, m.request.query)], k,
+                            encoded=True,
+                        )[0]
                         outcomes.append((m, out))
                     except Exception as exc:
                         outcomes.append((m, exc))

@@ -18,6 +18,11 @@ Two invariants this module enforces for the whole daemon:
   (400 ``MalformedRequest``), and fields are type- and range-checked
   (400 ``ValidationError``) - so the engine only ever sees
   well-formed requests.
+
+A ``/search`` success body is not serialized per response: the answer's
+wire fragment, stored with it in the answer tier, is spliced between the
+request's fields (:func:`results_payload`), byte-identical to encoding
+the whole response object with ``json.dumps(..., sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -332,36 +337,28 @@ def error_for_exception(exc: BaseException) -> Tuple[int, Dict]:
     )
 
 
-def results_payload(request: SearchRequest, outcome, generation: int) -> Dict:
+def results_payload(
+    request: SearchRequest, fragment: bytes, generation: int
+) -> bytes:
     """The ``POST /search`` success body for one answered request.
 
-    *outcome* is the searcher's ``(results, stats)`` pair. Influence
-    floats pass through ``json`` unrounded (``repr`` round-trips the
-    exact double), which is what makes daemon responses bit-comparable
-    to direct :meth:`~repro.core.serve_facade.ServingEngine.search` calls.
+    *fragment* is the answer's wire form as the engine stored it
+    (:func:`~repro.core.serve_facade.encode_answer`: ``"results": [...],
+    "stats": {...}``); it is spliced between the request's own fields, so
+    no answer is re-serialized per response. The bytes equal
+    ``json.dumps(body, sort_keys=True) + "\n"`` of the response object
+    ``{generation, k, query, results, stats, user}``, and influence
+    floats pass through unrounded (``repr`` round-trips the exact
+    double) - which is what makes daemon responses bit-comparable to
+    direct :meth:`~repro.core.serve_facade.ServingEngine.search` calls.
     """
-    results, stats = outcome
-    return {
-        "user": request.user,
-        "query": request.query.raw,
-        "k": request.k,
-        "results": [
-            {
-                "topic_id": r.topic_id,
-                "label": r.label,
-                "influence": r.influence,
-            }
-            for r in results
-        ],
-        "stats": {
-            "topics_considered": stats.topics_considered,
-            "topics_pruned": stats.topics_pruned,
-            "entries_probed": stats.entries_probed,
-            "expansion_rounds": stats.expansion_rounds,
-            "representatives_touched": stats.representatives_touched,
-        },
-        "generation": generation,
-    }
+    return b'{"generation": %d, "k": %d, "query": %s, %s, "user": %d}\n' % (
+        generation,
+        request.k,
+        json.dumps(request.query.raw).encode("utf-8"),
+        fragment,
+        request.user,
+    )
 
 
 def encode_response(

@@ -13,6 +13,12 @@ The moving parts and their contracts:
   :meth:`~repro.core.serve_facade.ServingEngine.cached_answer`, and a
   hit is answered with no queue and no thread hop. A busy lock or a miss
   takes the queued path below; the loop never blocks on the lock.
+* **Answers are encoded once.** A resident answer holds its wire bytes
+  (:func:`~repro.core.serve_facade.encode_answer`), encoded when the
+  answer was computed or warm-loaded; every ``/search`` success, hit or
+  queued miss, is those bytes spliced between the request's fields
+  (:func:`~repro.serve.protocol.results_payload`), byte-identical to
+  serializing the whole response.
 * **Admission before queued work** (:mod:`repro.serve.admission`): a
   full queue sheds with 429 instead of queueing unboundedly. Inline hits
   take no admission slot.
@@ -459,30 +465,33 @@ class PITServer:
         self._metrics.inc("serve.requests")
         start = time.monotonic()
         engine, generation = self.engines.acquire()
-        outcome = self._answer_inline(engine, request)
-        if outcome is None:
-            outcome, generation = await self._search_queued(request, start)
+        fragment = self._answer_inline(engine, request)
+        if fragment is None:
+            fragment, generation = await self._search_queued(request, start)
         else:
             self._metrics.inc("serve.answered_inline")
         self._metrics.observe(
             "serve.latency_seconds", time.monotonic() - start
         )
         self._metrics.inc("serve.responses_ok")
-        return 200, results_payload(request, outcome, generation), {}
+        return 200, results_payload(request, fragment, generation), {}
 
     def _answer_inline(self, engine, request: SearchRequest):
-        """The resident answer, probed on the loop; ``None`` when the
-        engine lock is busy (a worker call is running) or on a miss."""
+        """The resident answer's wire bytes, probed on the loop; ``None``
+        when the engine lock is busy (a worker call is running) or on a
+        miss."""
         lock = self._worker.lock
         if not lock.acquire(blocking=False):
             return None
         try:
-            return engine.cached_answer(request.user, request.query, request.k)
+            return engine.cached_answer(
+                request.user, request.query, request.k, encoded=True
+            )
         finally:
             lock.release()
 
     async def _search_queued(self, request: SearchRequest, start: float):
-        """Admission -> coalescer -> worker; ``(outcome, generation)``."""
+        """Admission -> coalescer -> worker; ``(fragment, generation)``."""
         timeout = (
             request.deadline_s
             if request.deadline_s is not None
@@ -492,7 +501,7 @@ class PITServer:
         try:
             future = self.coalescer.submit(request, start + timeout)
             try:
-                outcome, generation = await asyncio.wait_for(future, timeout)
+                fragment, generation = await asyncio.wait_for(future, timeout)
             except asyncio.TimeoutError:
                 # wait_for cancelled the future: the dispatcher sees it
                 # done and abandons the result - never returned stale.
@@ -503,7 +512,7 @@ class PITServer:
                 ) from None
         finally:
             self.admission.release()
-        return outcome, generation
+        return fragment, generation
 
     async def _admin_reload(self, body: bytes) -> Tuple[int, object, Dict]:
         overrides = parse_reload_request(body)

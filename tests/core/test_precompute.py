@@ -189,6 +189,19 @@ class TestArtifactBuildAndPersist:
     def test_memory_hint_positive(self, artifact):
         assert artifact.memory_hint_bytes() > 0
 
+    def test_memory_hint_is_the_answer_tier_charge(
+        self, built, trace_records
+    ):
+        answers_only = build_precompute(
+            serving_engine(built), trace_records,
+            top_queries=0, top_answers=6, default_k=5,
+        )
+        engine = serving_engine(built, answer_cache_bytes=1 << 20)
+        assert engine.warm_from_precompute(answers_only)["answers"] == 6
+        assert answers_only.memory_hint_bytes() == (
+            engine.tier_stats()["answers"].current_bytes
+        )
+
     def test_top_zero_disables_each_half(self, built, trace_records):
         no_plans = build_precompute(
             serving_engine(built), trace_records,
@@ -362,9 +375,9 @@ class TestAnswerTier:
         # An answer tier far smaller than the working set: later answers
         # must evict earlier ones, and each eviction must bump the
         # evicted query's compiled plan in the plan tier. (A single k=5
-        # answer is ~660 bytes, so 1000 holds at most one while nine
-        # 160+-byte answers always overflow it.)
-        engine = serving_engine(built, answer_cache_bytes=1000)
+        # answer is charged ~1.2 KB - objects plus ~530 wire bytes - so
+        # 2000 holds exactly one while nine always overflow it.)
+        engine = serving_engine(built, answer_cache_bytes=2000)
         registry = MetricsRegistry()
         engine.set_metrics(registry)
         queries = ["phone", "camera", "music"]

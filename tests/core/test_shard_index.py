@@ -320,8 +320,8 @@ class TestRefreshCrash:
         directory = tmp_path / "crashed"
         shutil.copytree(shard_dir, directory)
         with pytest.raises(KeyboardInterrupt):
-            # Die at the last write: every post-delta shard is listed,
-            # and the manifest is still incomplete.
+            # Die at the last write: every post-delta segment is on disk,
+            # and the manifest is still incomplete and lists no shard.
             self._refresh(
                 graph, directory, new_graph, affected, n_replaces - 1
             )
@@ -329,13 +329,60 @@ class TestRefreshCrash:
             load_sharded_index(directory, new_graph)
         resumed = PropagationIndex(new_graph, THETA)
         resumed.build_sharded(directory, shard_nodes=SHARD_NODES)
-        assert resumed.last_build_stats.n_resumed == new_graph.n_nodes
-        assert resumed.last_build_stats.n_built == 0
+        assert resumed.last_build_stats.n_built == new_graph.n_nodes
         expected = tmp_path / "fresh"
         PropagationIndex(new_graph, THETA).build_sharded(
             expected, shard_nodes=SHARD_NODES
         )
         assert _dir_digest(directory) == _dir_digest(expected)
+
+    def test_resume_over_pre_delta_graph_rebuilds_it(
+        self, graph, shard_dir, delta, tmp_path
+    ):
+        # A reweight keeps the edge count, so the crashed refresh's
+        # manifest meta matches a pre-delta build: a resume over the
+        # pre-delta graph must not take the post-delta segments.
+        new_graph, affected, _ = delta
+        assert new_graph.n_edges == graph.n_edges
+        probe = tmp_path / "probe"
+        shutil.copytree(shard_dir, probe)
+        n_replaces = self._refresh(graph, probe, new_graph, affected)
+        directory = tmp_path / "crashed"
+        shutil.copytree(shard_dir, directory)
+        with pytest.raises(KeyboardInterrupt):
+            self._refresh(
+                graph, directory, new_graph, affected, n_replaces - 1
+            )
+        PropagationIndex(graph, THETA).build_sharded(
+            directory, shard_nodes=SHARD_NODES, resume=True
+        )
+        expected = tmp_path / "fresh"
+        PropagationIndex(graph, THETA).build_sharded(
+            expected, shard_nodes=SHARD_NODES
+        )
+        assert _dir_digest(directory) == _dir_digest(expected)
+
+    def test_manifest_written_at_begin_and_end_only(
+        self, graph, shard_dir, tmp_path, monkeypatch
+    ):
+        from repro import _artifacts
+
+        directory = tmp_path / "prop"
+        shutil.copytree(shard_dir, directory)
+        backend = MmapShardBackend(directory, graph)
+        records = backend._records
+        assert len(records) > 4
+        affected = [int(r["lo"]) for r in records[:4]]  # 4 dirty shards
+        fsyncs = []
+        real_fsync = _artifacts.os.fsync
+        monkeypatch.setattr(
+            _artifacts.os, "fsync",
+            lambda fd: (fsyncs.append(fd), real_fsync(fd)),
+        )
+        index = refresh_sharded_index(backend, graph, affected)
+        assert index.last_refresh_stats["shards_rewritten"] == 4
+        assert len(fsyncs) == 4 + 2  # four segments, two manifests
+        assert _dir_digest(directory) == _dir_digest(shard_dir)
 
 
 class TestResumeCovering:

@@ -3,7 +3,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.search import SearchResult, SearchStats
+from repro.core.serve_facade import encode_answer
 from repro.exceptions import (
     ArtifactCorruptedError,
     NodeNotFoundError,
@@ -12,13 +16,17 @@ from repro.exceptions import (
 from repro.obs import MetricsRegistry
 from repro.serve import AdmissionController, HttpError
 from repro.serve.protocol import (
+    MAX_K,
+    SearchRequest,
     encode_response,
     error_body,
     error_for_exception,
     parse_delta_request,
     parse_reload_request,
     parse_search_request,
+    results_payload,
 )
+from repro.topics import KeywordQuery
 
 
 def _encode(payload) -> bytes:
@@ -199,6 +207,129 @@ class TestEncodeResponse:
             )
         )
         assert "Retry-After: 1" in lines
+
+
+def _oracle_body(request, results, stats, generation) -> bytes:
+    """The response body as the whole response object serialized at
+    once - the encoding the spliced body must reproduce byte for byte."""
+    payload = {
+        "user": request.user,
+        "query": request.query.raw,
+        "k": request.k,
+        "results": [
+            {
+                "topic_id": r.topic_id,
+                "label": r.label,
+                "influence": r.influence,
+            }
+            for r in results
+        ],
+        "stats": {
+            "topics_considered": stats.topics_considered,
+            "topics_pruned": stats.topics_pruned,
+            "entries_probed": stats.entries_probed,
+            "expansion_rounds": stats.expansion_rounds,
+            "representatives_touched": stats.representatives_touched,
+        },
+        "generation": generation,
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _spliced_body(request, results, stats, generation) -> bytes:
+    work = (
+        stats.topics_considered, stats.topics_pruned, stats.entries_probed,
+        stats.expansion_rounds, stats.representatives_touched,
+    )
+    return results_payload(request, encode_answer(results, work), generation)
+
+
+_LABELS = st.text(
+    alphabet=st.characters(codec=None, exclude_categories=("Cs",)),
+    max_size=24,
+) | st.sampled_from(['say "hi"', "back\\slash", "tab\tnl\n\x00\x1f",
+                     "caf\u00e9", "\u8a71\u984c", "\U0001f4f1 phone", ""])
+_INFLUENCE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_RESULTS = st.lists(
+    st.builds(
+        SearchResult,
+        topic_id=st.integers(min_value=0, max_value=2**31),
+        label=_LABELS,
+        influence=_INFLUENCE,
+    ),
+    max_size=12,
+)
+_COUNTERS = st.integers(min_value=0, max_value=2**40)
+_STATS = st.builds(
+    SearchStats,
+    topics_considered=_COUNTERS,
+    topics_pruned=_COUNTERS,
+    entries_probed=_COUNTERS,
+    expansion_rounds=_COUNTERS,
+    representatives_touched=_COUNTERS,
+)
+
+
+class TestResultsPayloadBytes:
+    """A spliced ``/search`` body equals serializing the whole response."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        user=st.integers(min_value=0, max_value=2**40),
+        raw=st.text(min_size=1, max_size=30),
+        k=st.integers(min_value=1, max_value=MAX_K),
+        results=_RESULTS,
+        stats=_STATS,
+        generation=st.integers(min_value=0, max_value=2**62),
+    )
+    @example(user=0, raw="phone", k=1, results=[], stats=SearchStats(),
+             generation=0)
+    @example(user=3, raw="t\u00e9l\u00e9phone \u624b\u673a \U0001f4f1",
+             k=MAX_K, results=[], stats=SearchStats(), generation=2**62)
+    def test_spliced_body_matches_whole_encoding(
+        self, user, raw, k, results, stats, generation
+    ):
+        request = SearchRequest(
+            user=user,
+            query=KeywordQuery(raw=raw, keywords=("x",)),
+            k=k,
+            deadline_s=None,
+        )
+        assert _spliced_body(request, results, stats, generation) == (
+            _oracle_body(request, results, stats, generation)
+        )
+
+    @pytest.mark.parametrize("influence", [0.0, 5e-324, 1e308, 0.1 + 0.2])
+    @pytest.mark.parametrize("label", [
+        'quote " inside', "back\\slash", "ctl \x01\x7f\n\r\t",
+        "non-ascii \u00e9\u4e2d\U0001f600", "",
+    ])
+    def test_edge_values(self, influence, label):
+        results = [
+            SearchResult(topic_id=7, label=label, influence=influence),
+            SearchResult(topic_id=0, label="phone", influence=influence),
+        ]
+        stats = SearchStats(
+            topics_considered=9, topics_pruned=4, entries_probed=31,
+            expansion_rounds=2, representatives_touched=77,
+        )
+        request = parse_search_request(
+            _encode({"user": 12, "query": "T\u00e9l\u00e9phone music",
+                     "k": 10}),
+            default_k=10,
+        )
+        body = _spliced_body(request, results, stats, 5)
+        assert body == _oracle_body(request, results, stats, 5)
+        assert json.loads(body)["results"][0]["influence"] == influence
+
+    def test_framed_like_any_json_response(self):
+        request = parse_search_request(
+            _encode({"user": 1, "query": "phone"}), default_k=3
+        )
+        body = _spliced_body(request, [], SearchStats(), 1)
+        framed = encode_response(200, body)
+        assert framed.endswith(b"\r\n\r\n" + body)
+        assert f"Content-Length: {len(body)}".encode() in framed
 
 
 class TestAdmissionController:
