@@ -5,7 +5,7 @@ Times the online stage - Algorithm 10 with Algorithm 11's Expand - on a
 seeded ``data_2k``-style workload and writes ``BENCH_online_search.json``:
 
 * ``scalar`` - the pre-PR per-representative hash-probe implementation,
-  retained verbatim in :mod:`repro.core._scalar_search`, one request at a
+  retained verbatim in :mod:`tests.oracles.scalar_search`, one request at a
   time;
 * ``vectorized`` - the array-native
   :class:`~repro.core.search.PersonalizedSearcher`, one request at a time
@@ -44,9 +44,11 @@ from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.core import PITEngine
-from repro.core._scalar_search import ScalarReferenceSearcher
 from repro.datasets import data_2k, generate_workload
 from repro.obs import MetricsRegistry, null_registry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the oracles
+from tests.oracles.scalar_search import ScalarReferenceSearcher  # noqa: E402
 
 OVERHEAD_LIMIT = 0.05  # instrumented serving may cost at most 5% extra
 

@@ -4,19 +4,20 @@
 Times three ways of materializing the full §5.1 index on a seeded
 synthetic graph and writes ``BENCH_propagation_index.json``:
 
-* ``legacy`` - the pre-PR pure-Python branch expansion (BFS deque,
+* ``legacy`` - the first pure-Python branch expansion (BFS deque,
   per-push ``frozenset`` branch copies, per-pop ``in_edges()``), embedded
-  below as the fixed reference point;
-* ``serial`` - the current CSR-native DFS build (``workers=1``);
+  below with its own build loop as the fixed reference point;
+* ``serial`` - the current ``build_all`` (``workers=1``), which builds
+  node ranges with the batched ``PropagationIndex.build_entries``;
 * ``parallel`` - the same build sharded over worker processes.
 
 The emitted JSON carries entries/sec, peak entry bytes, and the
 serial/parallel speedups over the legacy baseline, plus a parity check
 (max |Γ| deviation between legacy and current on sampled nodes).
 
-It also times ``PropagationIndex.build_entries`` - the batched rebuild
-the delta path uses - against the per-node DFS over growing target sets
-(the ``batched`` crossover table), and checks the batch against the DFS
+It also times ``build_entries`` against the per-node DFS test oracle
+(``tests/oracles/propagation_dfs.py``) over growing target sets (the
+``batched`` crossover table), and checks the batch against the oracle
 bit for bit over every node of the graph. ``gates`` records both
 parity checks; the script exits 1 unless they hold, smoke included.
 
@@ -46,9 +47,12 @@ from repro.core.propagation import PropagationEntry
 from repro.exceptions import BudgetExceededError
 from repro.graph import SocialGraph, preferential_attachment_graph
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the oracles
+from tests.oracles.propagation_dfs import DFSPropagationOracle  # noqa: E402
+
 
 class LegacyPropagationIndex(PropagationIndex):
-    """The pre-PR ``_build_entry``, kept verbatim as the benchmark baseline.
+    """The first entry builder, kept verbatim as the benchmark baseline.
 
     BFS over a deque whose items carry a ``frozenset`` of branch members
     (copied on every push) and call ``graph.in_edges()`` on every pop.
@@ -59,7 +63,12 @@ class LegacyPropagationIndex(PropagationIndex):
     truncated entries.
     """
 
-    def _build_entry(self, target: int) -> PropagationEntry:
+    def build_legacy(self) -> None:
+        """Materialize every node with the legacy builder."""
+        for node in range(self._graph.n_nodes):
+            self._entries[node] = self._legacy_entry(node)
+
+    def _legacy_entry(self, target: int) -> PropagationEntry:
         theta = self._theta
         graph = self._graph
         gamma: Dict[int, float] = {}
@@ -119,8 +128,7 @@ class LegacyPropagationIndex(PropagationIndex):
 def _timed_build(index: PropagationIndex, workers: int) -> float:
     start = perf_counter()
     if isinstance(index, LegacyPropagationIndex):
-        for node in range(index.graph.n_nodes):
-            index.entry(node)
+        index.build_legacy()
     else:
         index.build_all(workers=workers)
     return perf_counter() - start
@@ -178,21 +186,22 @@ def _median_ms(build, repeats: int = 5) -> float:
 
 
 def _batched(serial: PropagationIndex) -> Dict:
-    """``build_entries`` vs the DFS: a crossover table over evenly spread
-    target sets, and bit-exact parity over every node."""
+    """``build_entries`` vs the DFS oracle: a crossover table over evenly
+    spread target sets, and bit-exact parity over every node."""
     graph = serial.graph
     n = graph.n_nodes
     index = PropagationIndex(
         graph, serial.theta, max_branches=serial.max_branches
     )
-    index.build_entry(0)  # both paths warm: CSR lists and max-in built
+    oracle = DFSPropagationOracle(index)
+    oracle.build_entry(0)  # both paths warm: CSR lists and max-in built
     crossover = []
     for k in (1, 8, 32, 128, 512):
         if k > n:
             break
         nodes = list(range(0, n, n // k))[:k]
         batch_ms = _median_ms(lambda: index.build_entries(nodes))
-        dfs_ms = _median_ms(lambda: [index.build_entry(v) for v in nodes])
+        dfs_ms = _median_ms(lambda: [oracle.build_entry(v) for v in nodes])
         crossover.append({
             "targets": k,
             "batch_ms": batch_ms,
@@ -202,13 +211,16 @@ def _batched(serial: PropagationIndex) -> Dict:
     start = perf_counter()
     batch = index.build_entries(range(n))
     batch_s = perf_counter() - start
+    start = perf_counter()
+    want = [oracle.build_entry(node) for node in range(n)]
+    oracle_s = perf_counter() - start
     mismatches = sum(
-        1 for node, entry in enumerate(batch)
-        if not _same_entry(entry, serial.entry(node))
+        1 for entry, dfs in zip(batch, want) if not _same_entry(entry, dfs)
     )
     return {
         "crossover": crossover,
         "all_nodes_seconds": batch_s,
+        "oracle_all_nodes_seconds": oracle_s,
         "entries_checked": n,
         "mismatches": mismatches,
     }
@@ -266,7 +278,7 @@ def main(argv=None) -> int:
               f"{row['batch_ms']:8.2f} ms vs DFS {row['dfs_ms']:8.2f} ms",
               flush=True)
     print(f"batched all {batched['entries_checked']} entries: "
-          f"{batched['mismatches']} mismatches vs the DFS", flush=True)
+          f"{batched['mismatches']} mismatches vs the DFS oracle", flush=True)
     gates = {
         "parity_legacy_vs_serial": (
             parity["max_gamma_diff"] <= 1e-9 and parity["marked_equal"]

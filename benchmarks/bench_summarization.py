@@ -7,7 +7,7 @@ summaries - on the seeded ``data_2k`` graph and writes
 
 * ``rcl.scalar`` / ``lrw.scalar`` - the pre-PR per-node / per-pair /
   per-walk implementations, retained verbatim in
-  :mod:`repro.core._scalar_summarize`;
+  :mod:`tests.oracles.scalar_summarize`;
 * ``rcl.vectorized`` / ``lrw.vectorized`` - the bitset-reachability +
   popcount-grouping + array-native-migration pipelines.
 
@@ -41,15 +41,17 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List
 
-from repro.core._scalar_summarize import (
-    ScalarLRWSummarizer,
-    ScalarRCLSummarizer,
-)
 from repro.core.lrw import LRWSummarizer
 from repro.core.rcl import RCLSummarizer
 from repro.datasets import data_2k
 from repro.obs import MetricsRegistry
 from repro.walks import WalkIndex
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the oracles
+from tests.oracles.scalar_summarize import (  # noqa: E402
+    ScalarLRWSummarizer,
+    ScalarRCLSummarizer,
+)
 
 MIN_SPEEDUP = 5.0  # acceptance bar for each summarizer, full profile only
 

@@ -1,8 +1,9 @@
 """Resumable, retried, checkpointed builds over independent items (internal).
 
-Both offline precomputations build independent, deterministic items: one
-Γ entry per node (:meth:`~repro.core.propagation.PropagationIndex.build_all`
-and ``build_sharded``) and one summary per topic
+Both offline precomputations build independent, deterministic items: a
+range of Γ entries
+(:meth:`~repro.core.propagation.PropagationIndex.build_all` and
+``build_sharded``) and one summary per topic
 (:meth:`~repro.core.engine.PITEngine.build_summaries`). :class:`BuildRunner`
 owns the policy they share, documented once in ``docs/operations.md``
 ("Resumable builds"): worker-count resolution, per-item retries with
@@ -13,16 +14,17 @@ from its shard manifest instead), the stats delta, and the strict raise
 or keep-going warning.
 
 The runner's metric, span and fault-site names derive from a subclass's
-``prefix``, ``item``, ``items`` and ``key``: the fault sites
+``prefix``, ``item``, ``items``, ``key`` and ``keys``: the fault sites
 ``<prefix>.build_<item>`` (context ``<key>``, ``attempt``) and
-``<prefix>.worker_chunk`` (``chunk``, ``attempt``, ``<key>s``); the
+``<prefix>.worker_chunk`` (``chunk``, ``attempt``, ``<keys>``); the
 counters ``<prefix>.<items>_built`` / ``_resumed`` / ``_failed``,
 ``<prefix>.<item>_retries``, ``<prefix>.chunk_retries`` and
 ``<prefix>.checkpoint_flushes``; and the spans ``<prefix>.build_all``,
 ``.resume``, ``.build_serial``, ``.build_parallel`` and
 ``.checkpoint_flush``. For the Γ build (``propagation``, ``entry``,
-``entries``, ``node``) that gives ``propagation.build_entry`` with
-``node=``, ``propagation.entries_built``, ``propagation.entry_retries``.
+``entries``, ``nodes``, ``nodes``) that gives ``propagation.build_entry``
+with ``nodes=`` (the range), ``propagation.entries_built``,
+``propagation.entry_retries`` (one per retried range).
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ def _pool_init(faults: dict, state: Any) -> None:
 
 def _pool_chunk(
     site: str,
-    key: str,
-    worker_chunk: Callable[[Any, Sequence[int]], Any],
-    items: Sequence[int],
-    chunk_id: int,
-    attempt: int,
+    context: dict,
+    worker_chunk: Callable[[Any, Sequence[Any]], Any],
+    items: Sequence[Any],
 ) -> Any:
     assert _WORKER_STATE is not None, "worker pool used before initialization"
-    _faults.inject(site, chunk=chunk_id, attempt=attempt, **{key: tuple(items)})
+    _faults.inject(site, **context)
     return worker_chunk(_WORKER_STATE, items)
 
 
@@ -79,6 +79,9 @@ class BuildRunner:
     and implement the hooks:
 
     * ``build_item(item)`` - build one item in-process and keep it;
+    * ``members(items)`` - the ids (nodes, topics) *items* cover: the
+      built and failed counts, the returned failures and the
+      ``<keys>`` fault context are in ids; by default an item is its id;
     * ``pool_state()`` - a context manager around the parallel phase
       yielding the picklable worker state; ``adopt_chunk(result)`` keeps
       one chunk's result and returns its item count;
@@ -94,6 +97,7 @@ class BuildRunner:
     item: str
     items: str
     key: str
+    keys: str
     #: What the keep-going warning calls the items.
     noun: str
     worker_chunk: Callable[[Any, Sequence[int]], Any]
@@ -138,7 +142,7 @@ class BuildRunner:
         """Resume from *checkpoint*, build the missing items, flush.
 
         Without a *checkpoint* nothing is loaded or flushed. Returns
-        ``(failed items, items resumed from the checkpoint)``.
+        ``(failed ids, ids resumed from the checkpoint)``.
         """
         require_in_range("checkpoint_every", every, 0)
         with self.span("build_all", workers=self.workers):
@@ -165,13 +169,19 @@ class BuildRunner:
                 # One flush covers every exit: completion, a ReproError
                 # raise, and KeyboardInterrupt/SystemExit mid-build.
                 self._flush()
-        return failed, n_resumed
+        return list(self.members(failed)), n_resumed
 
-    def run(self, items: List[int]) -> List[int]:
-        """Build *items* (no spans, no checkpoint); return the failed ones."""
+    def run(self, items: List[Any]) -> List[int]:
+        """Build *items* (no spans, no checkpoint); return the failed ids."""
         if self.workers <= 1 or len(items) <= 1:
-            return self._serial(items)
-        return self._parallel(items, min(self.workers, len(items)))
+            failed = self._serial(items)
+        else:
+            failed = self._parallel(items, min(self.workers, len(items)))
+        return list(self.members(failed))
+
+    def members(self, items: Sequence[Any]) -> Tuple[int, ...]:
+        """The ids *items* cover (each item is its own id by default)."""
+        return tuple(items)
 
     def finish(self, failed: Sequence[int]) -> MetricsSnapshot:
         """Count *failed* and return this build's registry delta."""
@@ -224,7 +234,7 @@ class BuildRunner:
         self.registry.inc(f"{self.prefix}.checkpoint_flushes")
         self._pending = 0
 
-    def _serial(self, items: Sequence[int]) -> List[int]:
+    def _serial(self, items: Sequence[Any]) -> List[Any]:
         """In-process build with per-item retries; returns failed items."""
         site = f"{self.prefix}.build_{self.item}"
         failed: List[int] = []
@@ -244,11 +254,11 @@ class BuildRunner:
                     self.registry.inc(f"{self.prefix}.{self.item}_retries")
                     self._backoff(attempt)
                 else:
-                    self._built(1)
+                    self._built(len(self.members((item,))))
                     break
         return failed
 
-    def _parallel(self, items: Sequence[int], workers: int) -> List[int]:
+    def _parallel(self, items: Sequence[Any], workers: int) -> List[Any]:
         """Chunked pool build with fresh-pool retries; returns failures."""
         chunk_size = max(1, len(items) // (workers * 4))
         pending = [
@@ -277,9 +287,9 @@ class BuildRunner:
     def _round(
         self,
         pool: ProcessPoolExecutor,
-        chunks: Sequence[Tuple[int, List[int]]],
+        chunks: Sequence[Tuple[int, List[Any]]],
         attempt: int,
-    ) -> List[Tuple[int, List[int]]]:
+    ) -> List[Tuple[int, List[Any]]]:
         """Run *chunks* on *pool*, adopting results; return the failed ones.
 
         Every chunk ends adopted or failed. A worker crash breaks the pool
@@ -289,13 +299,14 @@ class BuildRunner:
         round shuts it down and fails whatever is still unfinished.
         """
         site = f"{self.prefix}.worker_chunk"
-        failed: List[Tuple[int, List[int]]] = []
+        failed: List[Tuple[int, List[Any]]] = []
         futures = {}
         for i, chunk in chunks:
+            context = {"chunk": i, "attempt": attempt,
+                       self.keys: self.members(chunk)}
             try:
                 future = pool.submit(
-                    _pool_chunk, site, f"{self.key}s", self.worker_chunk,
-                    chunk, i, attempt,
+                    _pool_chunk, site, context, self.worker_chunk, chunk
                 )
             except BrokenProcessPool:
                 failed.append((i, chunk))

@@ -13,8 +13,9 @@ Injection points
     Inside a worker process, before building a chunk of propagation
     entries. Context: ``chunk`` (index), ``attempt``, ``nodes``.
 ``propagation.build_entry``
-    In the serial build path, before building one entry. Context:
-    ``node``, ``attempt``.
+    In the serial build path, before building one range of entries
+    (a shard range of ``build_sharded``, up to 256 nodes of
+    ``build_all``). Context: ``nodes`` (the range), ``attempt``.
 ``summarize.worker_chunk``
     Inside a worker process, before summarizing a chunk of topics.
     Context: ``chunk`` (index), ``attempt``, ``topics``.
@@ -203,21 +204,23 @@ class FailOnChunk:
 
 
 class FailOnEntry:
-    """Raise ``RuntimeError`` in the serial build path for matching nodes."""
+    """Raise ``RuntimeError`` in the serial build path for the range
+    holding *node*."""
 
     def __init__(self, node: int, attempts: Sequence[int] = (0,)):
         self.node = int(node)
         self.attempts: Tuple[int, ...] = tuple(int(a) for a in attempts)
 
-    def __call__(self, *, node: int, attempt: int, **_: Any) -> None:
-        if node == self.node and attempt in self.attempts:
+    def __call__(self, *, nodes: Sequence[int], attempt: int, **_: Any) -> None:
+        if self.node in nodes and attempt in self.attempts:
             raise RuntimeError(
-                f"injected fault: entry {node} failed on attempt {attempt}"
+                f"injected fault: entry {self.node} failed on attempt {attempt}"
             )
 
 
 class InterruptOnEntry:
-    """Raise ``KeyboardInterrupt`` when the serial build reaches *node*.
+    """Raise ``KeyboardInterrupt`` when the serial build reaches the range
+    holding *node*.
 
     Simulates SIGINT mid-build; the build flushes its checkpoint and
     re-raises, so a later run can resume.
@@ -226,9 +229,9 @@ class InterruptOnEntry:
     def __init__(self, node: int):
         self.node = int(node)
 
-    def __call__(self, *, node: int, **_: Any) -> None:
-        if node == self.node:
-            raise KeyboardInterrupt(f"injected interrupt at entry {node}")
+    def __call__(self, *, nodes: Sequence[int], **_: Any) -> None:
+        if self.node in nodes:
+            raise KeyboardInterrupt(f"injected interrupt at entry {self.node}")
 
 
 class FailOnTopic:

@@ -85,7 +85,8 @@ def _summarize_chunk(
 class _SummaryBuild(BuildRunner):
     """One :meth:`PITEngine.build_summaries` call over topic ids."""
 
-    prefix, item, items, key = "summarize", "topic", "topics", "topic"
+    prefix, item, items = "summarize", "topic", "topics"
+    key, keys = "topic", "topics"
     noun = "topic summaries"
     worker_chunk = staticmethod(_summarize_chunk)
 

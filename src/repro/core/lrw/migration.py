@@ -17,7 +17,7 @@ Each pass stacks every relevant walk into one padded int path matrix,
 finds absorption positions with vectorized membership masks, and scatters
 the closeness kernel into ``M`` with an unbuffered ``np.maximum.at`` - no
 per-walk Python loop. The historical per-record loop is retained in
-:mod:`repro.core._scalar_summarize` as the parity baseline.
+``tests/oracles/scalar_summarize.py`` as the parity baseline.
 
 DESIGN.md note: Algorithm 8's pseudocode tests "``p`` contains a
 representative" for *every* representative on the path, while §4.3's prose

@@ -11,14 +11,15 @@ Construction is the reverse branch expansion of Figure 3: starting from
 probability drops below ``θ`` or it would revisit one of its own nodes.
 A node may appear on many branches (its contributions add up).
 
-The expansion runs as an explicit depth-first stack directly over the
-graph's reverse-CSR arrays. Because a DFS holds exactly one branch (the
-current stack path) at a time, cycle membership is a single reusable
-byte-mask - set a bit on descent, clear it on backtrack - so the per-push
-``frozenset`` copies and per-pop ``in_edges()`` tuple unpacking of the
-naive formulation disappear entirely. The set of qualifying cycle-free
-paths (and therefore ``Γ``) is identical to the breadth-first reading of
-Figure 3; only the enumeration order differs.
+The expansion runs level-synchronously over the graph's reverse-CSR
+arrays: every branch of every target in a batch grows by one edge per
+numpy pass (:meth:`PropagationIndex.build_entries`). Each branch row's
+rank in the depth-first pre-order of its target is then recovered from
+subtree sizes and sibling offsets, and each member's contributions are
+summed in that order, so an entry's bytes are those of a per-node DFS
+over the same CSR layout. The set of qualifying cycle-free paths (and
+therefore ``Γ``) is identical to the breadth-first reading of Figure 3;
+only the enumeration order differs.
 
 A node ``u ∈ Γ(v)`` is *marked* (``Γ*(v)``, "potential to be expanded")
 when it has at least one in-neighbour outside ``Γ(v) ∪ {v}`` - influence
@@ -29,18 +30,20 @@ reproduces the Figure 3 narrative exactly (only node 11 is marked there).
 Branch counts are worst-case exponential, so expansion takes a budget;
 ``strict`` selects raising versus truncating (truncation only loses
 below-θ-adjacent mass and is safe for the search's bounds). Budget
-semantics: a branch extension is counted *before* it is consumed, so a
-truncated entry contains the contribution of exactly ``max_branches``
-extensions - the extension that would exceed the budget is never taken
-and no probability mass is silently dropped mid-branch.
+semantics: a truncated entry contains the contribution of exactly the
+first ``max_branches`` extensions in depth-first pre-order - the
+extension that would exceed the budget is never taken and no
+probability mass is silently dropped mid-branch.
 
 :meth:`PropagationIndex.build_all` materializes every node in memory,
 serially or across worker processes; :meth:`PropagationIndex.build_sharded`
 does the same while streaming finished node ranges to the sharded
 on-disk format of :mod:`repro.core.shards` (the only one), which is also
-how an interrupted build resumes. Every entry build is independent and
-deterministic (DFS order is fixed by the CSR layout), so parallel builds
-and resumed builds are byte-identical to an uninterrupted serial one.
+how an interrupted build resumes. Both build node ranges through
+:meth:`PropagationIndex.build_entries`. Every entry is independent of
+the batch it is built in and deterministic (its pre-order is fixed by
+the CSR layout), so parallel builds and resumed builds are
+byte-identical to an uninterrupted serial one.
 Retries and the strict versus keep-going handling of persistent failures
 come from the shared runner in :mod:`repro._build_runner`.
 """
@@ -350,14 +353,18 @@ class PropagationEntry:
 
 
 # ---------------------------------------------------------------------------
-# Builds through the shared runner (repro._build_runner). Every worker gets
-# its own empty index over the (read-only, copy-on-write under fork) CSR
-# arrays; chunks return raw arrays so nothing entry-shaped is pickled.
+# Builds through the shared runner (repro._build_runner). An item is a run
+# of nodes built by one build_entries call. Every worker gets its own empty
+# index over the (read-only, copy-on-write under fork) CSR arrays; chunks
+# return raw arrays so nothing entry-shaped is pickled.
 # ---------------------------------------------------------------------------
+
+#: Nodes per item of a serial :meth:`PropagationIndex.build_all`.
+_RANGE_NODES = 256
 
 
 def _worker_build_chunk(
-    index: "PropagationIndex", nodes: Sequence[int]
+    index: "PropagationIndex", ranges: Sequence[Tuple[int, ...]]
 ) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, int]], int]:
     """Raw arrays of each entry plus the chunk's truncation count.
 
@@ -366,17 +373,21 @@ def _worker_build_chunk(
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = [
-            (e.node, e.sources, e.probabilities, e.marked_flags, e.branches)
-            for e in map(index._build_entry, nodes)
-        ]
+        entries = index.build_entries(
+            [node for nodes in ranges for node in nodes]
+        )
+    rows = [
+        (e.node, e.sources, e.probabilities, e.marked_flags, e.branches)
+        for e in entries
+    ]
     return rows, sum(1 for w in caught if "truncated" in str(w.message))
 
 
 class _EntryBuild(BuildRunner):
     """One build call over the nodes of a :class:`PropagationIndex`."""
 
-    prefix, item, items, key = "propagation", "entry", "entries", "node"
+    prefix, item, items = "propagation", "entry", "entries"
+    key = keys = "nodes"
     noun = "propagation entries"
     worker_chunk = staticmethod(_worker_build_chunk)
 
@@ -384,20 +395,37 @@ class _EntryBuild(BuildRunner):
         super().__init__(index._metrics, **policy)
         self.index = index
 
-    def missing(self) -> List[int]:
+    def ranges(self, nodes: List[int], width: int) -> List[Tuple[int, ...]]:
+        """*nodes* cut into runs of at most *width*, and of about a
+        quarter of a worker's share in a parallel build."""
+        if self.workers > 1:
+            width = min(width, -(-len(nodes) // (4 * self.workers)))
+        width = max(1, width)
+        return [
+            tuple(nodes[i : i + width]) for i in range(0, len(nodes), width)
+        ]
+
+    def members(self, items) -> Tuple[int, ...]:
+        return tuple(node for nodes in items for node in nodes)
+
+    def missing(self) -> List[Tuple[int, ...]]:
         index = self.index
         if index._shards is not None:
             return []  # every node is served from the mapped shards
-        return [
-            node for node in range(index._graph.n_nodes)
-            if node not in index._entries
-        ]
+        return self.ranges(
+            [
+                node for node in range(index._graph.n_nodes)
+                if node not in index._entries
+            ],
+            _RANGE_NODES,
+        )
 
-    def build_item(self, node: int) -> None:
-        self._keep(node, self.index._build_entry(node))
+    def build_item(self, nodes: Tuple[int, ...]) -> None:
+        for entry in self.index.build_entries(nodes):
+            self._keep(entry)
 
-    def _keep(self, node: int, entry: "PropagationEntry") -> None:
-        self.index._entries[node] = entry
+    def _keep(self, entry: "PropagationEntry") -> None:
+        self.index._entries[entry.node] = entry
         registry = self.registry
         registry.inc("propagation.branches", entry.branches)
         registry.inc("propagation.members", entry.size)
@@ -429,7 +457,7 @@ class _EntryBuild(BuildRunner):
         rows, n_truncated = result
         self._truncated += n_truncated
         for row in rows:
-            self._keep(row[0], PropagationEntry.from_arrays(*row))
+            self._keep(PropagationEntry.from_arrays(*row))
         return len(rows)
 
     def attach_partial(self, error: BuildFailedError) -> None:
@@ -437,13 +465,13 @@ class _EntryBuild(BuildRunner):
 
 
 # ---------------------------------------------------------------------------
-# Batched rebuild (PropagationIndex.build_entries): the branch expansion of
-# many targets at once, one level of branch rows at a time, with the DFS's
-# pre-order recovered afterwards so every sum adds in the DFS's order.
+# The batched branch expansion (PropagationIndex.build_entries): many
+# targets at once, one level of branch rows at a time, with each target's
+# DFS pre-order recovered afterwards so every sum adds in that order.
 # ---------------------------------------------------------------------------
 
-#: Branch rows one chunk of targets may hold. A target whose expansion
-#: alone needs more is handed to the DFS.
+#: Branch rows one chunk of several targets may hold. A target whose
+#: expansion alone needs more re-runs alone, bounded by ``max_branches``.
 _BATCH_ROWS = 1 << 13
 #: (row, in-edge) or (member, in-edge) pairs expanded in one step.
 _BATCH_PAIRS = 1 << 13
@@ -461,10 +489,17 @@ class _Level(NamedTuple):
     prob: np.ndarray
     parent: Optional[np.ndarray]
 
+    def rows(self, n_rows: int) -> "_Level":
+        """The first *n_rows* rows."""
+        return _Level(*(None if a is None else a[:n_rows] for a in self))
+
     def head(self, n_targets: int) -> "_Level":
         """The rows of the first *n_targets* targets (a prefix)."""
-        rows = int(np.searchsorted(self.target, n_targets))
-        return _Level(*(None if a is None else a[:rows] for a in self))
+        return self.rows(int(np.searchsorted(self.target, n_targets)))
+
+
+def _concat(pieces: List[_Level]) -> _Level:
+    return _Level(*(np.concatenate(c) for c in zip(*pieces)))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray):
@@ -488,20 +523,58 @@ def _slices(lengths: np.ndarray, budget: int) -> List[int]:
     return cuts
 
 
-def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
+def _preorder(levels: List[_Level]) -> List[np.ndarray]:
+    """Every row's rank in its target's DFS pre-order, one array per
+    level below the roots.
+
+    Subtree sizes come bottom-up; a row's rank is its parent's plus one
+    plus the subtree sizes of its earlier siblings. Rows of a level are
+    laid out by parent, siblings in in-list order, so a level's rows of
+    one target are in pre-order too.
+    """
+    sizes = [np.ones(level.node.size, dtype=np.int64) for level in levels]
+    for depth in range(len(levels) - 1, 1, -1):
+        sizes[depth - 1] += np.bincount(
+            levels[depth].parent,
+            weights=sizes[depth],
+            minlength=sizes[depth - 1].size,
+        ).astype(np.int64)
+    rank = np.full(levels[0].node.size, -1, dtype=np.int64)
+    ranks = []
+    for level, size in zip(levels[1:], sizes[1:]):
+        before = np.cumsum(size) - size
+        parent = level.parent
+        head = np.empty(parent.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(parent[1:], parent[:-1], out=head[1:])
+        first = np.maximum.accumulate(np.where(head, np.arange(parent.size), 0))
+        rank = rank[parent] + 1 + before - before[first]
+        ranks.append(rank)
+    return ranks
+
+
+def _expand(index: "PropagationIndex", chunk: np.ndarray):
     """Every branch row of the targets in *chunk*, level by level.
 
-    A row is one extension of the DFS: a node that joins a branch at a
+    A row is one branch extension: a node that joins a branch at a
     path probability >= θ without revisiting the branch. Rows with
     ``prob * max_in >= θ`` grow the next level from their in-lists.
     Rows stay grouped by target, so dropping the chunk's trailing
-    targets cuts a prefix off every level. That happens when the chunk
-    outgrows :data:`_BATCH_ROWS`, or when a target passes *limit* rows;
-    that target is handed to the DFS.
+    targets cuts a prefix off every level. A chunk of several targets
+    does that when it outgrows :data:`_BATCH_ROWS` or a target passes
+    ``max_branches``; the dropped targets re-run.
 
-    Returns ``(levels, done, counts, handed)``: ``chunk[:done]`` is
-    expanded, with ``counts`` rows each; ``handed`` holds the
-    chunk-local indices past *done* that go to the DFS.
+    A lone target instead keeps its first ``max_branches`` rows in
+    pre-order: after each step over its budget, every row whose
+    pre-order rank among the rows known so far is past the budget
+    goes. Those rows are closed under ancestors, so a rank only grows
+    as deeper rows arrive: a dropped row and its subtree lie past the
+    final cut. Within a level the ranks rise, so every level keeps a
+    prefix.
+
+    Returns ``(levels, done, counts, truncated)``: ``chunk[:done]`` is
+    expanded, with ``counts`` rows each; ``truncated`` says the lone
+    target was cut.
     """
     graph = index._graph
     indptr, in_sources, in_probs = (
@@ -509,9 +582,11 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
     )
     max_in = index._max_in()
     theta = index._theta
+    budget = index._max_branches
+    lone = chunk.size == 1
+    truncated = False
     done = int(chunk.size)
     counts = np.zeros(done, dtype=np.int64)
-    handed: List[int] = []
     levels = [_Level(np.arange(done), chunk, np.ones(done), None)]
     while True:
         last = levels[-1]
@@ -525,7 +600,7 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
         pieces: List[_Level] = []
         for a, b in zip(cuts, cuts[1:]):
             if a >= grow.size:
-                break  # the rest belonged to dropped targets
+                break  # the rest belonged to dropped rows
             b = min(b, grow.size)
             owner, position = _ranges(first[a:b], degree[a:b])
             parent = grow[a:b][owner]
@@ -533,8 +608,8 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
             keep = prob >= theta
             parent, prob = parent[keep], prob[keep]
             node = in_sources[position[keep]]
-            # The DFS skips a source already on the branch: the row's
-            # own node, its ancestors' nodes, or the target.
+            # A branch never revisits a node: skip the row's own node,
+            # its ancestors' nodes and the target.
             fresh = np.ones(node.size, dtype=bool)
             above = parent
             for level in reversed(levels):
@@ -545,14 +620,31 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
             piece = _Level(last.target[parent], node[fresh], prob[fresh], parent)
             pieces.append(piece)
             counts += np.bincount(piece.target, minlength=done)
-            over = np.flatnonzero(counts > limit)
+            if lone:
+                if counts[0] <= budget:
+                    continue
+                if index._strict:
+                    raise BudgetExceededError(
+                        f"propagation entry of node {int(chunk[0])}", budget
+                    )
+                truncated = True
+                pieces = [_concat(pieces)]
+                ranks = _preorder(levels + pieces)
+                kept = [
+                    level.rows(int(np.searchsorted(rank, budget)))
+                    for level, rank in zip(levels[1:] + pieces, ranks)
+                ]
+                levels[1:], pieces = kept[:-1], kept[-1:]
+                last = levels[-1]
+                grow = grow[: int(np.searchsorted(grow, last.node.size))]
+                counts[0] = budget
+                continue
+            over = np.flatnonzero(counts > budget)
             cut = int(over[0]) if over.size else done
             total = np.cumsum(counts)
             if total[-1] > _BATCH_ROWS:
                 cut = min(cut, int(np.searchsorted(total, _BATCH_ROWS, "right")))
             if cut < done:
-                if over.size and cut == over[0]:
-                    handed.append(cut)
                 done = cut
                 counts = counts[:done]
                 levels = [level.head(done) for level in levels]
@@ -562,8 +654,8 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray, limit: int):
         if not rows:
             # A cut can empty the deepest levels of the kept targets.
             levels = [level for level in levels if level.node.size]
-            return levels, done, counts, handed
-        levels.append(_Level(*(np.concatenate(c) for c in zip(*rows))))
+            return levels, done, counts, truncated
+        levels.append(_concat(rows))
 
 
 def _chunk_entries(
@@ -572,39 +664,19 @@ def _chunk_entries(
     levels: List[_Level],
     counts: np.ndarray,
 ) -> Dict[int, "PropagationEntry"]:
-    """The entries of *chunk* from its expanded *levels*, bit-exact with
-    the DFS.
+    """The entries of *chunk* from its expanded *levels*.
 
-    The DFS adds a member's contributions in its pre-order. Subtree
-    sizes (bottom-up) and sibling offsets (top-down) give each row its
-    pre-order rank, rows are laid out in that order, and ``np.bincount``
-    - which adds its weights sequentially - sums each (target, member)
-    bin in exactly the DFS's order.
+    Rows are laid out in each target's pre-order (:func:`_preorder`),
+    and ``np.bincount`` - which adds its weights sequentially - sums
+    each (target, member) bin in exactly that order.
     """
     graph = index._graph
     n = graph.n_nodes
-    sizes: List[Optional[np.ndarray]] = [None] * len(levels)
-    for depth in range(len(levels) - 1, 0, -1):
-        size = np.ones(levels[depth].node.size, dtype=np.int64)
-        if depth + 1 < len(levels):
-            below = levels[depth + 1]
-            size += np.bincount(
-                below.parent, weights=sizes[depth + 1], minlength=size.size
-            ).astype(np.int64)
-        sizes[depth] = size
     base = np.cumsum(counts) - counts
     n_rows = int(counts.sum())
     order_node = np.empty(n_rows, dtype=np.int64)
     order_prob = np.empty(n_rows)
-    rank = np.full(chunk.size, -1, dtype=np.int64)
-    for level, size in zip(levels[1:], sizes[1:]):
-        before = np.cumsum(size) - size
-        parent = level.parent
-        head = np.empty(parent.size, dtype=bool)
-        head[0] = True
-        np.not_equal(parent[1:], parent[:-1], out=head[1:])
-        first = np.maximum.accumulate(np.where(head, np.arange(parent.size), 0))
-        rank = rank[parent] + 1 + before - before[first]
+    for level, rank in zip(levels[1:], _preorder(levels)):
         position = base[level.target] + rank
         order_node[position] = level.node
         order_prob[position] = level.prob
@@ -644,10 +716,10 @@ def _potential(
     """Γ* flag of every (target, member) key in the sorted *members*: an
     in-neighbour outside Γ(target) ∪ {target}.
 
-    Like the DFS, a member stops at its first outside in-neighbour: the
-    first :data:`_MARK_PROBES` in-neighbours are tested one round at a
-    time, which settles most members, and only the in-lists left open
-    are expanded whole, :data:`_BATCH_PAIRS` at a time.
+    A member stops at its first outside in-neighbour: the first
+    :data:`_MARK_PROBES` in-neighbours are tested one round at a time,
+    which settles most members, and only the in-lists left open are
+    expanded whole, :data:`_BATCH_PAIRS` at a time.
     """
     indptr, in_sources = graph._in_indptr, graph._in_sources
     n = graph.n_nodes
@@ -695,13 +767,9 @@ class PropagationIndex:
 
     Entries are built on first access and cached; :meth:`build_all`
     materializes every node up front (the paper's offline variant),
-    optionally sharding across worker processes.
-
-    Construction keeps two lazily-built scratch structures: a Python-list
-    image of the reverse-CSR arrays (list indexing avoids the numpy scalar
-    boxing that dominates a pure-Python traversal; transient ``O(E)``
-    objects, freed with the index) and a ``bytearray`` membership mask
-    reused across every branch and every entry.
+    optionally sharding across worker processes. Every build goes
+    through :meth:`build_entries`; the only state kept between builds is
+    the per-node strongest in-edge probability (:meth:`_max_in`).
     """
 
     def __init__(
@@ -721,9 +789,7 @@ class PropagationIndex:
         self._strict = bool(strict)
         self._entries: Dict[int, PropagationEntry] = {}
         self._shards = None  # Optional[repro.core.shards.MmapShardBackend]
-        self._csr: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._peak: Optional[np.ndarray] = None
-        self._mask: Optional[bytearray] = None
         self._metrics = metrics
         self.last_build_stats = None
         #: Statistics of the partial rebuild that produced this index
@@ -804,9 +870,9 @@ class PropagationIndex:
         sorted arrays, so nodes outside *affected* carry their entry
         over untouched; affected nodes that were materialized are
         rebuilt eagerly against the new graph's CSR in one
-        :meth:`build_entries` batch (bit-exact with the DFS, so a fully
-        materialized index comes out byte-identical to a from-scratch
-        build); never-built nodes stay lazy. The result
+        :meth:`build_entries` batch (so a fully materialized index comes
+        out byte-identical to a from-scratch build); never-built nodes
+        stay lazy. The result
         records ``{"entries_rebuilt", "entries_copied"}`` in
         :attr:`last_refresh_stats` and the ``dynamics.*`` counters.
 
@@ -839,9 +905,8 @@ class PropagationIndex:
         mask = np.zeros(graph.n_nodes, dtype=bool)
         mask[np.asarray(affected, dtype=np.int64)] = True
         stale = [node for node in self._entries if mask[node]]
-        rebuilt_entries = dict(zip(stale, fresh.build_entries(stale)))
-        for node, entry in self._entries.items():
-            fresh._entries[node] = rebuilt_entries.get(node, entry)
+        fresh._entries = dict(self._entries)
+        fresh._entries.update(zip(stale, fresh.build_entries(stale)))
         rebuilt = len(stale)
         copied = len(self._entries) - rebuilt
         registry = self._registry()
@@ -860,8 +925,7 @@ class PropagationIndex:
         if cached is None:
             if self._shards is not None:
                 return self._shards.get(node)
-            cached = self._build_entry(node)
-            self._entries[node] = cached
+            cached = self._entries[node] = self.build_entries([node])[0]
         return cached
 
     def get_cached(self, node: int) -> Optional[PropagationEntry]:
@@ -886,50 +950,47 @@ class PropagationIndex:
         manage themselves; :meth:`entry` would pin every build into the
         index's unbounded cache.
         """
-        return self._build_entry(self._graph._check_node(node))
+        return self.build_entries([node])[0]
 
     def build_entries(self, nodes: Iterable[int]) -> List[PropagationEntry]:
         """Build the entries of *nodes* in one batch, WITHOUT inserting them.
 
-        Equal bit for bit to ``[self.build_entry(n) for n in nodes]``
-        (sources, probability bytes, Γ* flags, branch counts), in input
-        order, duplicates included. The branch expansion of every target
-        runs at once, one level of branch rows at a time over the
-        reverse-CSR arrays, and each member's probability is summed in
-        the DFS's own pre-order. Targets go through in chunks under a
-        fixed row budget. A target whose expansion passes
-        ``max_branches`` (or the row budget on its own) is built by the
-        DFS instead, which truncates it and warns, or raises in strict
-        mode, exactly as :meth:`build_entry` does.
-
-        The delta path's multi-node rebuilds use it (:meth:`rebuilt_for`,
-        :func:`~repro.core.shards.refresh_sharded_index`). One node
-        costs the batch about three times the DFS, so single entries and
-        the offline builds keep the DFS.
+        Entries come in input order, duplicates included. The branch
+        expansion of every target runs at once, one level of branch rows
+        at a time over the reverse-CSR arrays, and each member's
+        probability is summed in the target's depth-first pre-order.
+        Targets go through in chunks under a fixed row budget; a target
+        that outgrows a chunk re-runs alone. A target whose expansion
+        passes ``max_branches`` keeps its first ``max_branches`` rows in
+        pre-order and warns once per returned entry, or raises
+        :class:`~repro.exceptions.BudgetExceededError` in strict mode.
         """
         nodes = [self._graph._check_node(node) for node in nodes]
         pending = sorted(set(nodes))
-        limit = min(self._max_branches, _BATCH_ROWS)
         built: Dict[int, PropagationEntry] = {}
+        truncated: Set[int] = set()
         width = len(pending)
         while pending:
             chunk = np.array(pending[:width], dtype=np.int64)
-            levels, done, counts, handed = _expand(self, chunk, limit)
+            levels, done, counts, cut = _expand(self, chunk)
             if done:
                 built.update(
                     _chunk_entries(self, chunk[:done], levels, counts)
                 )
-            rest = [
-                node for i, node in enumerate(pending[done:width], done)
-                if i not in handed
-            ]
-            pending = rest + pending[width:]
+            if cut:
+                truncated.add(pending[0])
+            pending = pending[done:]
             # Dropped targets re-run in a chunk the size of what fitted.
-            width = max(1, done) if rest else 2 * width
-        return [
-            built[node] if node in built else self._build_entry(node)
-            for node in nodes
-        ]
+            width = max(1, done) if done < chunk.size else 2 * width
+        for node in nodes:
+            if node in truncated:
+                warnings.warn(
+                    f"propagation entry of node {node} truncated at "
+                    f"{self._max_branches} branches (theta={self._theta})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        return [built[node] for node in nodes]
 
     def build_all(
         self,
@@ -946,12 +1007,15 @@ class PropagationIndex:
         workers:
             Worker processes to shard the build across. ``1`` (default)
             builds serially in-process; ``None`` uses every available CPU.
-            Parallel results are byte-identical to serial ones - each
-            entry's DFS order is fixed by the CSR layout regardless of
-            which process runs it.
+            Nodes are built in ranges of up to 256, about four ranges per
+            worker in a parallel build. Parallel results are
+            byte-identical to serial ones - each entry's pre-order is
+            fixed by the CSR layout regardless of which process or range
+            builds it.
         max_retries:
-            Fresh-process retry rounds for chunks whose worker crashed or
-            raised an unexpected error. Deterministic library errors
+            Retries of a range (serial) or fresh-process retry rounds for
+            chunks whose worker crashed or raised an unexpected error
+            (parallel). Deterministic library errors
             (:class:`~repro.exceptions.ReproError`, e.g. a strict budget
             violation) are never retried - they propagate immediately.
         retry_backoff:
@@ -959,7 +1023,7 @@ class PropagationIndex:
             before each retry round: ``retry_backoff * 2**(round-1)``,
             capped at 30s.
         strict:
-            What to do with nodes that still fail after ``max_retries``:
+            What to do with ranges that still fail after ``max_retries``:
             ``True`` raises :class:`~repro.exceptions.BuildFailedError`
             (with the partial index attached);
             ``False`` records them in ``failed_nodes`` on the build stats
@@ -1034,8 +1098,10 @@ class PropagationIndex:
           directory digest-identical to an uninterrupted build's;
         * the manifest is rewritten after every shard, so at most one
           shard range of work is lost to a crash;
-        * per-node/per-chunk retries (``max_retries``, ``retry_backoff``)
-          behave exactly as in :meth:`build_all`; nodes that still fail
+        * each shard range is one build item of the serial build and is
+          split into chunks for a parallel one; retries (``max_retries``,
+          ``retry_backoff``) behave exactly as in :meth:`build_all`;
+          nodes whose range or chunk still fails
           in keep-going mode are stored as empty shard slots and listed
           under ``failed_nodes`` in the manifest (and on the build
           stats), and such a build keeps its uniform ranges, so a
@@ -1085,10 +1151,10 @@ class PropagationIndex:
                             run.registry.inc("propagation.shards_resumed")
                     n_resumed += hi - lo
                     continue
-                range_failed = run.run([
-                    node for node in range(lo, hi)
-                    if node not in self._entries
-                ])
+                range_failed = run.run(run.ranges(
+                    [node for node in range(lo, hi) if node not in self._entries],
+                    shard_nodes,
+                ))
                 failed.extend(range_failed)
                 if range_failed and strict_build:
                     break  # published shards stay; the manifest stays open
@@ -1159,128 +1225,3 @@ class PropagationIndex:
                 peak = np.zeros(self._graph.n_nodes)
             self._peak = peak
         return peak
-
-    def _csr_lists(self) -> Tuple[List[int], List[int], List[float], List[float]]:
-        cache = self._csr
-        if cache is None:
-            graph = self._graph
-            cache = (
-                graph._in_indptr.tolist(),
-                graph._in_sources.tolist(),
-                graph._in_probs.tolist(),
-                self._max_in().tolist(),
-            )
-            self._csr = cache
-        return cache
-
-    def _membership_mask(self) -> bytearray:
-        mask = self._mask
-        if mask is None:
-            mask = bytearray(self._graph.n_nodes)
-            self._mask = mask
-        return mask
-
-    def _build_entry(self, target: int) -> PropagationEntry:
-        """Reverse branch expansion from *target* (Figure 3 procedure).
-
-        Iterative DFS over the reverse-CSR arrays. The stack *is* the
-        current branch; ``mask`` holds its membership bits (plus the
-        target), giving O(1) cycle checks with zero per-extension
-        allocation. An extension is counted against the budget before it
-        is consumed, so truncation never drops the mass of an
-        already-taken branch.
-        """
-        indptr, in_sources, in_probs, max_in = self._csr_lists()
-        mask = self._membership_mask()
-        theta = self._theta
-        max_branches = self._max_branches
-        gamma: Dict[int, float] = {}
-        gamma_get = gamma.get
-        branches = 0
-        truncated = False
-
-        # The active frame lives in locals; suspended frames are flat
-        # (node, prob, cursor, end) quadruples on one stack. A node is
-        # only pushed (and its membership bit only set) when its own
-        # expansion can still clear θ - a leaf visit touches no stack.
-        mask[target] = 1
-        node = target
-        prob = 1.0
-        cursor = indptr[target]
-        end = indptr[target + 1]
-        stack: List = []
-        push = stack.append
-        pop = stack.pop
-        try:
-            while True:
-                if cursor == end:
-                    mask[node] = 0
-                    if not stack:
-                        break
-                    end = pop()
-                    cursor = pop()
-                    prob = pop()
-                    node = pop()
-                    continue
-                source = in_sources[cursor]
-                edge_probability = in_probs[cursor]
-                cursor += 1
-                if mask[source]:
-                    continue
-                probability = prob * edge_probability
-                if probability < theta:
-                    continue
-                if branches >= max_branches:
-                    if self._strict:
-                        raise BudgetExceededError(
-                            f"propagation entry of node {target}", max_branches
-                        )
-                    truncated = True
-                    break
-                branches += 1
-                gamma[source] = gamma_get(source, 0.0) + probability
-                if probability * max_in[source] >= theta:
-                    mask[source] = 1
-                    push(node)
-                    push(prob)
-                    push(cursor)
-                    push(end)
-                    node = source
-                    prob = probability
-                    cursor = indptr[source]
-                    end = indptr[source + 1]
-        finally:
-            # The mask is shared scratch: clear whatever is still set (the
-            # target plus the branch live at truncation/raise time).
-            mask[node] = 0
-            for suspended in stack[0::4]:
-                mask[suspended] = 0
-            mask[target] = 0
-
-        if truncated:
-            warnings.warn(
-                f"propagation entry of node {target} truncated at "
-                f"{max_branches} branches (theta={theta})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        marked = self._mark_potential(target, gamma)
-        return PropagationEntry(target, gamma, marked, branches)
-
-    def _mark_potential(self, target: int, gamma: Dict[int, float]) -> List[int]:
-        """Nodes in Γ with an in-neighbour the index cannot see."""
-        indptr, in_sources, _, _ = self._csr_lists()
-        mask = self._membership_mask()
-        mask[target] = 1
-        for node in gamma:
-            mask[node] = 1
-        marked: List[int] = []
-        for node in gamma:
-            for cursor in range(indptr[node], indptr[node + 1]):
-                if not mask[in_sources[cursor]]:
-                    marked.append(node)
-                    break
-        mask[target] = 0
-        for node in gamma:
-            mask[node] = 0
-        return marked

@@ -12,7 +12,7 @@ propagation (:func:`~repro.graph.traversal.reachability_bitsets`) instead
 of one reverse BFS per member, and candidate centralities come from a
 single :func:`~repro.graph.traversal.hop_distance_matrix` call followed by
 one vectorized argmax. The historical per-member loops are retained in
-:mod:`repro.core._scalar_summarize` as the parity baseline.
+``tests/oracles/scalar_summarize.py`` as the parity baseline.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ propagation (:func:`~repro.graph.traversal.reachability_bitsets`) for the
 whole topic-node set instead of one reverse BFS per topic node; the indexed
 branch resolves each ``I_L`` set against the sorted sample with a single
 ``searchsorted`` pass. The retained scalar loop lives in
-:mod:`repro.core._scalar_summarize` as the parity baseline.
+``tests/oracles/scalar_summarize.py`` as the parity baseline.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ sorted-per-topic ``int64`` array (plus aligned weights and a topic-of-rep
 map), so resolving the whole candidate set against a propagation entry is
 a single ``np.searchsorted`` pass followed by ``np.bincount`` scatter-sums
 - replacing the per-representative hash probes of the original
-formulation (retained verbatim in :mod:`repro.core._scalar_search` as the
-parity/benchmark baseline). Consumed representatives are tracked in a
+formulation (retained verbatim in ``tests/oracles/scalar_search.py`` as
+the parity/benchmark baseline). Consumed representatives are tracked in a
 boolean mask instead of popping dict keys, the k-th-best bound is an
 incrementally maintained bounded heap (:class:`_KthBound`, O(log k) per
 prune instead of a fresh ``heapq.nlargest``), and the upper-bound prune

@@ -47,6 +47,12 @@ def graph():
     return preferential_attachment_graph(70, 3, seed=5)
 
 
+@pytest.fixture(scope="module")
+def big_graph():
+    """Large enough for a serial build_all to take several ranges."""
+    return preferential_attachment_graph(600, 3, seed=5)
+
+
 def _dir_digest(directory):
     sha = hashlib.sha256()
     for path in sorted(directory.iterdir()):
@@ -195,10 +201,10 @@ class TestResumeAfterCrash:
         """Empty slots written before a crash are rebuilt on resume."""
         directory = tmp_path / "prop"
 
-        def fail_7_then_interrupt_at_40(*, node, **_):
-            if node == 7:
+        def fail_7_then_interrupt_at_40(*, nodes, **_):
+            if 7 in nodes:
                 raise RuntimeError("injected failure on node 7")
-            if node == 40:
+            if 40 in nodes:
                 raise KeyboardInterrupt("injected interrupt at entry 40")
 
         with _faults.fault(
@@ -367,36 +373,44 @@ class TestWorkerCrashRetry:
         assert index.last_build_stats.failed_nodes == ()
         assert index.n_cached == graph.n_nodes
 
-    def test_persistent_failure_degrades_gracefully(self, graph):
+    @staticmethod
+    def _failed_range(failed, graph):
+        """The one build range holding node 7, short of the whole graph."""
+        assert 7 in failed
+        assert list(failed) == list(range(failed[0], failed[-1] + 1))
+        assert len(failed) < graph.n_nodes
+        return len(failed)
+
+    def test_persistent_failure_degrades_gracefully(self, big_graph):
         hook = _faults.FailOnEntry(7, attempts=(0, 1, 2, 3))
         with _faults.fault("propagation.build_entry", hook):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                index = PropagationIndex(graph, THETA).build_all(
+                index = PropagationIndex(big_graph, THETA).build_all(
                     workers=1, max_retries=2, retry_backoff=0.0, strict=False
                 )
         stats = index.last_build_stats
-        assert stats.failed_nodes == (7,)
-        assert stats.n_failed == 1
-        assert stats.n_built == graph.n_nodes - 1
+        n_failed = self._failed_range(stats.failed_nodes, big_graph)
+        assert stats.n_failed == n_failed
+        assert stats.n_built == big_graph.n_nodes - n_failed
         assert any("failed to build" in str(w.message) for w in caught)
 
-    def test_persistent_failure_raises_in_strict_mode(self, graph):
+    def test_persistent_failure_raises_in_strict_mode(self, big_graph):
         hook = _faults.FailOnEntry(7, attempts=(0, 1, 2, 3))
         with _faults.fault("propagation.build_entry", hook):
             with pytest.raises(BuildFailedError) as excinfo:
-                PropagationIndex(graph, THETA).build_all(
+                PropagationIndex(big_graph, THETA).build_all(
                     workers=1,
                     max_retries=2,
                     retry_backoff=0.0,
                     strict=True,
                 )
         error = excinfo.value
-        assert error.failed_nodes == [7]
-        assert error.n_built == graph.n_nodes - 1
+        n_failed = self._failed_range(error.failed_nodes, big_graph)
+        assert error.n_built == big_graph.n_nodes - n_failed
         # The partial result survives, attached to the error.
         assert error.partial_index is not None
-        assert error.partial_index.n_cached == graph.n_nodes - 1
+        assert error.partial_index.n_cached == big_graph.n_nodes - n_failed
 
     def test_deterministic_library_errors_are_not_retried(self):
         from repro.exceptions import BudgetExceededError

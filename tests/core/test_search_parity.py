@@ -1,7 +1,7 @@
 """Scalar-vs-vectorized parity for the online search (Algorithms 10-11).
 
 The array-native :class:`PersonalizedSearcher` must reproduce the
-retained pre-vectorization reference (:mod:`repro.core._scalar_search`)
+retained pre-vectorization reference (:mod:`tests.oracles.scalar_search`)
 exactly: identical rankings, influences to 1e-12 (in practice bit-exact,
 because summaries store their weights in sorted representative order so
 both paths accumulate floats identically), and identical work stats -
@@ -17,7 +17,7 @@ from repro.core import (
     PropagationIndex,
     TopicSummary,
 )
-from repro.core._scalar_search import ScalarReferenceSearcher
+from tests.oracles.scalar_search import ScalarReferenceSearcher
 from repro.datasets import data_2k, generate_workload
 from repro.graph import GraphBuilder
 from repro.topics import TopicIndex

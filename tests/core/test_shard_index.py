@@ -604,8 +604,8 @@ class TestStreamingBuild:
         directory = tmp_path / "failed"
 
         class Crash:
-            def __call__(self, *, node, **_):
-                if node == SHARD_NODES + 1:
+            def __call__(self, *, nodes, **_):
+                if SHARD_NODES + 1 in nodes:
                     raise OSError("injected crash")
 
         index = PropagationIndex(graph, THETA)
@@ -621,20 +621,20 @@ class TestStreamingBuild:
         assert shard_filename(0, SHARD_NODES) in {
             p.name for p in directory.iterdir()
         }
-        # Built this call: the published first shard plus the failing
-        # range's other SHARD_NODES - 1 entries.
-        assert excinfo.value.n_built == 2 * SHARD_NODES - 1
+        # Built this call: the published first shard; the failing shard
+        # range is one build item and fails whole.
+        assert excinfo.value.n_built == SHARD_NODES
         stats = index.last_build_stats
         assert stats is not None  # recorded before the raise
-        assert stats.failed_nodes == (SHARD_NODES + 1,)
-        assert stats.n_built == 2 * SHARD_NODES - 1
+        assert stats.failed_nodes == tuple(range(SHARD_NODES, 2 * SHARD_NODES))
+        assert stats.n_built == SHARD_NODES
 
     def test_keep_going_records_failed_nodes(self, graph, tmp_path):
         directory = tmp_path / "degraded"
 
         class Crash:
-            def __call__(self, *, node, **_):
-                if node == 3:
+            def __call__(self, *, nodes, **_):
+                if 3 in nodes:
                     raise OSError("injected crash")
 
         with _faults.fault("propagation.build_entry", Crash()):
@@ -647,7 +647,7 @@ class TestStreamingBuild:
                     strict=False,
                 )
         loaded = load_sharded_index(directory, graph)
-        assert loaded.shards.failed_nodes == (3,)
+        assert loaded.shards.failed_nodes == tuple(range(SHARD_NODES))
         assert loaded.entry(3).size == 0  # empty slot, not a crash
 
     def test_refresh_keeps_failed_slots_it_does_not_rebuild(
@@ -655,8 +655,8 @@ class TestStreamingBuild:
     ):
         directory = tmp_path / "degraded"
 
-        def crash(*, node, **_):
-            if node == 3:
+        def crash(*, nodes, **_):
+            if 3 in nodes:
                 raise OSError("injected crash")
 
         with _faults.fault("propagation.build_entry", crash):
@@ -668,15 +668,18 @@ class TestStreamingBuild:
                     strict=False,
                 )
         index = load_sharded_index(directory, graph)
-        # A refresh of another shard carries node 3's shard, empty slot
+        failed = tuple(range(SHARD_NODES))  # node 3's whole shard range
+        # A refresh of another shard carries node 3's shard, empty slots
         # and failure record included.
         index = refresh_sharded_index(
             index.shards, graph, [graph.n_nodes - 1]
         )
-        assert index.shards.failed_nodes == (3,)
+        assert index.shards.failed_nodes == failed
         assert index.entry(3).size == 0
-        # A refresh that covers node 3 rebuilds it for real.
+        # A refresh rebuilds the failed nodes it covers for real.
         index = refresh_sharded_index(index.shards, graph, [3])
+        assert index.shards.failed_nodes == failed[:3] + failed[4:]
+        index = refresh_sharded_index(index.shards, graph, failed)
         assert index.shards.failed_nodes == ()
         assert dict(index.entry(3).gamma) == dict(built_index.entry(3).gamma)
         assert index.entry(3).size > 0

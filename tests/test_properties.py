@@ -30,6 +30,7 @@ from repro.graph import (
     reverse_hop_distances,
 )
 from repro.walks import WalkIndex
+from tests.oracles.propagation_dfs import DFSPropagationOracle
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -272,8 +273,23 @@ def _same_entries(got, want):
         assert a.branches == b.branches
 
 
+def _oracle(index, nodes):
+    """The per-node DFS entries of *nodes*."""
+    oracle = DFSPropagationOracle(index)
+    return [oracle.build_entry(n) for n in nodes]
+
+
+def _dense_graph(n, seed):
+    """A complete digraph with random edge probabilities."""
+    rng = np.random.default_rng(seed)
+    return SocialGraph(n, [
+        (u, v, float(rng.uniform(0.2, 0.9)))
+        for u in range(n) for v in range(n) if u != v
+    ])
+
+
 class TestBatchedRebuildParity:
-    """``build_entries`` is the per-node DFS, bit for bit."""
+    """``build_entries`` is the per-node DFS oracle, bit for bit."""
 
     @SETTINGS
     @given(small_graphs(), st.floats(min_value=0.005, max_value=0.5), st.data())
@@ -282,9 +298,7 @@ class TestBatchedRebuildParity:
             st.lists(st.integers(0, graph.n_nodes - 1), max_size=20)
         )  # unsorted, with duplicates, possibly empty
         index = PropagationIndex(graph, theta)
-        _same_entries(
-            index.build_entries(nodes), [index.build_entry(n) for n in nodes]
-        )
+        _same_entries(index.build_entries(nodes), _oracle(index, nodes))
 
     @pytest.mark.parametrize("seed", [5, 7, 1234])
     def test_matches_dfs_on_seeded_graphs_with_cycles(self, seed):
@@ -295,9 +309,20 @@ class TestBatchedRebuildParity:
         assert (np.diff(graph._in_indptr) == 0).any()  # and in-edge-free nodes
         nodes = list(range(graph.n_nodes))[::-1] + [3, 3, 0]
         index = PropagationIndex(graph, 0.003)
-        _same_entries(
-            index.build_entries(nodes), [index.build_entry(n) for n in nodes]
-        )
+        _same_entries(index.build_entries(nodes), _oracle(index, nodes))
+
+    def test_single_entry_paths_match_dfs(self):
+        graph = preferential_attachment_graph(200, 4, seed=11)
+        index = PropagationIndex(graph, 0.003)
+        nodes = [0, 57, 199]
+        _same_entries([index.build_entry(n) for n in nodes], _oracle(index, nodes))
+        _same_entries([index.entry(n) for n in nodes], _oracle(index, nodes))
+
+    def test_offline_builds_match_dfs(self):
+        graph = preferential_attachment_graph(600, 4, seed=13)
+        index = PropagationIndex(graph, 0.003).build_all()
+        nodes = list(range(graph.n_nodes))
+        _same_entries([index.entry(n) for n in nodes], _oracle(index, nodes))
 
     def test_theta_equal_to_a_path_product(self):
         graph = SocialGraph(4, [
@@ -307,33 +332,87 @@ class TestBatchedRebuildParity:
         index = PropagationIndex(graph, theta)
         entries = index.build_entries([2, 0, 1, 3])
         assert 0 in entries[0].gamma
-        _same_entries(entries, [index.build_entry(n) for n in (2, 0, 1, 3)])
+        _same_entries(entries, _oracle(index, (2, 0, 1, 3)))
 
     def test_empty(self):
         graph = preferential_attachment_graph(30, 2, seed=1)
         assert PropagationIndex(graph, 0.01).build_entries([]) == []
 
-    def test_truncation_defers_to_the_dfs(self):
+    @staticmethod
+    def _run(build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = build()
+        return entries, [(w.category, str(w.message)) for w in caught]
+
+    def test_truncation_matches_dfs(self):
         graph = preferential_attachment_graph(300, 5, seed=3)
         nodes = [7, 250, 0, 7, 120]
         index = PropagationIndex(graph, 0.002, max_branches=40)
-
-        def run(build):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                entries = build()
-            return entries, [(w.category, str(w.message)) for w in caught]
-
-        got, got_warnings = run(lambda: index.build_entries(nodes))
-        want, want_warnings = run(
-            lambda: [index.build_entry(n) for n in nodes]
-        )
+        got, got_warnings = self._run(lambda: index.build_entries(nodes))
+        want, want_warnings = self._run(lambda: _oracle(index, nodes))
         _same_entries(got, want)
         assert got_warnings == want_warnings
         assert any(e.branches == 40 for e in want)  # some were truncated
         strict = PropagationIndex(graph, 0.002, max_branches=40, strict=True)
         with pytest.raises(BudgetExceededError):
             strict.build_entries(nodes)
+
+    def test_lone_target_past_the_chunk_rows(self):
+        """A target too big for a multi-target chunk re-runs alone and
+        is built by the batch, bit-exact, however many rows it needs."""
+        from repro.core.propagation import _BATCH_ROWS
+
+        graph = _dense_graph(9, seed=1)
+        index = PropagationIndex(graph, 0.01)
+        nodes = [4, 0, 4]
+        got, got_warnings = self._run(lambda: index.build_entries(nodes))
+        want = _oracle(index, nodes)
+        assert min(e.branches for e in want) > _BATCH_ROWS
+        _same_entries(got, want)
+        assert got_warnings == []
+
+    def test_lone_target_truncated_like_the_dfs(self):
+        graph = _dense_graph(9, seed=1)
+        index = PropagationIndex(graph, 0.01, max_branches=1000)
+        got, got_warnings = self._run(lambda: index.build_entries([0]))
+        want, want_warnings = self._run(lambda: _oracle(index, [0]))
+        _same_entries(got, want)
+        assert got[0].branches == 1000
+        assert got_warnings == want_warnings
+        assert got_warnings == [(
+            RuntimeWarning,
+            "propagation entry of node 0 truncated at 1000 branches "
+            "(theta=0.01)",
+        )]
+        strict = PropagationIndex(graph, 0.01, max_branches=1000, strict=True)
+        with pytest.raises(BudgetExceededError) as got_error:
+            strict.build_entries([0])
+        with pytest.raises(BudgetExceededError) as want_error:
+            _oracle(strict, [0])
+        assert str(got_error.value) == str(want_error.value)
+
+    def test_truncated_scratch_grows_with_the_budget_only(self):
+        graph = _dense_graph(9, seed=1)
+
+        def peak(max_branches):
+            index = PropagationIndex(graph, 0.01, max_branches=max_branches)
+            index._max_in()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tracemalloc.start()
+                try:
+                    entry = index.build_entries([0])[0]
+                    return tracemalloc.get_traced_memory()[1], entry
+                finally:
+                    tracemalloc.stop()
+
+        full, entry = peak(200_000)
+        assert entry.branches > 50_000  # the untruncated expansion
+        small, _ = peak(1000)
+        large, _ = peak(4000)
+        assert large <= 4 * small  # no faster than max_branches
+        assert large < full / 2  # the cut bounds what the expansion holds
 
     def test_scratch_does_not_grow_with_the_batch(self):
         graph = preferential_attachment_graph(2000, 6, seed=42)

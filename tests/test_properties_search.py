@@ -6,7 +6,7 @@ graphs and topic assignments:
 * **Differential**: the vectorized
   :class:`~repro.core.search.PersonalizedSearcher` must agree with the
   frozen scalar reference
-  (:class:`~repro.core._scalar_search.ScalarReferenceSearcher`)
+  (:class:`~tests.oracles.scalar_search.ScalarReferenceSearcher`)
   *bit-exactly* - identical rankings, identical influence floats, and
   identical work stats, including the pruning counters.
 * **Oracle**: on tiny graphs (<= 12 nodes) with the propagation
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core._scalar_search import ScalarReferenceSearcher
+from tests.oracles.scalar_search import ScalarReferenceSearcher
 from repro.core.influence import simple_path_influence
 from repro.core.propagation import PropagationIndex
 from repro.core.search import PersonalizedSearcher

@@ -3,7 +3,7 @@
 The vectorized RCL-A / LRW-A pipelines (bitset reachability, popcount
 grouping, batched centroid election, array-native migration) must agree
 *bit-exactly* with the frozen scalar reference implementations in
-:mod:`repro.core._scalar_summarize` on randomly generated (but
+:mod:`tests.oracles.scalar_summarize` on randomly generated (but
 fixed-seed) graphs and topic assignments:
 
 * RCL-A: identical Algorithm 1 groupings, identical elected centroids,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro._utils import coerce_rng
-from repro.core._scalar_summarize import (
+from tests.oracles.scalar_summarize import (
     ScalarLRWSummarizer,
     ScalarRCLSummarizer,
 )
