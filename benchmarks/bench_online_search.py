@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     builder = PITEngine.from_dataset(
         bundle, summarizer=args.summarizer, theta=args.theta, seed=args.seed
     )
-    engine = builder.serving(entry_cache_bytes=64 << 20)
+    engine = builder.serving()
     scalar = ScalarReferenceSearcher(
         builder.topic_index, builder.summary, builder.propagation_index
     )

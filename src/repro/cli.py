@@ -241,20 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--summaries", required=True, metavar="PATH",
                        help="prebuilt summaries artifact (build-summaries)")
-    serve.add_argument("--index-dir", default=None, metavar="DIR",
+    serve.add_argument("--index-dir", required=True, metavar="DIR",
                        help="sharded propagation index directory "
-                            "(build-index)")
+                            "(build-index); the daemon's only source of "
+                            "propagation entries")
     serve.add_argument("--shard-cache-mb", type=int, default=256, metavar="MB",
                        help="paging budget for resident shard segments "
-                            "with --index-dir (default 256)")
+                            "(default 256)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="listen port (0 = pick a free port)")
     serve.add_argument("--k", type=int, default=10,
                        help="default k for requests that send none")
-    serve.add_argument("--theta", type=float, default=0.002,
-                       help="theta for lazy propagation when no --index-dir "
-                            "is given (a prebuilt index's theta governs)")
+    serve.add_argument("--theta", type=float, default=None,
+                       help="expected theta of --index-dir (default: the "
+                            "index's); a different value is refused")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="admission capacity; excess requests are shed "
                             "with 429 (default 64)")
@@ -270,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "before hard-cancelling (default 10)")
     serve.add_argument("--max-body-kb", type=int, default=64, metavar="KB",
                        help="request bodies above this are refused with 413")
-    serve.add_argument("--entry-cache-mb", type=int, default=64, metavar="MB",
-                       help="bounded propagation-entry cache (default 64)")
     serve.add_argument("--answer-cache-mb", type=int, default=32, metavar="MB",
                        help="answer-tier byte budget; 0 disables the tier "
                             "(default 32)")
@@ -294,13 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument("--summaries", required=True, metavar="PATH",
                             help="prebuilt summaries artifact the daemon "
                                  "will serve")
-    precompute.add_argument("--index-dir", default=None, metavar="DIR",
-                            help="sharded propagation index directory")
+    precompute.add_argument("--index-dir", required=True, metavar="DIR",
+                            help="sharded propagation index directory the "
+                                 "daemon will serve")
     precompute.add_argument("--shard-cache-mb", type=int, default=256,
                             metavar="MB")
-    precompute.add_argument("--theta", type=float, default=0.002,
-                            help="theta for lazy propagation when no "
-                                 "--index-dir is given")
     precompute.add_argument("--trace", required=True, metavar="PATH",
                             help="JSONL workload trace "
                                  "({'user','query','k'} records, the "
@@ -552,13 +549,7 @@ def _run_search(args) -> int:
     prebuilt = None if args.index_dir is None else load_sharded_index(
         args.index_dir, bundle.graph, cache_bytes=args.shard_cache_mb << 20
     )
-    engine = builder.serving(
-        prebuilt,
-        # Batch serving gets a bounded entry tier so the report can show
-        # its hit rate and resident bytes; one-shot queries keep the
-        # unbounded default.
-        entry_cache_bytes=64 << 20 if args.batch else None,
-    )
+    engine = builder.serving(prebuilt)
     if prebuilt is not None:
         shards = prebuilt.shards
         print(f"using sharded propagation index {args.index_dir} "
@@ -740,7 +731,7 @@ def _run_stats(args) -> int:
         )
     else:
         builder.propagation_index.build_all(workers=1)
-    engine = builder.serving(prebuilt, entry_cache_bytes=64 << 20)
+    engine = builder.serving(prebuilt)
     workload = generate_workload(
         bundle, n_queries=args.queries, n_users=args.users, seed=args.seed
     )
@@ -768,9 +759,7 @@ def _run_serve(args) -> int:
     bundle = _load_bundle(args)
     print(bundle.describe(), flush=True)
     registry = MetricsRegistry()
-    paths = {"summaries": args.summaries}
-    if args.index_dir is not None:
-        paths["index_dir"] = args.index_dir
+    paths = {"summaries": args.summaries, "index_dir": args.index_dir}
     if args.precompute is not None:
         paths["precompute"] = args.precompute
     config = ServeConfig(
@@ -791,7 +780,6 @@ def _run_serve(args) -> int:
         metrics=registry,
         theta=args.theta,
         shard_cache_bytes=args.shard_cache_mb << 20,
-        entry_cache_bytes=args.entry_cache_mb << 20,
         answer_cache_bytes=(
             None if args.answer_cache_mb == 0 else args.answer_cache_mb << 20
         ),
@@ -829,7 +817,6 @@ def _run_precompute(args) -> int:
         args.summaries,
         index_dir=args.index_dir,
         shard_cache_bytes=args.shard_cache_mb << 20,
-        theta=args.theta,
         metrics=metrics,
     )
     started = perf_counter()

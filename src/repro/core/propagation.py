@@ -553,6 +553,15 @@ def _preorder(levels: List[_Level]) -> List[np.ndarray]:
     return ranks
 
 
+def _cut(levels: List[_Level], budget: int) -> List[_Level]:
+    """A lone target's *levels* without the rows ranked past *budget* in
+    its pre-order among the rows known so far."""
+    return levels[:1] + [
+        level.rows(int(np.searchsorted(rank, budget)))
+        for level, rank in zip(levels[1:], _preorder(levels))
+    ]
+
+
 def _expand(index: "PropagationIndex", chunk: np.ndarray):
     """Every branch row of the targets in *chunk*, level by level.
 
@@ -565,12 +574,15 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray):
     ``max_branches``; the dropped targets re-run.
 
     A lone target instead keeps its first ``max_branches`` rows in
-    pre-order: after each step over its budget, every row whose
-    pre-order rank among the rows known so far is past the budget
-    goes. Those rows are closed under ancestors, so a rank only grows
-    as deeper rows arrive: a dropped row and its subtree lie past the
-    final cut. Within a level the ranks rise, so every level keeps a
-    prefix.
+    pre-order: once its known rows pass ``2 * max_branches``, and once
+    more before returning, every row whose pre-order rank among the
+    rows known so far is past the budget goes (:func:`_cut`). Those rows
+    are closed under ancestors, so a rank only grows as deeper rows
+    arrive: a dropped row and its subtree lie past the final cut, and a
+    row left standing past the budget until the next cut only costs
+    scratch. Within a level the ranks rise, so every level keeps a
+    prefix. Scratch stays under ``2 * max_branches`` rows plus one
+    :data:`_BATCH_PAIRS` piece.
 
     Returns ``(levels, done, counts, truncated)``: ``chunk[:done]`` is
     expanded, with ``counts`` rows each; ``truncated`` says the lone
@@ -628,13 +640,10 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray):
                         f"propagation entry of node {int(chunk[0])}", budget
                     )
                 truncated = True
-                pieces = [_concat(pieces)]
-                ranks = _preorder(levels + pieces)
-                kept = [
-                    level.rows(int(np.searchsorted(rank, budget)))
-                    for level, rank in zip(levels[1:] + pieces, ranks)
-                ]
-                levels[1:], pieces = kept[:-1], kept[-1:]
+                if counts[0] <= 2 * budget:
+                    continue
+                kept = _cut(levels + [_concat(pieces)], budget)
+                levels[1:], pieces = kept[1:-1], kept[-1:]
                 last = levels[-1]
                 grow = grow[: int(np.searchsorted(grow, last.node.size))]
                 counts[0] = budget
@@ -652,6 +661,9 @@ def _expand(index: "PropagationIndex", chunk: np.ndarray):
                 grow = grow[: int(np.searchsorted(last.target[grow], done))]
         rows = [piece for piece in pieces if piece.node.size]
         if not rows:
+            if lone and counts[0] > budget:
+                levels = _cut(levels, budget)
+                counts[0] = budget
             # A cut can empty the deepest levels of the kept targets.
             levels = [level for level in levels if level.node.size]
             return levels, done, counts, truncated
@@ -927,30 +939,6 @@ class PropagationIndex:
                 return self._shards.get(node)
             cached = self._entries[node] = self.build_entries([node])[0]
         return cached
-
-    def get_cached(self, node: int) -> Optional[PropagationEntry]:
-        """The already-materialized entry of *node*, or ``None``.
-
-        Never triggers a build; lets externally bounded caches (the online
-        serving layer) serve prebuilt entries for free while keeping
-        lazily built ones under their own byte budget. Shard-backed
-        entries count as materialized - they are served from the mapped
-        artifact at zero build cost.
-        """
-        node = self._graph._check_node(node)
-        cached = self._entries.get(node)
-        if cached is None and self._shards is not None:
-            return self._shards.get(node)
-        return cached
-
-    def build_entry(self, node: int) -> PropagationEntry:
-        """Build the entry of *node* WITHOUT inserting it into this index.
-
-        The bounded serving caches use this to materialize entries they
-        manage themselves; :meth:`entry` would pin every build into the
-        index's unbounded cache.
-        """
-        return self.build_entries([node])[0]
 
     def build_entries(self, nodes: Iterable[int]) -> List[PropagationEntry]:
         """Build the entries of *nodes* in one batch, WITHOUT inserting them.

@@ -35,8 +35,9 @@ itself runs vectorized over the active-topic arrays.
 (:meth:`~PersonalizedSearcher.search` is a one-request batch): requests
 are grouped by keyword query so topic resolution, label ranking and
 summary arrays compile once per distinct query into the byte-bounded plan
-tier, and propagation entries can sit in a bounded byte-accounted LRU
-(see :mod:`repro.core.serving`).
+tier (see :mod:`repro.core.serving`). Propagation entries come straight
+from the index: mapped shard pages under a serving daemon, the index's
+own cache in memory.
 """
 
 from __future__ import annotations
@@ -337,11 +338,6 @@ class PersonalizedSearcher:
     max_expand_rounds:
         Recursion cap for Expand; the paper recurses until no frontier
         remains, which the cap also allows (set it high) but bounds.
-    entry_cache_bytes:
-        When set, lazily built propagation entries live in a bounded LRU
-        of this many bytes instead of the index's unbounded cache (entries
-        the index already holds - e.g. a prebuilt artifact - are served
-        from it directly and charged nothing).
     plan_cache_bytes:
         Byte budget of the compiled-plan tier, which keeps at most
         :data:`MAX_PLANS` plans keyed by normalized keyword query. A plan
@@ -364,7 +360,6 @@ class PersonalizedSearcher:
         propagation_index: PropagationIndex,
         *,
         max_expand_rounds: int = 8,
-        entry_cache_bytes: Optional[int] = None,
         plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -373,10 +368,6 @@ class PersonalizedSearcher:
         self._summaries = summaries
         self._propagation = propagation_index
         self._max_expand_rounds = int(max_expand_rounds)
-        self._entry_cache: Optional[ByteLRUCache] = (
-            None if entry_cache_bytes is None
-            else ByteLRUCache(entry_cache_bytes, name="entries")
-        )
         self._plans = ByteLRUCache(plan_cache_bytes, name="plans")
         self._metrics = metrics
 
@@ -397,38 +388,28 @@ class PersonalizedSearcher:
         """Swap in a different propagation index (the graph-delta hook).
 
         *affected* holds the node ids whose Γ may differ between the two
-        indexes: only those leave the bounded entry cache and the compiled
-        plans' probe caches; everything else keeps serving warm.
-        Compatibility with the topic space is the caller's contract.
+        indexes: only those leave the compiled plans' probe caches;
+        everything else keeps serving warm. Compatibility with the topic
+        space is the caller's contract.
         """
         self._propagation = index
         wanted = set(int(n) for n in np.asarray(affected).ravel())
-        if self._entry_cache is not None:
-            for node in self._entry_cache.keys():
-                if node in wanted:
-                    self._entry_cache.pop(node)
         for plan in self._plans.values():
             for node in wanted.intersection(plan.probe_cache):
                 del plan.probe_cache[node]
         return self
 
     def tier_stats(self) -> Dict[str, CacheStats]:
-        """Snapshots of the plan tier and, when bounded, the entry tier."""
-        tiers = {"plans": self._plans.stats()}
-        if self._entry_cache is not None:
-            tiers["entries"] = self._entry_cache.stats()
-        return tiers
+        """A snapshot of the plan tier."""
+        return {"plans": self._plans.stats()}
 
     def cache_memory_bytes(self) -> int:
-        """Bytes held by the compiled plans and the bounded entry cache.
+        """Bytes held by the compiled plans.
 
         Plans are measured live: a delta can shrink a probe cache below
         the charge its plan was last admitted at.
         """
-        total = sum(plan.memory_bytes() for plan in self._plans.values())
-        if self._entry_cache is not None:
-            total += self._entry_cache.memory_bytes()
-        return int(total)
+        return int(sum(plan.memory_bytes() for plan in self._plans.values()))
 
     # ------------------------------------------------------------------
     # Providers
@@ -446,22 +427,6 @@ class PersonalizedSearcher:
     def _summary_arrays(self, topic_id: int) -> Tuple[np.ndarray, np.ndarray]:
         arrays = self._summary(topic_id).arrays()
         return arrays.representatives, arrays.weights
-
-    def _entry(self, node: int) -> PropagationEntry:
-        cache = self._entry_cache
-        if cache is None:
-            return self._propagation.entry(node)
-        prebuilt = self._propagation.get_cached(node)
-        if prebuilt is not None:
-            return prebuilt
-
-        def build() -> PropagationEntry:
-            entry = self._propagation.build_entry(node)
-            # The search selects Γ* next; size the slot with those arrays.
-            entry.marked_probabilities()
-            return entry
-
-        return cache.get_or_put(node, build, lambda e: e.memory_bytes())
 
     def _plan(self, query: Union[str, KeywordQuery]) -> _QueryPlan:
         if isinstance(query, str):
@@ -628,7 +593,7 @@ class PersonalizedSearcher:
         if plan.n_topics == 0:
             return [], stats
 
-        entry_v = self._entry(user)
+        entry_v = self._propagation.entry(user)
         stats.entries_probed += 1
         n_topics = plan.n_topics
 
@@ -782,7 +747,7 @@ class PersonalizedSearcher:
                 continue
             expanded[node] = True
             weight_to_v = ordered_weights[position]
-            entry_u = self._entry(node)
+            entry_u = self._propagation.entry(node)
             stats.entries_probed += 1
             # Un-consumed representatives of still-active topics, matched
             # against Γ(u) via the plan's cached probe of this node.

@@ -5,15 +5,16 @@ a summarizer, a walk index, and the fault-tolerant offline build
 machinery. A serving daemon needs none of that - it answers queries
 against artifacts the offline stage already produced. This module is the
 other half of the split: :class:`ServingEngine` wraps a graph, a topic
-index, summaries, and a (prebuilt or lazily materializing) propagation
-index around one :class:`~repro.core.search.PersonalizedSearcher`, and
+index, summaries, and a propagation index around one
+:class:`~repro.core.search.PersonalizedSearcher`, and
 exposes exactly the online surface - ``search`` / ``search_batch`` /
 ``tier_stats`` / ``metrics_snapshot``. It is the only online engine:
 :meth:`PITEngine.serving <repro.core.engine.PITEngine.serving>` hands
 one out over a builder's in-memory artifacts.
 
 Construction from disk goes through :meth:`ServingEngine.from_artifacts`,
-so every input passes the artifact layer's checksum + graph-signature
+which serves Γ from a mapped shard directory and nothing else. Every
+input passes the artifact layer's checksum + graph-signature
 validation (:mod:`repro._artifacts`); a corrupt or mismatched file raises
 the :class:`~repro.exceptions.ArtifactCorruptedError` /
 :class:`~repro.exceptions.ConfigurationError` taxonomy instead of
@@ -22,9 +23,11 @@ surface as a per-request :class:`~repro.exceptions.ConfigurationError` -
 an engine over an artifact never falls back to building summaries online.
 
 **Tiered lookup.** With ``answer_cache_bytes`` set, the engine fronts the
-searcher with a third tier: full ``(user, query, k)`` answers. A lookup
-then falls through **answers → compiled plans → entries**, each tier a
-:class:`~repro.core.serving.ByteLRUCache` with its own byte budget. An
+searcher with a tier of full ``(user, query, k)`` answers. A lookup
+then falls through **answers → compiled plans → shard pages**: the two
+caches are each a :class:`~repro.core.serving.ByteLRUCache` with its
+own byte budget, and Γ pages are held by the shard backend's own
+paging budget (:mod:`repro.core.shards`). An
 answer evicted by its budget is *demoted*, not discarded: the
 ``on_evict`` hook bumps the query's compiled plan to most-recent in the
 plan tier, so the recompute costs one kernel pass instead of a full
@@ -164,22 +167,17 @@ class ServingEngine:
         :meth:`~repro.core.engine.PITEngine.serving`).
     propagation_index:
         A prebuilt (sharded or in-memory) index, or ``None`` to materialize
-        entries lazily at ``theta``.
+        entries lazily at ``theta`` into an unbounded in-memory index.
     theta:
         Path-probability threshold for a lazily materializing index
-        (ignored when *propagation_index* is given; the artifact's theta
+        (ignored when *propagation_index* is given; the index's theta
         governs).
     max_expand_rounds:
         Online Expand recursion bound.
-    entry_cache_bytes:
-        When set, the searcher keeps lazily built propagation entries in
-        a bounded byte-accounted LRU of this size instead of the index's
-        unbounded cache (see :mod:`repro.core.serving`). ``None``
-        (default) keeps them unbounded.
     answer_cache_bytes:
         When set, full top-k answers are cached per ``(user, normalized
         query, k)`` in a bounded LRU of this many bytes - the top tier of
-        the answers → plans → entries fallthrough. ``None``
+        the answers → plans → shard pages fallthrough. ``None``
         (default) disables the tier; results are then always computed by
         the searcher.
     plan_cache_bytes:
@@ -199,7 +197,6 @@ class ServingEngine:
         *,
         theta: float = 0.002,
         max_expand_rounds: int = 8,
-        entry_cache_bytes: Optional[int] = None,
         answer_cache_bytes: Optional[int] = None,
         plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         metrics: Optional[MetricsRegistry] = None,
@@ -233,7 +230,6 @@ class ServingEngine:
             self._summaries,
             propagation_index,
             max_expand_rounds=max_expand_rounds,
-            entry_cache_bytes=entry_cache_bytes,
             plan_cache_bytes=plan_cache_bytes,
             metrics=metrics,
         )
@@ -254,11 +250,10 @@ class ServingEngine:
         topic_index: TopicIndex,
         summaries_path,
         *,
-        index_dir=None,
+        index_dir,
         shard_cache_bytes: Optional[int] = None,
-        theta: float = 0.002,
+        theta: Optional[float] = None,
         max_expand_rounds: int = 8,
-        entry_cache_bytes: Optional[int] = None,
         answer_cache_bytes: Optional[int] = None,
         plan_cache_bytes: int = DEFAULT_PLAN_CACHE_BYTES,
         precompute_path=None,
@@ -266,13 +261,15 @@ class ServingEngine:
     ) -> "ServingEngine":
         """Open a serving engine over on-disk artifacts.
 
-        Loads the summaries artifact and, when ``index_dir`` is given,
-        the sharded propagation index (mapped, paged under
-        ``shard_cache_bytes``); without it, Γ entries build lazily at
-        ``theta``. Every load verifies checksums and the graph
-        signature; a corrupt or mismatched artifact raises and nothing
-        is partially adopted, which is what makes this the daemon's
-        hot-reload primitive.
+        Loads the summaries artifact and the sharded propagation index
+        in ``index_dir`` (mapped, paged under ``shard_cache_bytes``),
+        the only Γ source of a served engine. ``theta`` defaults to the
+        index's; an explicit value that differs raises
+        :class:`~repro.exceptions.ConfigurationError` instead of serving
+        a θ other than the caller's. Every load verifies checksums and
+        the graph signature; a corrupt or mismatched artifact raises and
+        nothing is partially adopted, which is what makes this the
+        daemon's hot-reload primitive.
 
         ``precompute_path`` warm-loads a :mod:`repro.core.precompute`
         artifact into the plan and answer tiers after construction (same
@@ -281,25 +278,25 @@ class ServingEngine:
         returned).
         """
         from .persistence import load_summaries
+        from .shards import DEFAULT_SHARD_CACHE_BYTES, load_sharded_index
 
         summaries = load_summaries(summaries_path, graph)
-        index: Optional[PropagationIndex] = None
-        if index_dir is not None:
-            from .shards import DEFAULT_SHARD_CACHE_BYTES, load_sharded_index
-
-            index = load_sharded_index(
-                index_dir, graph,
-                cache_bytes=(
-                    DEFAULT_SHARD_CACHE_BYTES if shard_cache_bytes is None
-                    else shard_cache_bytes
-                ),
-                metrics=metrics,
+        index = load_sharded_index(
+            index_dir, graph,
+            cache_bytes=(
+                DEFAULT_SHARD_CACHE_BYTES if shard_cache_bytes is None
+                else shard_cache_bytes
+            ),
+            metrics=metrics,
+        )
+        if theta is not None and float(theta) != index.theta:
+            raise ConfigurationError(
+                f"theta={theta} was asked for, but the propagation index "
+                f"in {index_dir} was built with theta={index.theta}"
             )
         engine = cls(
             graph, topic_index, summaries, index,
-            theta=theta,
             max_expand_rounds=max_expand_rounds,
-            entry_cache_bytes=entry_cache_bytes,
             answer_cache_bytes=answer_cache_bytes,
             plan_cache_bytes=plan_cache_bytes,
             metrics=metrics,
@@ -519,8 +516,8 @@ class ServingEngine:
         theta-affected node set (dirty-shard rewrite under the mmap
         backend, targeted entry rebuild in memory), and the cache tiers
         are trimmed - not cleared. Only theta-affected nodes leave the
-        entry tier and the plan probe caches - entries outside the theta
-        horizon are bit-identical - while the answer tier evicts the
+        plan probe caches - entries outside the theta horizon are
+        bit-identical - while the answer tier evicts the
         plain-reachable users, the set theta-paths can compose into
         across probe chains; every other resident answer keeps serving
         and is still bit-exact (see :mod:`repro.core.dynamics` for the
@@ -610,8 +607,9 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def tier_stats(self) -> Dict[str, CacheStats]:
-        """Per-tier snapshots of the answers → plans → entries
-        fallthrough (only the tiers that are configured)."""
+        """Per-tier snapshots of the answer and plan caches (only the
+        tiers that are configured; shard pages report through
+        ``index.shard.*``)."""
         tiers: Dict[str, CacheStats] = {}
         if self._answers is not None:
             tiers["answers"] = self._answers.stats()
@@ -668,7 +666,7 @@ class ServingEngine:
 
         The propagation index (resident portion only, when mapped), the
         loaded summaries (including frozen array forms), the searcher's
-        compiled plans and bounded entry cache, and the answer tier. A
+        compiled plans, and the answer tier. A
         builder's walk index is not counted: serving never reads it.
         """
         total = self.propagation_index.memory_bytes()

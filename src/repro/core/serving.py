@@ -10,9 +10,9 @@ LRU cache behind every serving tier, which a lookup falls through in order:
 * **plans** - compiled per-query candidate arrays (topic summaries'
   representatives and weights, plus their cached Γ probes), held by
   :class:`~repro.core.search.PersonalizedSearcher` (always on);
-* **entries** - ``Γ(v)`` arrays built lazily per query user (optional);
-  unbounded retention is exactly the §5.1 index's full footprint, which a
-  serving node cannot afford for millions of users.
+* **shard pages** - the mapped ``Γ(v)`` shard segments a query touches,
+  held by :class:`~repro.core.shards.MmapShardBackend` under its own
+  budget; a served engine reads Γ from nowhere else.
 
 Eviction is least-recently-used under a byte budget. Hit/miss/eviction
 counters snapshot into :class:`~repro.core.diagnostics.CacheStats`, which

@@ -44,6 +44,15 @@ from .protocol import RELOAD_KEYS
 __all__ = ["EngineManager", "open_engine"]
 
 
+def _check_paths(paths: Mapping[str, object]) -> None:
+    keys = set(paths)
+    if keys - RELOAD_KEYS or not {"summaries", "index_dir"} <= keys:
+        raise ConfigurationError(
+            f"artifact paths need 'summaries' and 'index_dir' and take "
+            f"only {sorted(RELOAD_KEYS)}; got {sorted(paths)}"
+        )
+
+
 def open_engine(
     graph,
     topic_index,
@@ -54,19 +63,20 @@ def open_engine(
 ):
     """Open a validated serving engine over one artifact set.
 
-    The one mapping from the reload keys (``summaries``, ``index_dir``,
-    ``precompute``) onto
+    The one mapping from the reload keys (``summaries`` and
+    ``index_dir`` required, ``precompute`` optional) onto
     :meth:`~repro.core.serve_facade.ServingEngine.from_artifacts`;
     *engine_options* are its remaining keywords (``theta`` and the
-    shard, entry, summary, answer and plan budgets).
+    shard, answer and plan budgets).
     """
     from ..core.serve_facade import ServingEngine
 
+    _check_paths(paths)
     return ServingEngine.from_artifacts(
         graph,
         topic_index,
         paths["summaries"],
-        index_dir=paths.get("index_dir"),
+        index_dir=paths["index_dir"],
         precompute_path=paths.get("precompute"),
         metrics=metrics,
         **engine_options,
@@ -77,9 +87,9 @@ class EngineManager:
     """Own the current engine, the artifact paths in force, and reloads.
 
     Every load is :func:`open_engine` over *graph*, *topic_index*, the
-    merged paths (``summaries`` required; ``index_dir``, ``precompute``)
-    and *engine_options*; *metrics* takes the ``serve.*`` reload series
-    and the engines' own.
+    merged paths (``summaries`` and ``index_dir`` required,
+    ``precompute`` optional) and *engine_options*; *metrics* takes the
+    ``serve.*`` reload series and the engines' own.
     """
 
     def __init__(
@@ -91,12 +101,7 @@ class EngineManager:
         metrics: Optional[MetricsRegistry] = None,
         **engine_options,
     ):
-        unknown = set(paths) - RELOAD_KEYS
-        if unknown or "summaries" not in paths:
-            raise ConfigurationError(
-                f"artifact paths need 'summaries' and take only "
-                f"{sorted(RELOAD_KEYS)}; got {sorted(paths)}"
-            )
+        _check_paths(paths)
         self._paths = {key: str(value) for key, value in paths.items()}
         self._open = functools.partial(
             open_engine, graph, topic_index,

@@ -100,9 +100,9 @@ class PITServer:
     graph, topic_index, paths, engine_options:
         What every engine load opens (see
         :class:`~repro.serve.reload.EngineManager`): *paths* is keyed
-        like a reload body (``summaries`` required; ``index_dir``,
-        ``precompute``), and *engine_options* are ``theta`` and the
-        shard, entry, summary, answer and plan budgets.
+        like a reload body (``summaries`` and ``index_dir`` required,
+        ``precompute`` optional), and *engine_options* are ``theta`` and
+        the shard, answer and plan budgets.
     config:
         :class:`ServeConfig` tunables.
     metrics:

@@ -126,12 +126,10 @@ class TestBatchServing:
         assert list(engine.serving().tier_stats()) == ["plans"]
 
     def test_cache_stats_with_budgets(self, engine):
-        serving = engine.serving(
-            entry_cache_bytes=1 << 20, answer_cache_bytes=1 << 20
-        )
+        serving = engine.serving(answer_cache_bytes=1 << 20)
         serving.search(3, "phone", k=2)
         tiers = serving.tier_stats()
-        assert list(tiers) == ["answers", "plans", "entries"]
+        assert list(tiers) == ["answers", "plans"]
         assert [s.name for s in tiers.values()] == list(tiers)
 
     def test_serving_over_prebuilt_index(self, engine, bundle):
@@ -183,13 +181,14 @@ class TestMemory:
         ).serving()
         cached = PITEngine.from_dataset(
             bundle, summarizer="lrw", samples_per_node=5, seed=17
-        ).serving(entry_cache_bytes=64 << 20)
+        ).serving(answer_cache_bytes=64 << 20)
         plain.search(3, "phone", k=2)
         cached.search(3, "phone", k=2)
-        # The cached engine may only differ by the bounded entry cache,
+        # The cached engine may only differ by the bounded answer cache,
         # never by re-counting the summaries' arrays.
-        entry_bytes = cached.tier_stats()["entries"].current_bytes
-        assert cached.memory_bytes() - entry_bytes <= plain.memory_bytes()
+        answer_bytes = cached.tier_stats()["answers"].current_bytes
+        assert answer_bytes > 0
+        assert cached.memory_bytes() - answer_bytes <= plain.memory_bytes()
 
     def test_walk_index_not_counted(self, engine):
         serving = engine.serving()

@@ -294,18 +294,15 @@ class TestAnswerTier:
         assert stats.misses == 1 and stats.hits == 1
 
     def test_hit_reports_no_cache_delta_work(self, built):
-        engine = serving_engine(
-            built, answer_cache_bytes=1 << 20, entry_cache_bytes=1 << 20
-        )
+        engine = serving_engine(built, answer_cache_bytes=1 << 20)
         engine.search(3, "phone", k=5)
         before = engine.tier_stats()
         engine.search(3, "phone", k=5)
         after = engine.tier_stats()
-        # A cached answer did no plan or entry work this call.
-        for tier in ("plans", "entries"):
-            assert (after[tier].hits, after[tier].misses) == (
-                before[tier].hits, before[tier].misses
-            )
+        # A cached answer did no plan work this call.
+        assert (after["plans"].hits, after["plans"].misses) == (
+            before["plans"].hits, before["plans"].misses
+        )
         assert after["answers"].hits == before["answers"].hits + 1
 
     def test_key_normalization_shares_answers(self, built):

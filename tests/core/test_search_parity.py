@@ -61,7 +61,7 @@ def stack(request, bundle):
     builder = PITEngine.from_dataset(
         bundle, summarizer=request.param, theta=0.004, seed=23
     )
-    engine = builder.serving(entry_cache_bytes=16 << 20)
+    engine = builder.serving()
     scalar = ScalarReferenceSearcher(
         builder.topic_index, builder.summary, builder.propagation_index
     )

@@ -148,15 +148,40 @@ class TestFromArtifacts:
                 index_dir=stale,
             )
 
-    def test_wrong_graph_rejected(self, built, tmp_path):
-        bundle, engine = built
-        sums_path = tmp_path / "sums.json"
-        save_summaries(engine.summaries, bundle.graph, sums_path)
+    def test_wrong_graph_rejected(self, built, saved):
+        index_dir, sums_path = saved
         other = data_2k(seed=8, n_nodes=130, with_corpus=False)
-        with pytest.raises(Exception):  # signature mismatch from loader
+        # The summaries' graph signature is checked first.
+        with pytest.raises(
+            ConfigurationError, match="sums.json: artifact was built for"
+        ):
             ServingEngine.from_artifacts(
                 other.graph, other.topic_index, sums_path,
+                index_dir=index_dir,
             )
+
+    def test_index_dir_is_required(self, built, saved):
+        bundle, _ = built
+        _, sums_path = saved
+        with pytest.raises(TypeError, match="index_dir"):
+            ServingEngine.from_artifacts(
+                bundle.graph, bundle.topic_index, sums_path,
+            )
+
+    def test_theta_defaults_to_the_index(self, built, saved):
+        bundle, engine = built
+        theta = engine.propagation_index.theta
+        assert loaded(bundle, saved).theta == theta
+        assert loaded(bundle, saved, theta=theta).theta == theta
+
+    def test_disagreeing_theta_refused(self, built, saved):
+        bundle, engine = built
+        theta = engine.propagation_index.theta
+        with pytest.raises(ConfigurationError) as excinfo:
+            loaded(bundle, saved, theta=theta * 5)
+        message = str(excinfo.value)
+        assert f"theta={theta * 5}" in message
+        assert f"theta={theta}" in message
 
 
 class TestValidation:

@@ -127,7 +127,6 @@ class TestCommands:
         assert "QPS, 1 empty" in out
         assert "no matching topics" in out
         assert "cache plans:" in out
-        assert "cache entries:" in out
 
     def test_search_batch_metrics_out(self, capsys, tmp_path):
         import json
@@ -153,7 +152,7 @@ class TestCommands:
         latency = payload["histograms"]["search.latency_seconds"]
         assert latency["count"] == 2
         assert latency["p50"] is not None and latency["p99"] is not None
-        assert "cache.tier.entries.hit_ratio" in payload["gauges"]
+        assert "cache.tier.plans.hit_ratio" in payload["gauges"]
         prom = metrics_path.with_suffix(".prom").read_text(encoding="utf-8")
         assert "# TYPE repro_search_latency_seconds histogram" in prom
 
@@ -362,6 +361,17 @@ class TestCommands:
             assert payload["gauges"][f"precompute.{gauge}"] > 0, gauge
 
 
+#: The arguments each command's parser requires (placeholder paths).
+REQUIRED_ARGS = {
+    "search": [],
+    "serve": ["--summaries", "s.json", "--index-dir", "d"],
+    "precompute": [
+        "--summaries", "s.json", "--index-dir", "d",
+        "--trace", "t", "--output", "o",
+    ],
+}
+
+
 class TestErrorHandling:
     """ReproError -> one-line stderr message + exit 2, never a traceback."""
 
@@ -451,15 +461,37 @@ class TestErrorHandling:
         assert "manifest.json" in err
         assert "Traceback" not in err
 
+    def test_serve_theta_disagreeing_with_index_exits_2(
+        self, capsys, tmp_path
+    ):
+        # --theta states the θ the operator expects; an index built at
+        # another θ is refused at boot instead of served silently.
+        common = ["--dataset", "data_2k", "--size", "120", "--seed", "3"]
+        index_dir = tmp_path / "prop"
+        sums = tmp_path / "sums.json"
+        assert main([
+            "build-index", *common, "--theta", "0.002",
+            "--output", str(index_dir),
+        ]) == 0
+        assert main([
+            "build-summaries", *common, "--summarizer", "rcl",
+            "--output", str(sums),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "serve", *common, "--summaries", str(sums),
+            "--index-dir", str(index_dir), "--theta", "0.01", "--port", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pit-search: error: ")
+        assert err.count("\n") == 1
+        assert "theta=0.01" in err and "theta=0.002" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["search", "serve", "precompute"])
     def test_index_flag_is_usage_error(self, capsys, command):
-        required = {
-            "search": [],
-            "serve": ["--summaries", "s.json"],
-            "precompute": [
-                "--summaries", "s.json", "--trace", "t", "--output", "o",
-            ],
-        }[command]
+        required = REQUIRED_ARGS[command]
         # Not even as an abbreviation of --index-dir.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
@@ -521,13 +553,39 @@ class TestServeParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(
-            ["serve", "--summaries", "/tmp/s.json"]
+            ["serve", "--summaries", "/tmp/s.json", "--index-dir", "/tmp/p"]
         )
+        assert args.theta is None  # the index's θ governs
         assert args.port == 8080
         assert args.max_queue == 64
         assert args.max_batch == 8
         assert args.default_deadline_ms == 5000
         assert args.drain_seconds == 10.0
+
+    @pytest.mark.parametrize("command, required", [
+        ("serve", ["--summaries", "s.json"]),
+        ("precompute", [
+            "--summaries", "s.json", "--trace", "t", "--output", "o",
+        ]),
+    ])
+    def test_index_dir_is_required(self, capsys, command, required):
+        # The shard directory is the daemon's only Γ source.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, *required])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --index-dir" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("serve", ["--entry-cache-mb", "64"]),
+        ("precompute", ["--theta", "0.002"]),
+    ])
+    def test_removed_flags_are_unrecognized(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, *REQUIRED_ARGS[command], *flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_build_index_checkpoint_flags_removed(self, capsys):
         # The shard manifest is the Γ build's checkpoint; only

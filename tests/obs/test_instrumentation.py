@@ -19,7 +19,7 @@ def bundle():
 def _engine(bundle, metrics):
     return PITEngine.from_dataset(
         bundle, summarizer="lrw", samples_per_node=5, seed=17, metrics=metrics
-    ).serving(entry_cache_bytes=16 << 20)
+    ).serving()
 
 
 REQUESTS = [(3, "phone"), (11, "camera phone"), (3, "phone"), (40, "laptop")]
@@ -71,16 +71,15 @@ class TestEngineSnapshot:
         engine.search(3, "phone", k=5)  # warm hit for the ratio
         snapshot = engine.metrics_snapshot()
         for name in (
-            "cache.tier.entries.hit_ratio",
-            "cache.tier.entries.bytes",
             "cache.tier.plans.hit_ratio",
+            "cache.tier.plans.bytes",
             "propagation.entries_cached",
             "propagation.index_bytes",
             "summaries.cached",
             "engine.memory_bytes",
         ):
             assert name in snapshot.gauges, name
-        assert 0.0 <= snapshot.gauge("cache.tier.entries.hit_ratio") <= 1.0
+        assert 0.0 <= snapshot.gauge("cache.tier.plans.hit_ratio") <= 1.0
         assert snapshot.gauge("summaries.cached") == engine.n_summaries
 
     def test_batch_counts_every_request(self, bundle):

@@ -295,6 +295,16 @@ class TestReload:
         status, body, _ = daemon.request("POST", "/admin/reload", {})
         assert status == 200 and body["generation"] == 2
 
+    def test_artifact_paths_need_index_dir(self, stack):
+        # The shard directory is a served engine's only Γ source.
+        from repro.exceptions import ConfigurationError
+        from repro.serve.reload import EngineManager, open_engine
+
+        paths = {"summaries": str(stack.sums_path)}
+        for opener in (EngineManager, open_engine):
+            with pytest.raises(ConfigurationError, match="'index_dir'"):
+                opener(stack.bundle.graph, stack.bundle.topic_index, paths)
+
     def test_single_file_index_key_is_typed_400(self, stack, daemon):
         status, body, _ = daemon.request(
             "POST", "/admin/reload", {"index": str(stack.index_dir)}

@@ -315,7 +315,7 @@ class TestBatchedRebuildParity:
         graph = preferential_attachment_graph(200, 4, seed=11)
         index = PropagationIndex(graph, 0.003)
         nodes = [0, 57, 199]
-        _same_entries([index.build_entry(n) for n in nodes], _oracle(index, nodes))
+        _same_entries(index.build_entries(nodes), _oracle(index, nodes))
         _same_entries([index.entry(n) for n in nodes], _oracle(index, nodes))
 
     def test_offline_builds_match_dfs(self):
@@ -391,6 +391,29 @@ class TestBatchedRebuildParity:
         with pytest.raises(BudgetExceededError) as want_error:
             _oracle(strict, [0])
         assert str(got_error.value) == str(want_error.value)
+
+    def test_truncated_lone_target_is_ranked_a_few_times(self, monkeypatch):
+        """A lone target past its budget is re-ranked when its rows pass
+        twice the budget and once more at the end, not after every
+        expanded piece."""
+        from repro.core import propagation
+
+        calls = []
+        preorder = propagation._preorder
+
+        def counted(levels):
+            calls.append(len(levels))
+            return preorder(levels)
+
+        monkeypatch.setattr(propagation, "_preorder", counted)
+        graph = _dense_graph(10, seed=1)
+        index = PropagationIndex(graph, 0.01)
+        got, got_warnings = self._run(lambda: index.build_entries([0]))
+        assert 1 <= len(calls) <= 4
+        want, want_warnings = self._run(lambda: _oracle(index, [0]))
+        assert got[0].branches == index.max_branches
+        _same_entries(got, want)
+        assert got_warnings == want_warnings
 
     def test_truncated_scratch_grows_with_the_budget_only(self):
         graph = _dense_graph(9, seed=1)
