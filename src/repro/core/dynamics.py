@@ -62,12 +62,13 @@ contract:
   theta-closure of a changed edge's target ``w``), then ``w`` reaches
   the user in the old or the new graph. Invalidation therefore uses the
   *plain* closure (``affected_nodes`` without ``theta``) for the answer
-  tier, while the entry and plan-probe caches only evict the
-  theta-affected nodes (entries outside the theta-closure are
-  bit-identical). Unaffected users' cached answers provably still match
-  a recomputation, including the deterministic work counters: an
-  unchanged entry's members reach it above theta in *both* graphs, so
-  the recomputed search replays the cached one probe for probe.
+  tier, while the index rebuilds only the theta-affected entries
+  (entries outside the theta-closure are bit-identical); compiled plans
+  hold no Γ data and are not touched. Unaffected users' cached answers
+  provably still match a recomputation, including the deterministic
+  work counters: an unchanged entry's members reach it above theta in
+  *both* graphs, so the recomputed search replays the cached one probe
+  for probe.
 
 :meth:`ServingEngine.apply_delta
 <repro.core.serve_facade.ServingEngine.apply_delta>` wires this contract

@@ -153,24 +153,6 @@ class SearchStats:
     representatives_touched: int = 0
 
 
-def _gamma_intersect(
-    sources: np.ndarray, probabilities: np.ndarray, reps: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Γ∩summary kernel: resolve *reps* against a sorted source array.
-
-    One ``np.searchsorted`` pass over the entry's already-sorted ``int64``
-    source array. Returns ``(found, probs)`` where ``found`` is a boolean
-    mask over *reps* and ``probs`` holds the aggregated path probabilities
-    of the found representatives, aligned with ``reps[found]``.
-    """
-    if sources.size == 0 or reps.size == 0:
-        return np.zeros(reps.size, dtype=bool), _EMPTY_F8
-    pos = np.searchsorted(sources, reps)
-    np.minimum(pos, sources.size - 1, out=pos)
-    found = sources[pos] == reps
-    return found, probabilities[pos[found]]
-
-
 class _KthBound:
     """Incrementally maintained k-th-best score over rising per-topic scores.
 
@@ -240,16 +222,15 @@ class _QueryPlan:
     aligned weights, and a rep → topic-position map for bincount
     scatter-sums). Built once per distinct query and shared by every
     request in a batch - and across calls via the searcher's plan cache.
+    Immutable once compiled: nothing user- or Γ-dependent is kept, so a
+    plan's size is fixed and a graph delta never touches it.
     """
 
     __slots__ = (
         "key", "topic_ids", "labels", "label_rank",
         "rep_ids", "rep_weights", "rep_topic", "rep_counts",
-        "n_topics", "n_reps", "probe_cache",
+        "n_topics", "n_reps",
     )
-
-    #: Per-plan cap on cached Γ∩summary probe results (nodes).
-    PROBE_CACHE_CAP = 4096
 
     def __init__(
         self,
@@ -288,38 +269,31 @@ class _QueryPlan:
             self.rep_weights = _EMPTY_F8
             self.rep_topic = _EMPTY_I8
         self.n_reps = int(self.rep_ids.size)
-        # node -> (found mask, per-rep probabilities, 0 where absent). The
-        # Γ∩summary resolution of a node against this plan's rep block is
-        # user-independent, so every request in a batch that expands the
-        # same node (and every later query with this plan) reuses it.
-        self.probe_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def probe(
-        self, node: int, entry: PropagationEntry
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Resolve *entry* against the whole rep block, cached per node."""
-        cached = self.probe_cache.get(node)
-        if cached is None:
-            found, probs = _gamma_intersect(
-                entry.sources, entry.probabilities, self.rep_ids
-            )
-            probs_full = np.zeros(self.n_reps, dtype=np.float64)
-            probs_full[found] = probs
-            cached = (found, probs_full)
-            if len(self.probe_cache) < self.PROBE_CACHE_CAP:
-                self.probe_cache[node] = cached
-        return cached
+    def probe(self, entry: PropagationEntry) -> Tuple[np.ndarray, np.ndarray]:
+        """Γ∩summary kernel: resolve the whole rep block against *entry*.
+
+        One ``np.searchsorted`` pass over the entry's already-sorted
+        ``int64`` source array. Returns ``(slots, probs)``: the ascending
+        rep-block positions whose node is in ``Γ``, and their aggregated
+        path probabilities aligned with them.
+        """
+        sources = entry.sources
+        if sources.size == 0 or self.n_reps == 0:
+            return _EMPTY_I8, _EMPTY_F8
+        pos = np.searchsorted(sources, self.rep_ids)
+        np.minimum(pos, sources.size - 1, out=pos)
+        slots = np.flatnonzero(sources[pos] == self.rep_ids)
+        return slots, entry.probabilities[pos[slots]]
 
     def memory_bytes(self) -> int:
         """Approximate resident size of the plan's arrays."""
-        per_probe = self.n_reps * 9  # bool mask + float64 probabilities
         return int(
             self.rep_ids.nbytes
             + self.rep_weights.nbytes
             + self.rep_topic.nbytes
             + self.rep_counts.nbytes
             + self.label_rank.nbytes
-            + len(self.probe_cache) * per_probe
         )
 
 
@@ -341,9 +315,9 @@ class PersonalizedSearcher:
     plan_cache_bytes:
         Byte budget of the compiled-plan tier, which keeps at most
         :data:`MAX_PLANS` plans keyed by normalized keyword query. A plan
-        is charged its arrays plus its probe cache, re-measured after
-        every query group it serves; LRU plans are evicted past the
-        budget, and a plan that outgrows the whole budget leaves the tier.
+        is charged its arrays, a size fixed at compile; LRU plans are
+        evicted past the budget, and a plan larger than the whole budget
+        is not admitted.
     metrics:
         Registry receiving per-search accounting (latency histogram plus
         the :class:`SearchStats` counters). ``None`` uses the
@@ -383,20 +357,14 @@ class PersonalizedSearcher:
     # Index wiring and cache management
     # ------------------------------------------------------------------
     def set_propagation_index(
-        self, index: PropagationIndex, affected: np.ndarray
+        self, index: PropagationIndex
     ) -> "PersonalizedSearcher":
         """Swap in a different propagation index (the graph-delta hook).
 
-        *affected* holds the node ids whose Γ may differ between the two
-        indexes: only those leave the compiled plans' probe caches;
-        everything else keeps serving warm. Compatibility with the topic
-        space is the caller's contract.
+        Compiled plans hold no Γ data, so every plan keeps serving.
+        Compatibility with the topic space is the caller's contract.
         """
         self._propagation = index
-        wanted = set(int(n) for n in np.asarray(affected).ravel())
-        for plan in self._plans.values():
-            for node in wanted.intersection(plan.probe_cache):
-                del plan.probe_cache[node]
         return self
 
     def tier_stats(self) -> Dict[str, CacheStats]:
@@ -404,12 +372,8 @@ class PersonalizedSearcher:
         return {"plans": self._plans.stats()}
 
     def cache_memory_bytes(self) -> int:
-        """Bytes held by the compiled plans.
-
-        Plans are measured live: a delta can shrink a probe cache below
-        the charge its plan was last admitted at.
-        """
-        return int(sum(plan.memory_bytes() for plan in self._plans.values()))
+        """Bytes held by the compiled plans (their charges, fixed at compile)."""
+        return self._plans.memory_bytes()
 
     # ------------------------------------------------------------------
     # Providers
@@ -463,15 +427,12 @@ class PersonalizedSearcher:
         return self._plan(query)
 
     def touch_plan(self, key: Tuple) -> bool:
-        """Bump a resident plan to most-recent and re-charge it.
+        """Bump a resident plan to most-recent.
 
-        The plan is re-charged at its current size (probe caches grow
-        after insert), so the byte budget tracks reality; a plan that
-        outgrew the whole budget leaves the tier. :meth:`search_many`
-        calls this after every query group, and the answer tier calls it
-        when it evicts an answer built from this plan (tier demotion:
-        the head query stays one kernel pass, not a recompile, from
-        answered). No hit/miss accounting - this is maintenance.
+        The answer tier calls this when it evicts an answer built from
+        this plan (tier demotion: the head query stays one kernel pass,
+        not a recompile, from answered). No hit/miss accounting - this
+        is maintenance.
         """
         plans = self._plans
         plan = plans.pop(key)
@@ -486,7 +447,7 @@ class PersonalizedSearcher:
         The plan must carry a :func:`normalized_query_key` in ``plan.key``
         (plans deserialized by :mod:`repro.core.precompute` do). Returns
         ``False`` when the key is already resident - a warm load never
-        displaces a live, probe-warmed plan.
+        displaces a live plan.
         """
         if plan.key in self._plans:
             return False
@@ -553,8 +514,7 @@ class PersonalizedSearcher:
         arrays compile exactly once per distinct query; every user in the
         group then runs the array kernels against the shared plan.
         Results are returned aligned with the input order, each a
-        ``(results, stats)`` pair. After each group its plan is
-        re-charged to the plan tier at its grown size (:meth:`touch_plan`).
+        ``(results, stats)`` pair.
         """
         require_in_range("k", k, 1)
         request_list = [
@@ -579,7 +539,6 @@ class PersonalizedSearcher:
             for position in positions:
                 user = request_list[position][0]
                 outcomes[position] = self._timed_execute(plan, user, k)
-            self.touch_plan(plan.key)
         return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -598,23 +557,27 @@ class PersonalizedSearcher:
         n_topics = plan.n_topics
 
         # Algorithm 10 lines 4-13: resolve every summary against Γ(v) in
-        # one searchsorted pass (cached per node), then scatter-sum per
-        # topic.
-        found, probs_full = plan.probe(user, entry_v)
+        # one searchsorted pass, then scatter-sum the found slots per
+        # topic. Dropping the absent slots drops only +0.0 terms, so the
+        # sums match a dense pass bit for bit. bincount of an empty index
+        # array is int64 even with weights=, hence the cast.
+        slots, probs = plan.probe(entry_v)
         stats.representatives_touched += plan.n_reps
+        slot_topic = plan.rep_topic[slots]
         scores = np.bincount(
-            plan.rep_topic,
-            weights=probs_full * plan.rep_weights,
+            slot_topic,
+            weights=probs * plan.rep_weights[slots],
             minlength=n_topics,
-        )
+        ).astype(np.float64, copy=False)
+        unfound_weights = plan.rep_weights.copy()
+        unfound_weights[slots] = 0.0
         remaining_weight = np.bincount(
-            plan.rep_topic,
-            weights=plan.rep_weights * ~found,
-            minlength=n_topics,
+            plan.rep_topic, weights=unfound_weights, minlength=n_topics
         )
-        consumed = found.copy()  # consumed mask over the rep block
+        consumed = np.zeros(plan.n_reps, dtype=bool)  # over the rep block
+        consumed[slots] = True
         n_remaining = plan.rep_counts - np.bincount(
-            plan.rep_topic[found], minlength=n_topics
+            slot_topic, minlength=n_topics
         )
 
         # Lines 14-20: initial pruning against the marked-frontier bound.
@@ -750,19 +713,20 @@ class PersonalizedSearcher:
             entry_u = self._propagation.entry(node)
             stats.entries_probed += 1
             # Un-consumed representatives of still-active topics, matched
-            # against Γ(u) via the plan's cached probe of this node.
+            # against Γ(u).
             remaining = ~consumed & active[plan.rep_topic]
             n_remaining_reps = int(np.count_nonzero(remaining))
             stats.representatives_touched += n_remaining_reps
             if n_remaining_reps:
-                found, probs_full = plan.probe(node, entry_u)
-                hit = np.flatnonzero(found & remaining)
+                slots, probs = plan.probe(entry_u)
+                keep = remaining[slots]
+                hit = slots[keep]
                 if hit.size:
                     weights = plan.rep_weights[hit]
                     topic_of_hit = plan.rep_topic[hit]
                     gains = np.bincount(
                         topic_of_hit,
-                        weights=weight_to_v * probs_full[hit] * weights,
+                        weights=weight_to_v * probs[keep] * weights,
                         minlength=n_topics,
                     )
                     consumed_weight = np.bincount(

@@ -341,8 +341,8 @@ class ServingEngine:
 
     def _demote_answer(self, key: AnswerKey, _value) -> None:
         # Tier demotion: the evicted answer's compiled plan is bumped to
-        # most-recent (and re-charged at its current size), so the head
-        # query stays one kernel pass - not one compile - from answered.
+        # most-recent, so the head query stays one kernel pass - not one
+        # compile - from answered.
         self._answer_demotions += 1
         self._searcher.touch_plan(key[1])
 
@@ -514,15 +514,14 @@ class ServingEngine:
         The incremental-dynamics fast path: the delta is applied to the
         serving graph, the propagation index is refreshed only for the
         theta-affected node set (dirty-shard rewrite under the mmap
-        backend, targeted entry rebuild in memory), and the cache tiers
-        are trimmed - not cleared. Only theta-affected nodes leave the
-        plan probe caches - entries outside the theta horizon are
-        bit-identical - while the answer tier evicts the
-        plain-reachable users, the set theta-paths can compose into
-        across probe chains; every other resident answer keeps serving
-        and is still bit-exact (see :mod:`repro.core.dynamics` for the
-        soundness argument). Summaries are intentionally left as built -
-        the graceful-staleness contract - so post-delta answers match a
+        backend, targeted entry rebuild in memory), and the answer tier
+        is trimmed - not cleared. It evicts the plain-reachable users,
+        the set theta-paths can compose into across probe chains; every
+        other resident answer keeps serving and is still bit-exact (see
+        :mod:`repro.core.dynamics` for the soundness argument). Compiled
+        plans hold no Γ data, so the plan tier is left as it is.
+        Summaries are intentionally left as built - the
+        graceful-staleness contract - so post-delta answers match a
         from-scratch engine over (new graph, same summaries artifact).
 
         Unlike a hot reload this swaps no engine and bumps no
@@ -537,7 +536,7 @@ class ServingEngine:
             self.propagation_index = new_index
             if self._metrics is not None:
                 new_index.set_metrics(self._metrics)
-            self._searcher.set_propagation_index(new_index, affected=affected)
+            self._searcher.set_propagation_index(new_index)
             invalidated = self.invalidate_answers(users=reachable.tolist())
             return {"answers_invalidated": invalidated}
 

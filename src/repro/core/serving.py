@@ -8,7 +8,7 @@ LRU cache behind every serving tier, which a lookup falls through in order:
 * **answers** - full top-k results per ``(user, normalized query, k)``,
   held by :class:`~repro.core.serve_facade.ServingEngine` (optional);
 * **plans** - compiled per-query candidate arrays (topic summaries'
-  representatives and weights, plus their cached Γ probes), held by
+  representatives and weights), held by
   :class:`~repro.core.search.PersonalizedSearcher` (always on);
 * **shard pages** - the mapped ``Γ(v)`` shard segments a query touches,
   held by :class:`~repro.core.shards.MmapShardBackend` under its own
@@ -112,31 +112,6 @@ class ByteLRUCache(Generic[K, V]):
                 self._on_evict(evicted_key, evicted_value)
         self._items[key] = (value, nbytes)
         self._bytes += nbytes
-
-    def get_or_put(self, key: K, build: Callable[[], V],
-                   size_of: Callable[[V], int]) -> V:
-        """``get`` falling back to ``build()`` + ``put`` on a miss.
-
-        Safe when ``build()`` re-enters the cache - e.g. a coalesced
-        batch whose builder populates other entries (possibly evicting
-        its way past this key's slot) or, via
-        a recursive provider, inserts *key* itself. After ``build()``
-        returns, the cache is re-checked: a value that appeared for *key*
-        in the meantime wins (it is bumped to most-recent and returned,
-        with no extra hit/miss recorded - the initial miss already
-        accounted this lookup), so two interleaved builders never double
-        -charge the byte budget for one key.
-        """
-        value = self.get(key)
-        if value is not None:
-            return value
-        value = build()
-        raced = self._items.get(key)
-        if raced is not None:
-            self._items.move_to_end(key)
-            return raced[0]
-        self.put(key, value, size_of(value))
-        return value
 
     def clear(self) -> None:
         """Drop every item (counters are kept; they are cumulative).

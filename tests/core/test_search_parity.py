@@ -177,3 +177,107 @@ class TestEdgeCaseParity:
                 assert_same_outcome(
                     vec.search(user, "topic", k), ref.search(user, "topic", k)
                 )
+
+
+def assert_bit_exact(vec_outcome, ref_outcome):
+    vec_results, vec_stats = vec_outcome
+    ref_results, ref_stats = ref_outcome
+    assert [(r.topic_id, r.label, r.influence) for r in vec_results] == [
+        (r.topic_id, r.label, r.influence) for r in ref_results
+    ]
+    assert all(type(r.influence) is float for r in vec_results)
+    for name in STAT_FIELDS:
+        assert getattr(vec_stats, name) == getattr(ref_stats, name), name
+
+
+@pytest.fixture
+def sparse_stack():
+    """Edges of the sparse Γ∩summary probe, at theta 0.3.
+
+    Graph: 1 -> 0 (0.5), 2 -> 1 (0.5), 3 -> 1 (0.5), 5 -> 0 (0.6),
+    6 -> 5 (0.1). Γ(0) = {1, 5}, both marked, and Expand visits 5
+    first; Γ(1) = {2, 3}; Γ(5) is empty (6 -> 5 is below theta), and so
+    are Γ(2), Γ(3), Γ(4), Γ(6).
+    Topics "far *" have their representatives only outside Γ(0), "twin
+    *" share node 1 (in Γ(0)) and node 2 (reached by expanding 1).
+    """
+    builder = GraphBuilder(7)
+    builder.add_edges([
+        (1, 0, 0.5),
+        (2, 1, 0.5),
+        (3, 1, 0.5),
+        (5, 0, 0.6),
+        (6, 5, 0.1),
+    ])
+    graph = builder.build()
+    topic_index = TopicIndex(
+        7,
+        {
+            2: ["far one", "twin one", "twin two"],
+            3: ["far two", "twin three"],
+            1: ["twin one", "twin two"],
+        },
+    )
+    reps = {
+        "far one": {2: 1.0},
+        "far two": {3: 1.0},
+        "twin one": {1: 0.6, 2: 0.4},
+        "twin two": {1: 0.5, 2: 0.5},
+        "twin three": {3: 1.0},
+    }
+    summaries = {
+        topic_index.resolve(label): TopicSummary(
+            topic_index.resolve(label), weights
+        )
+        for label, weights in reps.items()
+    }
+    propagation = PropagationIndex(graph, 0.3)
+    vec = PersonalizedSearcher(topic_index, summaries, propagation)
+    ref = ScalarReferenceSearcher(topic_index, summaries, propagation)
+    return vec, ref
+
+
+class TestSparseProbeEdges:
+    """Bit-exact against the scalar reference where the sparse probe
+    finds nothing, or finds one node for several topics."""
+
+    def test_no_representative_in_gamma_gains_by_expansion(self, sparse_stack):
+        vec, ref = sparse_stack
+        outcome = vec.search(0, "far", 1)
+        assert_bit_exact(outcome, ref.search(0, "far", 1))
+        results, stats = outcome
+        assert stats.expansion_rounds == 1
+        assert results[0].influence > 0.0
+        assert_bit_exact(vec.search(0, "far", 2), ref.search(0, "far", 2))
+
+    def test_representative_of_two_topics(self, sparse_stack):
+        vec, ref = sparse_stack
+        for k in (1, 2, 3):
+            outcome = vec.search(0, "twin", k)
+            assert_bit_exact(outcome, ref.search(0, "twin", k))
+        # Node 1 scores both twins from Γ(0); expanding 1 finds node 2
+        # for both of them again.
+        results, stats = vec.search(0, "twin", 2)
+        assert stats.expansion_rounds == 1
+        assert [r.label for r in results] == ["twin one", "twin two"]
+
+    def test_empty_gamma(self, sparse_stack):
+        vec, ref = sparse_stack
+        for user in (2, 3, 4, 6):
+            for query in ("far", "twin"):
+                assert_bit_exact(
+                    vec.search(user, query, 2), ref.search(user, query, 2)
+                )
+        # Expand probes node 5's empty Γ before node 1's.
+        _, stats = vec.search(0, "far", 1)
+        assert stats.entries_probed == 3
+
+    def test_batched_matches_reference(self, sparse_stack):
+        vec, ref = sparse_stack
+        requests = [
+            (user, query) for query in ("far", "twin") for user in range(7)
+        ]
+        for (user, query), outcome in zip(
+            requests, vec.search_many(requests, k=2)
+        ):
+            assert_bit_exact(outcome, ref.search(user, query, 2))

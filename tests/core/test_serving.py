@@ -1,7 +1,6 @@
 """Unit tests for the online serving layer: ByteLRUCache and the
 bounded caches / batched execution inside PersonalizedSearcher."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -78,91 +77,6 @@ class TestByteLRUCache:
     def test_budget_validated(self):
         with pytest.raises(ConfigurationError):
             ByteLRUCache(0)
-
-
-class TestGetOrPut:
-    """The coalescing-safe miss-then-insert helper (serving daemon)."""
-
-    def test_hit_and_miss_round_trip(self):
-        cache = ByteLRUCache(100)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_put("k", build, lambda v: 5) == "value"
-        assert cache.get_or_put("k", build, lambda v: 5) == "value"
-        assert len(calls) == 1
-        stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 1
-
-    def test_reentrant_build_inserting_same_key_wins(self):
-        # A builder that (via a recursive provider) inserts the key it
-        # was asked to build: the raced-in value must win, with no
-        # double charge against the byte budget.
-        cache = ByteLRUCache(100)
-
-        def build():
-            cache.put("k", "raced", 30)
-            return "mine"
-
-        assert cache.get_or_put("k", build, lambda v: 30) == "raced"
-        assert cache.memory_bytes() == 30
-        assert cache.get("k") == "raced"
-
-    def test_reentrant_build_populating_other_keys(self):
-        # A coalesced batch's builder fills sibling entries while this
-        # key is mid-build; the final insert must account correctly.
-        cache = ByteLRUCache(100)
-
-        def build():
-            for i in range(3):
-                cache.put(f"sibling{i}", i, 20)
-            return "mine"
-
-        assert cache.get_or_put("k", build, lambda v: 20) == "mine"
-        assert cache.memory_bytes() == 80
-        assert len(cache) == 4
-
-    def test_raced_value_refreshes_recency(self):
-        cache = ByteLRUCache(50)
-        cache.put("a", 1, 20)
-
-        def build():
-            cache.put("k", "raced", 20)
-            cache.get("a")  # "a" now more recent than the raced "k"...
-            return "mine"
-
-        # ...but get_or_put bumps "k" back to most-recent on return.
-        assert cache.get_or_put("k", build, lambda v: 20) == "raced"
-        cache.put("c", 3, 20)  # needs one eviction: "a" must go, not "k"
-        assert "k" in cache and "a" not in cache
-
-    def test_interleaved_hit_miss_deltas_stay_consistent(self):
-        # Simulates two coalesced callers for one key: the first misses
-        # and builds, the second (interleaved inside the first's build)
-        # also calls get_or_put. Total counters must stay coherent:
-        # every lookup is exactly one hit or one miss.
-        cache = ByteLRUCache(100)
-        order = []
-
-        def inner_build():
-            order.append("inner-build")
-            return "inner"
-
-        def outer_build():
-            order.append("outer-build")
-            value = cache.get_or_put("k", inner_build, lambda v: 10)
-            order.append(f"inner-got:{value}")
-            return "outer"
-
-        assert cache.get_or_put("k", outer_build, lambda v: 10) == "inner"
-        assert order == ["outer-build", "inner-build", "inner-got:inner"]
-        stats = cache.stats()
-        assert stats.hits + stats.misses == 2
-        assert stats.misses == 2  # both lookups ran before any insert
-        assert cache.memory_bytes() == 10  # one charge for one key
 
 
 class TestByteLRUCacheEdgeCases:
@@ -376,19 +290,11 @@ class TestBoundedSearcherCaches:
 
     def test_set_propagation_index_drops_gamma_caches(self, stack):
         searcher = PersonalizedSearcher(*stack)
-
-        def probed():
-            return sum(len(plan.probe_cache) for plan in searcher._plans.values())
-
         results_before, _ = searcher.search(0, "topic", k=4)
-        assert probed() > 0
-        # An empty graph kills every influence path; stale Γ probes
-        # would keep the old scores alive.
+        # An empty graph kills every influence path; any Γ data kept
+        # from the old index would keep the old scores alive.
         empty = GraphBuilder(5).build()
-        searcher.set_propagation_index(
-            PropagationIndex(empty, 0.05), affected=np.arange(5)
-        )
-        assert probed() == 0
+        searcher.set_propagation_index(PropagationIndex(empty, 0.05))
         results_after, _ = searcher.search(0, "topic", k=4)
         assert all(r.influence == 0.0 for r in results_after)
         assert any(r.influence > 0.0 for r in results_before)
@@ -433,7 +339,7 @@ class TestSearchMany:
 
 
 class TestPlanTierCharge:
-    """The plan tier charges each plan its live size, probe cache included."""
+    """The plan tier charges each plan its arrays, fixed at compile."""
 
     REQUESTS = [
         (user, query) for query in ("topic", "alpha") for user in range(5)
@@ -445,12 +351,18 @@ class TestPlanTierCharge:
 
     def test_charge_equals_live_after_batch(self, stack):
         searcher = PersonalizedSearcher(*stack)
+        plan = searcher.plan_for("topic")
+        compiled = plan.memory_bytes()
+        assert searcher.tier_stats()["plans"].current_bytes == compiled
         searcher.search_many(self.REQUESTS, k=2)
+        # Serving every user leaves the plan's size where compile put it.
+        assert plan.memory_bytes() == compiled
         plans = searcher.tier_stats()["plans"]
         assert plans.n_items == 2
-        # Every user's probe grew the plans after they were compiled.
-        assert all(p.probe_cache for p in searcher._plans.values())
         assert plans.current_bytes == self._live(searcher)
+        assert plans.current_bytes == (
+            compiled + searcher.plan_for("alpha").memory_bytes()
+        )
 
     def test_budget_bounds_live_bytes(self, stack):
         roomy = PersonalizedSearcher(*stack)
